@@ -21,7 +21,7 @@ from .errors import BudgetExceededError, StageError
 from .explicit import read_dimacs, write_dimacs
 from .gapgraph import build_gap_graph, write_clique_set, write_sidecar
 from .pipeline import PipelineConfig, run_pipeline
-from .verify import clique_local_search, max_clique_exact
+from .verify import EXACT_VERTEX_BUDGET, clique_local_search, max_clique_exact
 
 
 def main(argv=None) -> int:
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qmode.add_argument("--search", action="store_true")
     q.add_argument("--restarts", type=int, default=100)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--vertex-budget", type=int, default=1_000)
+    q.add_argument("--vertex-budget", type=int, default=EXACT_VERTEX_BUDGET)
     q.add_argument("--node-budget", type=int, default=20_000_000)
     q.add_argument("input", metavar="DIMACS")
     q.set_defaults(func=_cmd_clique)

@@ -291,33 +291,20 @@ def collision_frequency_exhaustive(
 # -- derandomization ------------------------------------------------------
 
 
-def derandomize_projections(n_blocks: int, h: int) -> list[FMat]:
-    """Coordinate selectors: A_j picks block j of an (n_blocks*h)-vector.
+def derandomize_projections(m: int, h: int) -> list[FMat]:
+    """Coordinate selectors: A_j picks block j of an m-vector.
 
-    Row i of A_j is the unit vector at column (j-1)*h + (i-1), so
-    g(v) = (A_1 v, ..., A_n v) is v itself chopped into blocks, which is
+    Row i of A_j is the unit vector at column j*h + i, or zero past the
+    last column when h does not divide m, so g(v) = (A_1 v, ..., A_n v)
+    is v itself chopped into ceil(m/h) zero-padded blocks, which is
     injective on all of F^m.
     """
-    if n_blocks < 1 or h < 1:
-        raise ValueError("n_blocks and h must be positive")
-    m = n_blocks * h
+    if m < 1 or h < 1:
+        raise ValueError("m and h must be positive")
     return [
-        FMat([FVector.unit(m, j * h + i) for i in range(h)])
-        for j in range(n_blocks)
+        FMat([FVector.unit(m, j + i) if j + i < m else FVector.zeros(m) for i in range(h)])
+        for j in range(0, m, h)
     ]
-
-
-def _selector_matrices(m: int, h: int) -> list[FMat]:
-    # like derandomize_projections but tolerates h not dividing m:
-    # the last selector's trailing rows are zero
-    mats = []
-    for start in range(0, m, h):
-        rows = []
-        for i in range(h):
-            col = start + i
-            rows.append(FVector.unit(m, col) if col < m else FVector.zeros(m))
-        mats.append(FMat(rows))
-    return mats
 
 
 def conditional_expectation_vector(constraints) -> FVector:
@@ -442,7 +429,7 @@ def derandomize_scheme(
                     constraints.append(constraint)
     n_constraints = len(constraints)
 
-    mats = _selector_matrices(m, h)
+    mats = derandomize_projections(m, h)
     flat_mats = [A.flatten() for A in mats]
     remaining = [
         c for c in constraints if all(fm.dot(c) == 0 for fm in flat_mats)

@@ -9,30 +9,35 @@ Vertex universe (never materialized unless exported):
   A vertices  ("A", p, i, val)   r copy groups per tuple p, one vertex
               per value val in F^ell.
 
-Two distinct vertices are adjacent unless their assignments conflict on
-a shared variable or the union violates a constraint it fully covers.
-For this constraint system the fully-covered checks reduce to:
+Each vertex is a partial assignment.  One rule decides everything: a
+set of assignments is *sound* when its union is consistent and violates
+no constraint it fully covers.  Two distinct vertices are adjacent
+exactly when their union is sound, and a set of two or more vertices
+is a clique exactly when the union of all its members is sound.  Both
+statements agree because, for this constraint system, soundness is a
+conjunction over pairs of assignments (var_a = val_a, var_b = val_b):
 
-  * each vertex is internally sound (consistent on its own variables,
-    assigns 0 to the zero tuple if it assigns it at all, and violates no
-    binary constraint between its own variables);
-  * shared variables agree;
-  * every pair of distinct assigned variables passes the binary
-    constraints classified by the packed tuple difference d = a XOR b:
-    a single nonzero slot i with value alpha demands the value
-    difference lie in {f(alpha, v) : v in V_i}; all slots equal and
-    nonzero demand it equal f(alpha, target).
+  * the same variable holds the same value;
+  * the zero tuple holds 0;
+  * distinct variables pass the binary constraints of their packed
+    difference d = var_a XOR var_b: a single nonzero slot i with value
+    alpha demands the value difference lie in {f(alpha, v) : v in V_i};
+    all slots equal and nonzero demand it equal f(alpha, target).
 
 Additivity triples never straddle two vertices: a B vertex's variable
 set {p+q, p, q} is XOR-closed, so a triple with two variables on one
 side already lives entirely on that side, and the remaining degenerate
-triples collapse to the zero-tuple rule.  This is what makes clique
-checking linear in the set size plus quadratic in the number of
-distinct variables."""
+triples collapse to the zero-tuple rule.
+
+`GapGraph` tabulates the binary checks per difference once and applies
+the pair rule in one vectorized kernel; adjacency, clique checks, the
+planted family check, the explicit export and the implicit clique
+search are all conjunctions of that kernel over assignment pairs.  A
+vertex that is not sound on its own (internally inconsistent, or
+failing a check between its own variables) is adjacent to nothing."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -45,6 +50,10 @@ from .explicit import ExplicitGraph
 from .field import FVector
 
 Vertex = tuple
+
+# assignment pairs per pair-rule call in export_explicit; bounds the
+# size of its temporaries
+_STRIP_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -61,8 +70,24 @@ class GapGraph:
         self.r = r
         self.num_tuples = csp.num_vars
         self.num_values = 4**csp.ell
-        self._checks_cache: dict[int, tuple] = {}
-        self._self_ok_cache: dict[Vertex, bool] = {}
+        # checks per variable difference d: the C2 (slot, alpha) row of
+        # _allowed when d has one nonzero slot, the C3 code when all slots
+        # are equal and nonzero, -1 for no check
+        k, num_alphas = csp.k, csp.num_alphas
+        d = np.arange(self.num_tuples)
+        slots = np.stack([(d >> (2 * csp.h * i)) & (num_alphas - 1) for i in range(k)])
+        nonzero = (slots != 0).sum(axis=0)
+        single = (slots != 0).argmax(axis=0) * num_alphas + slots.max(axis=0)
+        self._c2_row = np.where(nonzero == 1, single, -1)
+        codes = np.array([csp.target_code(a) for a in range(num_alphas)], dtype=np.int64)
+        diagonal = (nonzero == k) & (slots == slots[0]).all(axis=0)
+        self._c3_code = np.where(diagonal, codes[slots[0]], -1)
+        self._checked = np.flatnonzero((self._c2_row >= 0) | (self._c3_code >= 0))
+        # allowed C2 value differences, row i * num_alphas + alpha, padded with -1
+        rows = [sorted(csp.allowed_diffs(i, a)) for i in range(k) for a in range(num_alphas)]
+        self._allowed = np.full((len(rows), max(1, *map(len, rows))), -1, dtype=np.int64)
+        for j, row in enumerate(rows):
+            self._allowed[j, : len(row)] = row
 
     # -- counting ---------------------------------------------------------
 
@@ -152,82 +177,65 @@ class GapGraph:
         p, i = divmod(group, self.r)
         return ("A", p, i + 1, val)
 
-    # -- adjacency ------------------------------------------------------------
+    # -- the pair rule ----------------------------------------------------
 
-    def _checks(self, d: int) -> tuple:
-        """Binary constraint checks keyed by nonzero variable difference."""
-        cached = self._checks_cache.get(d)
-        if cached is not None:
-            return cached
-        csp = self.csp
-        slots = [csp.slot(d, i) for i in range(csp.k)]
-        nonzero = [(i, s) for i, s in enumerate(slots) if s]
-        checks = []
-        if len(nonzero) == 1:
-            i, a = nonzero[0]
-            checks.append(("c2", i, a))
-        if len(nonzero) == csp.k and len({s for _, s in nonzero}) == 1:
-            checks.append(("c3", slots[0]))
-        result = tuple(checks)
-        self._checks_cache[d] = result
-        return result
+    def _pairs_ok(self, var_a, val_a, var_b, val_b) -> np.ndarray:
+        """Elementwise over broadcast arrays: may var_a hold val_a while
+        var_b holds val_b?
 
-    def binary_ok(self, var_a: int, val_a: int, var_b: int, val_b: int) -> bool:
-        diff_val = val_a ^ val_b
-        for check in self._checks(var_a ^ var_b):
-            if check[0] == "c2":
-                _, i, a = check
-                if diff_val not in self.csp.allowed_diffs(i, a):
-                    return False
-            else:
-                if diff_val != self.csp.target_code(check[1]):
-                    return False
-        return True
+        The same variable must hold the same value, two distinct
+        variables must pass the checks of their difference, and the zero
+        tuple may only hold 0.  Every adjacency and clique decision in
+        this module is a conjunction of this rule over assignment pairs.
+        """
+        d = var_a ^ var_b
+        diff = val_a ^ val_b
+        code = self._c3_code[d]
+        row = self._c2_row[d]
+        ok = ((d != 0) | (diff == 0)) & ((code < 0) | (diff == code))
+        in_row = row < 0
+        for column in self._allowed.T:
+            in_row |= column[row] == diff
+        ok &= in_row
+        return ok & ((var_a != 0) | (val_a == 0)) & ((var_b != 0) | (val_b == 0))
+
+    def _vertex_arrays(self, vertices: Sequence[Vertex]) -> tuple[np.ndarray, np.ndarray]:
+        """(len, 3) variable and value arrays, one row per vertex; an A
+        vertex repeats its single assignment, which changes no check."""
+        rows = [self.assignments(v) * (1 if v[0] == "B" else 3) for v in vertices]
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), 3, 2)
+        return arr[..., 0], arr[..., 1]
+
+    def _sound(self, var: np.ndarray, val: np.ndarray) -> np.ndarray:
+        """Per row of _vertex_arrays: is the vertex's own union sound?"""
+        ok = self._pairs_ok(var[:, :, None], val[:, :, None], var[:, None, :], val[:, None, :])
+        return ok.all(axis=(1, 2))
 
     def self_ok(self, v: Vertex) -> bool:
-        cached = self._self_ok_cache.get(v)
-        if cached is not None:
-            return cached
-        merged: dict[int, int] = {}
-        ok = True
-        for var, val in self.assignments(v):
-            if merged.setdefault(var, val) != val:
-                ok = False
-                break
-        if ok and merged.get(0, 0) != 0:
-            ok = False
-        if ok:
-            for a, b in itertools.combinations(sorted(merged), 2):
-                if not self.binary_ok(a, merged[a], b, merged[b]):
-                    ok = False
-                    break
-        self._self_ok_cache[v] = ok
-        return ok
-
-    def _merged(self, v: Vertex) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for var, val in self.assignments(v):
-            out[var] = val
-        return out
+        return bool(self._sound(*self._vertex_arrays([v]))[0])
 
     def adjacent(self, u: Vertex, w: Vertex) -> bool:
         if u == w:
             return False
-        if not (self.self_ok(u) and self.self_ok(w)):
-            return False
-        mu, mw = self._merged(u), self._merged(w)
-        for var, val in mw.items():
-            if var in mu and mu[var] != val:
-                return False
-        for a in mu:
-            if a in mw:
-                continue
-            for b in mw:
-                if b in mu:
-                    continue
-                if not self.binary_ok(a, mu[a], b, mw[b]):
-                    return False
-        return True
+        var, val = (a.ravel() for a in self._vertex_arrays([u, w]))
+        return bool(self._pairs_ok(var[:, None], val[:, None], var, val).all())
+
+    def _first_bad_pair(
+        self, value: np.ndarray, assigned: np.ndarray
+    ) -> tuple[int, int] | None:
+        """Smallest (a, b) with a < b, both assigned, whose values fail
+        the checks of a ^ b; swept once per checked difference."""
+        a = np.flatnonzero(assigned)
+        first = None
+        for d in self._checked:
+            b = a ^ d
+            keep = (a < b) & assigned[b]
+            aa, bb = a[keep], b[keep]
+            bad = np.flatnonzero(~self._pairs_ok(aa, value[aa], bb, value[bb]))
+            if bad.size:
+                pair = (int(aa[bad[0]]), int(bb[bad[0]]))
+                first = pair if first is None else min(first, pair)
+        return first
 
     # -- cliques -----------------------------------------------------------
 
@@ -256,32 +264,15 @@ class GapGraph:
         """Clique property of the whole planted family, without
         materializing it.
 
-        Planted vertices all read off the honest assignment, so shared
-        variables agree for free; what remains is the zero-tuple rule
-        and every binary check between honest values, swept per variable
-        difference.  Agrees with is_clique(planted_clique(sel)) but
-        stays feasible when the family has millions of members."""
+        Planted vertices all read off the honest assignment, whose union
+        assigns every variable, so the family is a clique exactly when
+        that assignment passes the pair rule everywhere.  Agrees with
+        is_clique(planted_clique(sel)) but stays feasible when the family
+        has millions of members."""
         if not verify_selection(self.csp.inst, sel):
             return False
         hv = np.array(honest_assignment(self.csp, sel).values, dtype=np.int64)
-        if hv[0] != 0:
-            return False
-        n = self.num_tuples
-        idx = np.arange(n)
-        allowed = self._allowed_bool()
-        target = self.csp._target_code
-        for d in range(1, n):
-            checks = self._checks(d)
-            if not checks:
-                continue
-            diffs = hv ^ hv[idx ^ d]
-            for check in checks:
-                if check[0] == "c2":
-                    if not allowed[(check[1], check[2])][diffs].all():
-                        return False
-                elif not (diffs == target[check[1]]).all():
-                    return False
-        return True
+        return self._first_bad_pair(hv, np.ones(len(hv), dtype=bool)) is None
 
     def is_clique(self, vertices: Iterable[Vertex]) -> CliqueCheck:
         """All-pairs adjacency, decided without quadratic pair scans.
@@ -296,154 +287,59 @@ class GapGraph:
             self.validate_vertex(v)
         if len(vs) <= 1:
             return CliqueCheck(True, None)
-        for v in vs:
-            if not self.self_ok(v):
-                other = next(u for u in vs if u != v)
-                return CliqueCheck(False, (v, other))
-        owner: dict[int, Vertex] = {}
-        value: dict[int, int] = {}
-        for v in vs:
-            for var, val in self.assignments(v):
-                if var in value:
-                    if value[var] != val:
-                        return CliqueCheck(False, (owner[var], v))
-                else:
-                    owner[var] = v
-                    value[var] = val
-        for a, b in itertools.combinations(sorted(value), 2):
-            if not self.binary_ok(a, value[a], b, value[b]):
-                return CliqueCheck(False, (owner[a], owner[b]))
-        return CliqueCheck(True, None)
+        var, val = self._vertex_arrays(vs)
+        sound = self._sound(var, val)
+        if not sound.all():
+            i = int(np.argmin(sound))
+            return CliqueCheck(False, (vs[i], vs[1 if i == 0 else 0]))
+        var, val = var.ravel(), val.ravel()
+        # the first vertex to assign a variable owns it and sets its value
+        assigned_vars, first = np.unique(var, return_index=True)
+        owner = np.full(self.num_tuples, -1)
+        owner[assigned_vars] = first // 3
+        value = np.zeros(self.num_tuples, dtype=np.int64)
+        value[assigned_vars] = val[first]
+        conflict = np.flatnonzero(~self._pairs_ok(var, val, var, value[var]))
+        if conflict.size:
+            i = conflict[0]
+            return CliqueCheck(False, (vs[owner[var[i]]], vs[i // 3]))
+        bad = self._first_bad_pair(value, owner >= 0)
+        if bad is None:
+            return CliqueCheck(True, None)
+        return CliqueCheck(False, (vs[owner[bad[0]]], vs[owner[bad[1]]]))
 
     # -- explicit export ------------------------------------------------------
-
-    def _allowed_bool(self) -> dict[tuple[int, int], np.ndarray]:
-        out = {}
-        for i in range(self.csp.k):
-            for a in range(self.csp.num_alphas):
-                table = np.zeros(self.num_values, dtype=bool)
-                for x in self.csp.allowed_diffs(i, a):
-                    table[x] = True
-                out[(i, a)] = table
-        return out
-
-    def _group_list(self) -> list[tuple]:
-        groups = []
-        for p in range(self.num_tuples):
-            for q in range(self.num_tuples):
-                groups.append(("B", p, q))
-        for p in range(self.num_tuples):
-            for i in range(1, self.r + 1):
-                groups.append(("A", p, i))
-        return groups
 
     def export_explicit(self, budget: int = 20_000) -> tuple[ExplicitGraph, list[Vertex]]:
         """Materialize vertices (canonical order) and the full adjacency.
 
-        Work is grouped: every vertex group carries per-variable value
-        arrays over its local vertex enumeration, group pairs get their
-        adjacency block computed with vectorized masks, and each group's
-        strip of rows is packed into adjacency bitsets.
+        Self-unsound vertices are isolated.  The rest are checked against
+        each other in strips of rows, each a single pair-rule call over
+        all 3 x 3 assignment pairs, and packed into adjacency bitsets.
         """
         n = self.num_vertices
         if n > budget:
             raise BudgetExceededError(
                 f"graph has {n} vertices", needed=n, budget=budget
             )
-        L = self.num_values
-        yz = np.arange(L * L)
-        Y, Z = yz // L, yz % L
-        X = Y ^ Z
-        val_arr = np.arange(L)
-        allowed = self._allowed_bool()
-        target = self.csp._target_code
-
-        def group_vars(g) -> dict[int, np.ndarray]:
-            # variable -> value array; merges duplicates (consistency is
-            # folded into the self mask below)
-            if g[0] == "B":
-                _, p, q = g
-                entries = [(p ^ q, X), (p, Y), (q, Z)]
-            else:
-                _, p, _i = g
-                entries = [(p, val_arr)]
-            out: dict[int, np.ndarray] = {}
-            for var, arr in entries:
-                out.setdefault(var, arr)
-            return out
-
-        def pair_mask(a, va, b, vb):
-            # boolean mask (broadcasting over the value arrays) of the
-            # binary checks between distinct variables a and b
-            checks = self._checks(a ^ b)
-            if not checks:
-                return None
-            diff = va ^ vb
-            m = None
-            for check in checks:
-                if check[0] == "c2":
-                    part = allowed[(check[1], check[2])][diff]
-                else:
-                    part = diff == target[check[1]]
-                m = part if m is None else (m & part)
-            return m
-
-        def self_mask(g, gvars) -> np.ndarray:
-            size = L * L if g[0] == "B" else L
-            mask = np.ones(size, dtype=bool)
-            if g[0] == "B":
-                _, p, q = g
-                seen: dict[int, np.ndarray] = {}
-                for var, arr in [(p ^ q, X), (p, Y), (q, Z)]:
-                    if var in seen:
-                        mask &= seen[var] == arr
-                    else:
-                        seen[var] = arr
-            if 0 in gvars:
-                mask &= gvars[0] == 0
-            for a, b in itertools.combinations(sorted(gvars), 2):
-                pm = pair_mask(a, gvars[a], b, gvars[b])
-                if pm is not None:
-                    mask &= pm
-            return mask
-
-        groups = self._group_list()
-        gvars = [group_vars(g) for g in groups]
-        gself = [self_mask(g, gv) for g, gv in zip(groups, gvars)]
-        sizes = [L * L if g[0] == "B" else L for g in groups]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-
         vertices: list[Vertex] = [self.vertex_by_index(i) for i in range(n)]
+        var, val = self._vertex_arrays(vertices)
+        live = np.flatnonzero(self._sound(var, val))
+        cols = (var[live][None, None, :, :], val[live][None, None, :, :])
         graph = ExplicitGraph(n)
         nbytes = (n + 7) // 8
-        for gi, g1 in enumerate(groups):
-            buf = np.zeros((sizes[gi], n), dtype=bool)
-            v1 = gvars[gi]
-            for gj, g2 in enumerate(groups):
-                v2 = gvars[gj]
-                block = np.ones((sizes[gi], sizes[gj]), dtype=bool)
-                for var in v1:
-                    if var in v2:
-                        block &= v1[var][:, None] == v2[var][None, :]
-                for a in v1:
-                    if a in v2:
-                        continue
-                    for b in v2:
-                        if b in v1:
-                            continue
-                        pm = pair_mask(a, v1[a][:, None], b, v2[b][None, :])
-                        if pm is not None:
-                            block &= pm
-                block &= gself[gi][:, None]
-                block &= gself[gj][None, :]
-                if gi == gj:
-                    np.fill_diagonal(block, False)
-                buf[:, offsets[gj] : offsets[gj + 1]] = block
-            packed = np.packbits(buf, axis=1, bitorder="little")
-            for local in range(sizes[gi]):
-                graph.adj[offsets[gi] + local] = int.from_bytes(
-                    packed[local].tobytes()[:nbytes], "little"
-                )
+        step = max(1, _STRIP_PAIRS // (9 * max(1, len(live))))
+        for start in range(0, len(live), step):
+            rows = live[start : start + step]
+            block = self._pairs_ok(
+                var[rows][:, :, None, None], val[rows][:, :, None, None], *cols
+            ).all(axis=(1, 3))
+            block[np.arange(len(rows)), np.arange(start, start + len(rows))] = False
+            strip = np.zeros((len(rows), n), dtype=bool)
+            strip[:, live] = block
+            packed = np.packbits(strip, axis=1, bitorder="little")
+            for local, v in enumerate(rows.tolist()):
+                graph.adj[v] = int.from_bytes(packed[local].tobytes()[:nbytes], "little")
         return graph, vertices
 
 

@@ -44,7 +44,7 @@ from .errors import BudgetExceededError, StageError
 from .explicit import ExplicitGraph, write_dimacs
 from .gapgraph import GapGraph, build_gap_graph, write_clique_set, write_sidecar
 from .rng import derive_seed
-from .verify import SoundnessProbe, soundness_probe
+from .verify import EXACT_VERTEX_BUDGET, SoundnessProbe, soundness_probe
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,7 @@ def _probe(gap, sel, cfg: PipelineConfig, explicit_graph) -> SoundnessProbe | No
     if mode == "skip":
         return None
     if mode == "auto":
-        if explicit_graph is not None and gap.num_vertices <= 1_000:
+        if explicit_graph is not None and gap.num_vertices <= EXACT_VERTEX_BUDGET:
             mode = "exact"
         elif sel is not None:
             # soundness side is settled by the planted family; searching

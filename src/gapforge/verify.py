@@ -24,6 +24,10 @@ from .explicit import ExplicitGraph
 from .gapgraph import GapGraph, Vertex
 
 
+# largest explicit graph the exact solver searches; bigger ones get bounds only
+EXACT_VERTEX_BUDGET = 1_000
+
+
 @dataclass(frozen=True)
 class CliqueReport:
     """lower_bound always carries a witness; upper_bound is None when the
@@ -88,7 +92,9 @@ class _NodeBudget(Exception):
 
 
 def max_clique_exact(
-    g: ExplicitGraph, vertex_budget: int = 1_000, node_budget: int = 20_000_000
+    g: ExplicitGraph,
+    vertex_budget: int = EXACT_VERTEX_BUDGET,
+    node_budget: int = 20_000_000,
 ) -> CliqueReport:
     """Exact maximum clique with witness.
 
@@ -292,11 +298,17 @@ def clique_local_search(
 def _implicit_search(
     g: GapGraph, restarts: int, seed: int, initial_clique, sample_size: int
 ) -> CliqueReport:
+    # a sampled vertex joins when it is adjacent to every member: one
+    # pair-rule call against the members' assignments, kept in arrays
+    # that grow as vertices join
     warm: list[Vertex] = []
     if initial_clique is not None:
         warm = [g.validate_vertex(v) for v in initial_clique]
         if not g.is_clique(warm).ok:
             raise ValueError("warm start is not a clique")
+    warm_set = set(warm)
+    warm_var, warm_val = g._vertex_arrays(warm)
+    warm_closed = not g._sound(warm_var, warm_val).all()
     best = list(warm)
     nodes = 0
     n = g.num_vertices
@@ -304,12 +316,30 @@ def _implicit_search(
         rng = np.random.default_rng([seed, rr])
         idxs = np.unique(rng.integers(0, n, size=sample_size))
         rng.shuffle(idxs)
+        sample = [g.vertex_by_index(int(idx)) for idx in idxs]
+        var, val = g._vertex_arrays(sample)
+        sound = g._sound(var, val)
         clique = list(warm)
-        for idx in idxs:
-            v = g.vertex_by_index(int(idx))
-            if all(g.adjacent(v, u) for u in clique):
-                clique.append(v)
-                nodes += 1
+        closed = warm_closed
+        size = warm_var.size
+        member_var = np.concatenate([warm_var.ravel(), np.empty(var.size, dtype=np.int64)])
+        member_val = np.concatenate([warm_val.ravel(), np.empty(val.size, dtype=np.int64)])
+        for j, v in enumerate(sample):
+            if clique:
+                if closed or not sound[j] or v in warm_set:
+                    continue
+                ok = g._pairs_ok(
+                    var[j, :, None], val[j, :, None], member_var[:size], member_val[:size]
+                )
+                if not ok.all():
+                    continue
+            # a member unsound on its own is adjacent to nothing, but an
+            # empty clique takes its first vertex regardless
+            closed = not sound[j]
+            clique.append(v)
+            nodes += 1
+            member_var[size : size + 3], member_val[size : size + 3] = var[j], val[j]
+            size += 3
         if len(clique) > len(best):
             best = clique
     return CliqueReport(len(best), tuple(sorted(best)), None, False, nodes, restarts)
@@ -334,7 +364,7 @@ def soundness_probe(
     restarts: int = 10_000,
     seed: int = 0,
     export_budget: int = 20_000,
-    vertex_budget: int = 1_000,
+    vertex_budget: int = EXACT_VERTEX_BUDGET,
     node_budget: int = 20_000_000,
 ) -> SoundnessProbe:
     """Ask whether any clique reaches the planted size.

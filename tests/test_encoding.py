@@ -96,7 +96,7 @@ def test_encode_f_additive_in_v():
 
 
 def test_projection_scheme_is_injective():
-    mats = derandomize_projections(3, h=2)
+    mats = derandomize_projections(6, h=2)
     s = EncodingScheme(2, 6, 3, tuple(mats), "explicit")
     # difference (1,0 | 0,1 | 0,0) has blocks spanning F^2, so the
     # selectors separate this pair for every nonzero contraction
@@ -319,7 +319,7 @@ def test_conditional_expectation_array_and_fvector_paths_agree():
 
 
 def test_derandomize_projections_shape():
-    mats = derandomize_projections(3, 2)
+    mats = derandomize_projections(6, 2)
     assert len(mats) == 3
     v = FVector.from_text("012301")
     chopped = [A.matvec(v) for A in mats]

@@ -151,6 +151,23 @@ def test_adjacent_matches_naive_everywhere_at_tiny_scale():
             mismatches += 1
     assert mismatches == 0
 
+    # at k = 2, C2 (one nonzero slot) and C3 (the diagonal) check
+    # different differences.  A seeded sample of pairs: uniform ones,
+    # and ones among self-sound vertices, where those checks decide
+    g = k2_gap()
+    cons = materialized_constraints(g.csp)
+    verts = [g.vertex_by_index(i) for i in range(g.num_vertices)]
+    sound = [v for v in verts if g.self_ok(v)]
+    rng = np.random.default_rng(5)
+    pairs = [(verts[i], verts[j]) for i, j in rng.integers(0, len(verts), (1000, 2))]
+    pairs += [(sound[i], sound[j]) for i, j in rng.integers(0, len(sound), (3000, 2))]
+    outcomes = set()
+    for u, w in pairs:
+        want = naive_adjacent(g, cons, u, w)
+        assert g.adjacent(u, w) == want, (u, w)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
 
 def test_planted_clique_size_and_structure():
     g = tiny_gap(target_text="10")

@@ -212,3 +212,13 @@ def test_derandomized_run():
     assert b.scheme.provenance == "derandomized"
     assert b.scheme_report.all_pass
     assert b.completeness.all_satisfied
+
+
+def test_derandomized_k2_planted_check_on_k4():
+    # the derandomizer picks ell = 19 here; checking the planted family
+    # must not allocate anything indexed by all 4^ell values
+    cfg = PipelineConfig(k=2, h=1, replication=1, derandomize=True)
+    b = run_pipeline(complete_graph(4), cfg)
+    assert b.csp.ell == 19
+    assert b.planted_ok
+    assert "planted_clique_ok=1" in b.report_text

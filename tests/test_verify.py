@@ -176,6 +176,56 @@ def test_implicit_search_path():
     assert a.upper_bound is None
 
 
+def k2_gap():
+    inst = VectorSumInstance(
+        [
+            [FVector.from_text("100"), FVector.from_text("010")],
+            [FVector.from_text("001"), FVector.from_text("110")],
+        ],
+        FVector.from_text("101"),
+    )
+    return build_gap_graph(build_csp(inst, sample_scheme(9, h=1, m=3, ell=1), 2, 1, 1), 1)
+
+
+def reference_implicit_search(g, restarts, seed, warm, sample_size):
+    """The implicit search spelled out with the scalar predicate."""
+    best = list(warm)
+    nodes = 0
+    for rr in range(restarts):
+        rng = np.random.default_rng([seed, rr])
+        idxs = np.unique(rng.integers(0, g.num_vertices, size=sample_size))
+        rng.shuffle(idxs)
+        clique = list(warm)
+        for idx in idxs:
+            v = g.vertex_by_index(int(idx))
+            if all(g.adjacent(v, u) for u in clique):
+                clique.append(v)
+                nodes += 1
+        if len(clique) > len(best):
+            best = clique
+    return CliqueReport(len(best), tuple(sorted(best)), None, False, nodes, restarts)
+
+
+def test_implicit_search_matches_scalar_reference():
+    for g, sample_size in ((tiny_gap("10"), 120), (k2_gap(), 400)):
+        planted = g.planted_clique(brute_force_vector_sum(g.csp.inst))
+        # unsound through a check between its own variables, not through
+        # the zero tuple
+        unsound = next(
+            v for v in map(g.vertex_by_index, range(g.num_vertices))
+            if 0 not in dict(g.assignments(v)) and not g.self_ok(v)
+        )
+        warms = (None, planted[:1], planted[::7], [unsound])
+        for seed in range(3):
+            for warm in warms:
+                got = clique_local_search(
+                    g, restarts=6, seed=seed, initial_clique=warm,
+                    sample_size=sample_size, export_budget=100,
+                )
+                want = reference_implicit_search(g, 6, seed, warm or [], sample_size)
+                assert got == want
+
+
 def test_probe_yes_instance_reached():
     g = tiny_gap("10")
     probe = soundness_probe(g, mode="exact")
