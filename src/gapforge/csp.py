@@ -33,8 +33,6 @@ from .encoding import EncodingScheme, encode_f
 from .errors import BudgetExceededError
 from .field import FVector, block_linear
 
-_DIGITS = "0123"
-
 
 class CSPInstance:
     """Bundled vector-sum instance + encoding scheme with lookup tables."""

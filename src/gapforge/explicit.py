@@ -133,11 +133,13 @@ def read_dimacs(fp: IO[str]) -> ExplicitGraph:
         if not tok or tok[0] in ("c", "#"):
             continue
         if tok[0] == "p":
-            if tok[1] != "edge":
-                raise ValueError(f"expected 'p edge' header, got {line!r}")
+            if len(tok) != 4 or tok[1] != "edge":
+                raise ValueError(f"expected 'p edge N M' header, got {line!r}")
             g = ExplicitGraph(int(tok[2]))
             declared = int(tok[3])
         elif tok[0] == "e":
+            if len(tok) != 3:
+                raise ValueError(f"expected 'e U V' edge line, got {line!r}")
             if g is None:
                 raise ValueError("edge line before header")
             g.add_edge(int(tok[1]) - 1, int(tok[2]) - 1)

@@ -1,26 +1,36 @@
 """Clique oracles: exact search on small explicit graphs, seeded local
 search on larger ones, and the soundness probe over gap graphs.
 
-The exact solver is a bitset branch and bound: candidates are colored
-greedily and expanded in reverse color order, so a branch is cut as
-soon as clique size plus color count cannot beat the incumbent.  Root
-branches follow a degeneracy order, which keeps the first levels of the
-tree narrow on the dense structured graphs this package produces.
+Every oracle on an explicit graph works on one representation, the
+bitset rows `ExplicitGraph.adj` (row u is an int whose bit v is set when
+{u, v} is an edge), so a neighbourhood intersection is one big-int AND
+(the BBMC design of San Segundo et al.).
 
-Local search is restarted greedy insertion along a random vertex
-permutation followed by bounded 2-improvement (swap one clique member
-for two compatible outsiders).  Every restart draws its own generator
-from (seed, restart index), so reports are reproducible and restarts
-could run in any order without changing the outcome."""
+The exact solver is a branch and bound in the style of Tomita's MCQ: one
+greedy coloring routine, `_color_classes`, colors the candidates, which
+are expanded in reverse color order, so a branch is cut as soon as
+clique size plus color count cannot beat the incumbent.  The color count
+of the whole graph is the upper bound reported when the search is
+skipped or cut short.  Root branches follow a smallest-last degeneracy
+order (Matula-Beck, kept in a bucket queue), which keeps the first
+levels of the tree narrow on the dense structured graphs this package
+produces.
+
+Local search is restarted greedy insertion by a random vertex priority
+followed by bounded 2-improvement (swap one clique member for two
+compatible outsiders).  Every restart draws its own generator from
+(seed, restart index), so reports are reproducible and restarts could
+run in any order without changing the outcome.  Gap graphs too large to
+export are searched implicitly, on a vertex sample per restart."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .explicit import ExplicitGraph
+from .explicit import ExplicitGraph, _bits_iter
 from .gapgraph import GapGraph, Vertex
 
 
@@ -41,49 +51,68 @@ class CliqueReport:
     restarts: int
 
 
-def _bits(x: int):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
-
-
 def _degeneracy_order(adj: list[int], n: int) -> list[int]:
+    # repeatedly remove the lowest-index vertex of least remaining degree;
+    # buckets[d] is the bitset of remaining vertices of remaining degree d,
+    # and removing a vertex lowers the least degree by at most one
+    deg = [r.bit_count() for r in adj]
+    buckets = [0] * n
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
     remaining = (1 << n) - 1
-    deg = [ (adj[v] & remaining).bit_count() for v in range(n) ]
     order = []
+    d = 0
     for _ in range(n):
-        v = min((u for u in _bits(remaining)), key=lambda u: (deg[u], u))
+        while not buckets[d]:
+            d += 1
+        b = buckets[d] & -buckets[d]
+        v = b.bit_length() - 1
         order.append(v)
-        remaining ^= 1 << v
-        for u in _bits(adj[v] & remaining):
+        buckets[d] ^= b
+        remaining ^= b
+        for u in _bits_iter(adj[v] & remaining):
+            bit = 1 << u
+            buckets[deg[u]] ^= bit
             deg[u] -= 1
+            buckets[deg[u]] |= bit
+        d = max(d - 1, 0)
     return order
 
 
-def _color_bound(adj: list[int], pool: int) -> int:
-    colors = 0
-    left = pool
-    while left:
-        colors += 1
-        cur = left
+def _color_classes(adj: list[int], pool: int) -> tuple[list[int], list[int]]:
+    """Greedy coloring of the vertices in pool, lowest index first.
+
+    Returns the vertices grouped by color class and each one's class
+    number, which bounds the clique among it and the vertices before it;
+    the last class number is the color count."""
+    order: list[int] = []
+    bound: list[int] = []
+    color = 0
+    while pool:
+        color += 1
+        cur = pool
         while cur:
             b = cur & -cur
             v = b.bit_length() - 1
             cur ^= b
-            left ^= b
+            pool ^= b
             cur &= ~adj[v]
-    return colors
+            order.append(v)
+            bound.append(color)
+    return order, bound
 
 
-def _greedy_seed(adj: list[int], n: int, order: list[int]) -> list[int]:
-    # one maximal clique along the given order; used as the incumbent
-    clique: list[int] = []
-    cand = (1 << n) - 1
-    for v in order:
-        if (cand >> v) & 1:
-            clique.append(v)
-            cand &= adj[v]
+def _greedy_by_priority(adj: list[int], prio: list[int]) -> list[int]:
+    # repeatedly take the candidate of least priority; prio is a
+    # permutation of range(n) indexed by vertex, so the first pick, over
+    # all vertices, is the one of priority 0
+    v = prio.index(0)
+    clique = [v]
+    cand = adj[v]
+    while cand:
+        v = min(_bits_iter(cand), key=prio.__getitem__)
+        clique.append(v)
+        cand &= adj[v]
     return clique
 
 
@@ -107,11 +136,13 @@ def max_clique_exact(
     if n == 0:
         return CliqueReport(0, (), 0, True, 0, 0)
     order = _degeneracy_order(adj, n)
-    seed = max(
-        (_greedy_seed(adj, n, o) for o in (order[::-1], sorted(range(n)))),
-        key=len,
-    )
-    upper = _color_bound(adj, (1 << n) - 1)
+    # incumbent: the better of the greedy cliques along the reversed
+    # degeneracy order and along vertex index
+    rank = [0] * n
+    for i, v in enumerate(reversed(order)):
+        rank[v] = i
+    seed = max((_greedy_by_priority(adj, p) for p in (rank, list(range(n)))), key=len)
+    upper = _color_classes(adj, (1 << n) - 1)[1][-1]
     if n > vertex_budget:
         return CliqueReport(len(seed), tuple(sorted(seed)), upper, False, 0, 0)
 
@@ -122,23 +153,7 @@ def max_clique_exact(
 
     def expand(size: int, pool: int) -> None:
         nonlocal best, best_witness, nodes
-        # greedy coloring; vertices come out grouped by color class, so
-        # the bound for order[i] is its class number
-        col_order: list[int] = []
-        col_bound: list[int] = []
-        left = pool
-        color = 0
-        while left:
-            color += 1
-            cur = left
-            while cur:
-                b = cur & -cur
-                v = b.bit_length() - 1
-                cur ^= b
-                left ^= b
-                cur &= ~adj[v]
-                col_order.append(v)
-                col_bound.append(color)
+        col_order, col_bound = _color_classes(adj, pool)
         for i in range(len(col_order) - 1, -1, -1):
             if size + col_bound[i] <= best:
                 return
@@ -179,70 +194,53 @@ def max_clique_exact(
     return CliqueReport(best, tuple(best_witness), upper, exact, nodes, 0)
 
 
-def _greedy_by_priority(adjbool: np.ndarray, prio: np.ndarray) -> list[int]:
-    n = adjbool.shape[0]
-    cand = np.ones(n, dtype=bool)
-    clique: list[int] = []
-    sentinel = n
-    while True:
-        masked = np.where(cand, prio, sentinel)
-        v = int(masked.argmin())
-        if masked[v] == sentinel:
-            return clique
-        clique.append(v)
-        cand &= adjbool[v]
-        cand[v] = False
-
-
 def _two_improve(
-    adjbool: np.ndarray, clique: list[int], rounds: int = 8, scan_cap: int = 128
+    adj: list[int], clique: list[int], rounds: int = 8, scan_cap: int = 128
 ) -> list[int]:
     # swap one member for two outsiders each adjacent to the rest and to
-    # each other; keeps the set a clique and grows it by one.  Outsiders
-    # missing the same member are scanned for an adjacent pair only up
-    # to scan_cap of them (heuristic, so completeness is not owed)
+    # each other; keeps the set a clique and grows it by one.  Slots are
+    # tried in clique order, and the outsiders missing only that slot's
+    # member are scanned for an adjacent pair only up to the scan_cap
+    # lowest-index ones (heuristic, so completeness is not owed)
+    full = (1 << len(adj)) - 1
     clique = list(clique)
     for _ in range(rounds):
-        if len(clique) < 1:
-            return clique
-        members = np.array(clique)
-        cnt = adjbool[members].sum(axis=0)
-        cnt[members] = -1
-        near = np.where(cnt == len(clique) - 1)[0]
-        if len(near) < 2:
-            return clique
-        misses = adjbool[np.ix_(near, members)]
-        missing = np.argmin(misses, axis=1)
-        improved = False
-        for slot in np.unique(missing):
-            group = near[missing == slot][:scan_cap]
-            if len(group) < 2:
-                continue
-            sub = adjbool[np.ix_(group, group)]
-            pairs = np.argwhere(np.triu(sub, 1))
-            if len(pairs):
-                a, b = group[pairs[0][0]], group[pairs[0][1]]
-                clique.remove(int(members[slot]))
-                clique.extend([int(a), int(b)])
-                improved = True
+        # before[i] / after[i]: vertices adjacent to every member before
+        # slot i / after slot i
+        before = [full]
+        for v in clique:
+            before.append(before[-1] & adj[v])
+        after = [full]
+        for v in reversed(clique):
+            after.append(after[-1] & adj[v])
+        after.reverse()
+        for slot, m in enumerate(clique):
+            group = before[slot] & after[slot + 1] & ~adj[m] & ~(1 << m)
+            scan = list(islice(_bits_iter(group), scan_cap))
+            capped = sum(1 << a for a in scan)
+            # the first scanned vertex with a neighbour among the scanned
+            # has only later ones there: an earlier one would have come first
+            a = next((a for a in scan if adj[a] & capped), None)
+            if a is not None:
+                hits = adj[a] & capped
+                del clique[slot]
+                clique.extend([a, (hits & -hits).bit_length() - 1])
                 break
-        if not improved:
+        else:
             return clique
     return clique
 
 
-def _extend_maximal(adjbool: np.ndarray, clique: list[int]) -> list[int]:
-    cand = np.ones(adjbool.shape[0], dtype=bool)
+def _extend_maximal(adj: list[int], clique: list[int]) -> list[int]:
+    # add the lowest-index common neighbour until there is none
+    cand = (1 << len(adj)) - 1
     for v in clique:
-        cand &= adjbool[v]
-    for v in clique:
-        cand[v] = False
+        cand &= adj[v]
     out = list(clique)
-    while cand.any():
-        v = int(np.argmax(cand))
+    while cand:
+        v = (cand & -cand).bit_length() - 1
         out.append(v)
-        cand &= adjbool[v]
-        cand[v] = False
+        cand &= adj[v]
     return out
 
 
@@ -276,7 +274,7 @@ def clique_local_search(
             )
         return _implicit_search(g, restarts, seed, initial_clique, sample_size)
 
-    adjbool = g.to_bool_matrix()
+    adj = g.adj
     n = g.n
     best: list[int] = []
     nodes = 0
@@ -284,11 +282,11 @@ def clique_local_search(
         check = g.is_clique(list(initial_clique))
         if not check:
             raise ValueError("warm start is not a clique")
-        best = _extend_maximal(adjbool, list(initial_clique))
+        best = _extend_maximal(adj, list(initial_clique))
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
-        clique = _greedy_by_priority(adjbool, rng.permutation(n)) if n else []
-        clique = _two_improve(adjbool, clique)
+        clique = _greedy_by_priority(adj, rng.permutation(n).tolist()) if n else []
+        clique = _two_improve(adj, clique)
         nodes += len(clique)
         if len(clique) > len(best):
             best = clique

@@ -279,3 +279,13 @@ def test_missing_file_exits_one(capsys):
     rc = main(["clique", "--exact", "/nonexistent/input.dimacs"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["p edge 2 1\ne 1\n", "p edge\n"])
+def test_short_dimacs_line_exits_one(tmp_path, capsys, text):
+    path = tmp_path / "short.dimacs"
+    path.write_text(text)
+    rc = main(["clique", "--exact", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

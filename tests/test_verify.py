@@ -13,6 +13,7 @@ from gapforge.cliquered import VectorSumInstance, brute_force_vector_sum
 from gapforge.csp import build_csp
 from gapforge.encoding import EncodingScheme, sample_scheme
 from gapforge.field import FMat, FVector
+from gapforge import verify
 from gapforge.gapgraph import build_gap_graph
 from gapforge.verify import (
     CliqueReport,
@@ -255,3 +256,173 @@ def test_probe_search_mode_never_false_reached():
 def test_probe_rejects_unknown_mode():
     with pytest.raises(ValueError):
         soundness_probe(tiny_gap("10"), mode="guess")
+
+
+# -- bitset oracles against the boolean-matrix code they replaced -----------
+
+
+def reference_greedy_by_priority(adjbool, prio):
+    n = adjbool.shape[0]
+    cand = np.ones(n, dtype=bool)
+    clique = []
+    while True:
+        masked = np.where(cand, prio, n)
+        v = int(masked.argmin())
+        if masked[v] == n:
+            return clique
+        clique.append(v)
+        cand &= adjbool[v]
+        cand[v] = False
+
+
+def reference_two_improve(adjbool, clique, rounds=8, scan_cap=128):
+    clique = list(clique)
+    for _ in range(rounds):
+        if len(clique) < 1:
+            return clique
+        members = np.array(clique)
+        cnt = adjbool[members].sum(axis=0)
+        cnt[members] = -1
+        near = np.where(cnt == len(clique) - 1)[0]
+        if len(near) < 2:
+            return clique
+        missing = np.argmin(adjbool[np.ix_(near, members)], axis=1)
+        improved = False
+        for slot in np.unique(missing):
+            group = near[missing == slot][:scan_cap]
+            if len(group) < 2:
+                continue
+            pairs = np.argwhere(np.triu(adjbool[np.ix_(group, group)], 1))
+            if len(pairs):
+                a, b = group[pairs[0][0]], group[pairs[0][1]]
+                clique.remove(int(members[slot]))
+                clique.extend([int(a), int(b)])
+                improved = True
+                break
+        if not improved:
+            return clique
+    return clique
+
+
+def reference_extend_maximal(adjbool, clique):
+    cand = np.ones(adjbool.shape[0], dtype=bool)
+    for v in clique:
+        cand &= adjbool[v]
+    for v in clique:
+        cand[v] = False
+    out = list(clique)
+    while cand.any():
+        v = int(np.argmax(cand))
+        out.append(v)
+        cand &= adjbool[v]
+        cand[v] = False
+    return out
+
+
+def reference_local_search(g, restarts, seed, initial_clique=None):
+    """Explicit-graph local search on an n x n boolean matrix."""
+    adjbool = g.to_bool_matrix()
+    best, nodes = [], 0
+    if initial_clique is not None:
+        best = reference_extend_maximal(adjbool, list(initial_clique))
+    for rr in range(restarts):
+        rng = np.random.default_rng([seed, rr])
+        clique = reference_greedy_by_priority(adjbool, rng.permutation(g.n)) if g.n else []
+        clique = reference_two_improve(adjbool, clique)
+        nodes += len(clique)
+        if len(clique) > len(best):
+            best = clique
+    return CliqueReport(len(best), tuple(sorted(best)), None, False, nodes, restarts)
+
+
+def reference_degeneracy_order(adj, n):
+    """Smallest-last order by a quadratic scan for min (degree, index)."""
+    remaining = set(range(n))
+    deg = [adj[v].bit_count() for v in range(n)]
+    order = []
+    for _ in range(n):
+        v = min(remaining, key=lambda u: (deg[u], u))
+        order.append(v)
+        remaining.discard(v)
+        for u in remaining:
+            if (adj[v] >> u) & 1:
+                deg[u] -= 1
+    return order
+
+
+def reference_bounds_report(g, order):
+    """max_clique_exact's report for a graph over its vertex budget, from
+    the given degeneracy order."""
+    seeds = []
+    for along in (order[::-1], range(g.n)):
+        clique = []
+        for v in along:
+            if all(g.adjacent(v, u) for u in clique):
+                clique.append(v)
+        seeds.append(clique)
+    seed = max(seeds, key=len)
+    colors, left = 0, list(range(g.n))
+    while left:
+        colors += 1
+        color_class, rest = 0, []
+        for v in left:
+            if g.adj[v] & color_class:
+                rest.append(v)
+            else:
+                color_class |= 1 << v
+        left = rest
+    return CliqueReport(len(seed), tuple(sorted(seed)), colors, False, 0, 0)
+
+
+def corpus(seed, count):
+    """Seeded graphs with n in 1..60 and edge density in 0.05..0.95."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 61))
+        yield rng, random_graph(rng, n, float(rng.uniform(0.05, 0.95)))
+
+
+def exported_gap_graphs():
+    for g in (tiny_gap("10"), k2_gap()):
+        graph, verts = g.export_explicit()
+        index_of = {v: i for i, v in enumerate(verts)}
+        planted = g.planted_clique(brute_force_vector_sum(g.csp.inst))
+        yield graph, [index_of[v] for v in planted]
+
+
+def two_improve_limit_graphs():
+    """Graphs on which 2-improvement's round limit and scan cap decide.
+
+    chain: e_i ~ e_j (i < j) iff i >= ceil(j / 2), plus an isolated last
+    vertex.  From that vertex every round swaps the oldest member for the
+    next pair, so improvement runs until the round limit.  edge: one edge
+    {127, 128} among 140 vertices; the outsiders of an isolated vertex
+    hold it within their first 128 exactly when that vertex is below 127."""
+    chain = ExplicitGraph.from_edges(
+        25, [(i, j) for j in range(1, 24) for i in range(j) if i + 1 >= (j + 2) // 2]
+    )
+    return chain, ExplicitGraph.from_edges(140, [(127, 128)])
+
+
+def test_local_search_matches_boolean_matrix_reference():
+    for rng, g in corpus(28, 120):
+        warm = reference_greedy_by_priority(g.to_bool_matrix(), rng.permutation(g.n))
+        seed = int(rng.integers(100))
+        for init in (None, [], warm[: int(rng.integers(1, len(warm) + 1))]):
+            got = clique_local_search(g, restarts=4, seed=seed, initial_clique=init)
+            assert got == reference_local_search(g, 4, seed, init)
+    for graph, planted in exported_gap_graphs():
+        for init in (None, planted[:1], planted[::3]):
+            got = clique_local_search(graph, restarts=30, seed=5, initial_clique=init)
+            assert got == reference_local_search(graph, 30, 5, init)
+    for graph in two_improve_limit_graphs():
+        got = clique_local_search(graph, restarts=100, seed=6)
+        assert got == reference_local_search(graph, 100, 6)
+
+
+def test_degeneracy_order_matches_quadratic_reference():
+    graphs = [g for _, g in corpus(29, 120)] + [graph for graph, _ in exported_gap_graphs()]
+    for g in graphs:
+        order = reference_degeneracy_order(g.adj, g.n)
+        assert verify._degeneracy_order(g.adj, g.n) == order
+        assert max_clique_exact(g, vertex_budget=0) == reference_bounds_report(g, order)
