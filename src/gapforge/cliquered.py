@@ -353,6 +353,8 @@ def read_mcol(fp: IO[str]) -> MulticolorGraph:
         tok = line.split()
         if not tok or tok[0] == "#":
             continue
+        if len(tok) != {"p": 5, "c": 3, "e": 3}.get(tok[0], len(tok)):
+            raise ValueError(f"wrong number of fields in line {line!r}")
         if tok[0] == "p":
             if tok[1] != "mcol":
                 raise ValueError(f"expected 'p mcol' header, got {line!r}")
@@ -387,6 +389,8 @@ def read_vsi(fp: IO[str]) -> VectorSumInstance:
         tok = line.split()
         if not tok or tok[0] == "#":
             continue
+        if len(tok) != {"vsi": 3, "t": 2, "s": 3}.get(tok[0], len(tok)):
+            raise ValueError(f"wrong number of fields in line {line!r}")
         if tok[0] == "vsi":
             header = (int(tok[1]), int(tok[2]))
         elif tok[0] == "t":

@@ -14,6 +14,10 @@ scheme encoder.  The honest assignment of a selection (v_1, ..., v_k) is
 x_t = f(a_1, v_1) + ... + f(a_k, v_k); when the selection sums to the
 target it satisfies every constraint.
 
+`CSPInstance` owns the one int64 constraint table that `evaluate` and
+the gap graph's pair rule read; packing values into int64 caps ell at
+MAX_ELL = 31, and building a CSP above it raises ValueError.
+
 Fractions of satisfied constraints are exact `fractions.Fraction`
 values; denominators are the literal family sizes (|F|^{2kh} for C1,
 |F|^{(k+1)h} for C2-i and C3, alpha = 0 included).
@@ -34,8 +38,28 @@ from .errors import BudgetExceededError
 from .field import FVector, block_linear
 
 
+# Values in F^ell are packed two bits per coordinate into int64, and -1
+# marks table padding and "no check"; 2 * 31 = 62 bits keeps every value
+# and every XOR of two values non-negative.
+MAX_ELL = 31
+
+
 class CSPInstance:
-    """Bundled vector-sum instance + encoding scheme with lookup tables."""
+    """Bundled vector-sum instance + encoding scheme with the constraint table.
+
+    The C2/C3 right-hand sides are tabulated once, as int64:
+
+      allowed       -1-padded sorted rows of allowed C2 value differences
+                    f(alpha, v), v in V_i; row i * num_alphas + alpha
+      target_codes  f(alpha, target) per alpha, the C3 right-hand sides
+      c2_row        per variable difference d: the allowed row when d has
+                    one nonzero slot, else -1
+      c3_code       per variable difference d: f(alpha, target) when every
+                    slot of d equals alpha != 0, else -1
+      checked       the differences with a C2 or C3 check
+
+    c2_ok is the one C2 membership kernel every consumer uses.
+    """
 
     def __init__(
         self,
@@ -51,65 +75,71 @@ class CSPInstance:
             raise ValueError(f"k = {k} but instance has {inst.num_sets} sets")
         if h != scheme.h or ell != scheme.ell:
             raise ValueError("h/ell disagree with the scheme")
+        if ell > MAX_ELL:
+            raise ValueError(
+                f"ell = {ell} is over the value-width limit MAX_ELL = {MAX_ELL} "
+                "(values are packed into int64)"
+            )
         self.inst = inst
         self.scheme = scheme
         self.k = k
         self.h = h
         self.ell = ell
         self.num_vars = 4 ** (k * h)
-        self.num_alphas = 4**h
-        # packed f(a, v) values per (slot, packed a): the C2 allowed sets
-        self._allowed: list[list[frozenset[int]]] = []
-        for i in range(k):
-            per_alpha = []
-            for a_packed in range(self.num_alphas):
-                a = FVector(h, a_packed)
-                per_alpha.append(
-                    frozenset(encode_f(scheme, a, v).bits for v in inst.sets[i])
-                )
-            self._allowed.append(per_alpha)
-        self._target_code = [
-            encode_f(scheme, FVector(h, a_packed), inst.target).bits
-            for a_packed in range(self.num_alphas)
+        self.num_alphas = num_alphas = 4**h
+        alphas = [FVector(h, a) for a in range(num_alphas)]
+        rows = [
+            np.unique(np.array([encode_f(scheme, a, v).bits for v in s], dtype=np.int64))
+            for s in inst.sets
+            for a in alphas
         ]
+        self.allowed = np.full((len(rows), max(1, *map(len, rows))), -1, dtype=np.int64)
+        for j, row in enumerate(rows):
+            self.allowed[j, : len(row)] = row
+        self.target_codes = np.array(
+            [encode_f(scheme, a, inst.target).bits for a in alphas], dtype=np.int64
+        )
+        d = np.arange(self.num_vars)
+        slots = np.stack([self.slot(d, i) for i in range(k)])
+        nonzero = (slots != 0).sum(axis=0)
+        single = (slots != 0).argmax(axis=0) * num_alphas + slots.max(axis=0)
+        self.c2_row = np.where(nonzero == 1, single, -1)
+        diagonal = (nonzero == k) & (slots == slots[0]).all(axis=0)
+        self.c3_code = np.where(diagonal, self.target_codes[slots[0]], -1)
+        self.checked = np.flatnonzero((self.c2_row >= 0) | (self.c3_code >= 0))
 
-    # -- packed-tuple helpers -------------------------------------------
+    def c2_ok(self, row, diff):
+        """Elementwise over broadcast arrays: is diff in allowed row `row`?
+        A row < 0 (no C2 check) allows every difference."""
+        ok = np.zeros(np.broadcast_shapes(np.shape(row), np.shape(diff)), dtype=bool)
+        ok |= row < 0
+        for column in self.allowed.T:
+            ok |= column[row] == diff
+        return ok
 
-    def slot(self, packed_tuple: int, i: int) -> int:
+    # -- packed-tuple helpers (on ints or int arrays) --------------------
+
+    def slot(self, packed_tuple, i: int):
         """Packed slot i (0-based) of a packed tuple."""
         return (packed_tuple >> (2 * self.h * i)) & (self.num_alphas - 1)
 
-    def place(self, a_packed: int, i: int) -> int:
+    def place(self, a_packed, i: int):
         """Packed tuple with a in slot i and zeros elsewhere."""
         return a_packed << (2 * self.h * i)
 
-    def diagonal(self, a_packed: int) -> int:
-        """Packed tuple (a, a, ..., a)."""
-        bits = 0
-        for i in range(self.k):
-            bits |= a_packed << (2 * self.h * i)
-        return bits
+    def diagonal(self, a_packed):
+        """Packed tuple (a, a, ..., a): a times the tuple with 1 in every
+        slot, since a < 4^h never carries into the next slot."""
+        return a_packed * ((self.num_vars - 1) // (self.num_alphas - 1))
 
     def allowed_diffs(self, i: int, a_packed: int) -> frozenset[int]:
         """Packed values f(a, v) for v in V_i (the C2-i right-hand sides)."""
-        return self._allowed[i][a_packed]
+        row = self.allowed[i * self.num_alphas + a_packed]
+        return frozenset(row[row >= 0].tolist())
 
     def target_code(self, a_packed: int) -> int:
         """Packed f(a, target) (the C3 right-hand side)."""
-        return self._target_code[a_packed]
-
-    # -- constraint enumerators (procedural, tiny-scale only) ------------
-
-    def c1_indices(self) -> Iterable[tuple[int, int]]:
-        return itertools.product(range(self.num_vars), repeat=2)
-
-    def c2_indices(self, i: int) -> Iterable[tuple[int, int]]:
-        if not 0 <= i < self.k:
-            raise ValueError("slot index out of range")
-        return itertools.product(range(self.num_vars), range(self.num_alphas))
-
-    def c3_indices(self) -> Iterable[tuple[int, int]]:
-        return itertools.product(range(self.num_vars), range(self.num_alphas))
+        return int(self.target_codes[a_packed])
 
 
 def build_csp(
@@ -161,24 +191,18 @@ def honest_assignment(csp: CSPInstance, sel: SelectionCertificate) -> Assignment
     """x_t = f(a_1, v_1) + ... + f(a_k, v_k) for the selected vectors."""
     if len(sel.indices) != csp.k:
         raise ValueError("selection length differs from k")
-    chosen = []
+    t = np.arange(csp.num_vars)
+    values = np.zeros(csp.num_vars, dtype=np.int64)
     for i, idx in enumerate(sel.indices):
         s = csp.inst.sets[i]
         if not 0 <= idx < len(s):
             raise ValueError(f"selection index {idx} out of range for set {i}")
-        chosen.append(s[idx])
-    tables = []
-    for v in chosen:
-        tables.append(
-            [encode_f(csp.scheme, FVector(csp.h, a), v).bits for a in range(csp.num_alphas)]
+        table = np.array(
+            [encode_f(csp.scheme, FVector(csp.h, a), s[idx]).bits for a in range(csp.num_alphas)],
+            dtype=np.int64,
         )
-    values = []
-    for t in range(csp.num_vars):
-        acc = 0
-        for i in range(csp.k):
-            acc ^= tables[i][csp.slot(t, i)]
-        values.append(acc)
-    return Assignment(csp.k, csp.h, csp.ell, values)
+        values ^= table[csp.slot(t, i)]
+    return Assignment(csp.k, csp.h, csp.ell, values.tolist())
 
 
 @dataclass(frozen=True)
@@ -224,18 +248,17 @@ def evaluate(
 
     exhaustive: exact Fractions over the literal family counts; cost is
     |F|^{2kh} for C1 (budget-guarded).  sampled: uniform constraint
-    indices per family, Fractions over the sample count, per-alpha maps
-    left empty.
+    indices per family, drawn from one seeded generator in the order C1
+    (s, then t), then (t, alpha) for each slot i, then (t, alpha) for
+    C3; Fractions over the sample count, per-alpha maps left empty.
+    Either way the C2/C3 checks run once per family over (t, alpha)
+    index arrays.
     """
     _check_assignment(csp, a)
-    n = csp.num_vars
-    vals = np.array(a.values, dtype=np.uint64)
-    allowed_sorted = [
-        [np.array(sorted(s), dtype=np.uint64) for s in per_i]
-        for per_i in csp._allowed
-    ]
-
-    if mode == "exhaustive":
+    n, num_alphas = csp.num_vars, csp.num_alphas
+    vals = np.array(a.values, dtype=np.int64)
+    exact = mode == "exhaustive"
+    if exact:
         if n * n > budget:
             raise BudgetExceededError(
                 f"C1 family has {n * n} constraints", needed=n * n, budget=budget
@@ -245,36 +268,9 @@ def evaluate(
         for s in range(n):
             c1_hits += int(np.count_nonzero((vals[s] ^ vals ^ vals[s ^ idx]) == 0))
         c1 = Fraction(c1_hits, n * n)
-
-        c2_map: dict[tuple[int, int], Fraction] = {}
-        c2_per_i = []
-        for i in range(csp.k):
-            total_hits = 0
-            for a_packed in range(csp.num_alphas):
-                shifted = idx ^ csp.place(a_packed, i)
-                diffs = vals[shifted] ^ vals
-                hits = int(np.count_nonzero(np.isin(diffs, allowed_sorted[i][a_packed])))
-                total_hits += hits
-                if a_packed != 0:
-                    c2_map[(i, a_packed)] = Fraction(hits, n)
-            c2_per_i.append(Fraction(total_hits, n * csp.num_alphas))
-
-        c3_map: dict[int, Fraction] = {}
-        c3_hits = 0
-        for a_packed in range(csp.num_alphas):
-            shifted = idx ^ csp.diagonal(a_packed)
-            diffs = vals[shifted] ^ vals
-            hits = int(np.count_nonzero(diffs == np.uint64(csp.target_code(a_packed))))
-            c3_hits += hits
-            if a_packed != 0:
-                c3_map[a_packed] = Fraction(hits, n)
-        c3 = Fraction(c3_hits, n * csp.num_alphas)
-        return SatReport(
-            c1, tuple(c2_per_i), c3, True,
-            c2_fraction_per_i_alpha=c2_map, c3_fraction_per_alpha=c3_map,
-        )
-
-    if mode == "sampled":
+        # every (t, alpha) once: t down the rows, alpha across the columns
+        draws = [(idx[:, None], np.arange(num_alphas))] * (csp.k + 1)
+    elif mode == "sampled":
         if count < 1:
             raise ValueError("need at least one sample")
         rng = np.random.default_rng(seed)
@@ -282,27 +278,39 @@ def evaluate(
         t_idx = rng.integers(0, n, count)
         c1_hits = int(np.count_nonzero((vals[s_idx] ^ vals[t_idx] ^ vals[s_idx ^ t_idx]) == 0))
         c1 = Fraction(c1_hits, count)
+        draws = [
+            (rng.integers(0, n, count), rng.integers(0, num_alphas, count))
+            for _ in range(csp.k + 1)
+        ]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
-        c2_per_i = []
-        for i in range(csp.k):
-            t_s = rng.integers(0, n, count)
-            a_s = rng.integers(0, csp.num_alphas, count)
-            hits = 0
-            for t, ap in zip(t_s.tolist(), a_s.tolist()):
-                diff = a.values[t ^ csp.place(ap, i)] ^ a.values[t]
-                hits += diff in csp._allowed[i][ap]
-            c2_per_i.append(Fraction(hits, count))
-
-        t_s = rng.integers(0, n, count)
-        a_s = rng.integers(0, csp.num_alphas, count)
-        c3_hits = 0
-        for t, ap in zip(t_s.tolist(), a_s.tolist()):
-            diff = a.values[t ^ csp.diagonal(ap)] ^ a.values[t]
-            c3_hits += diff == csp.target_code(ap)
-        c3 = Fraction(c3_hits, count)
-        return SatReport(c1, tuple(c2_per_i), c3, False, samples=count, seed=seed)
-
-    raise ValueError(f"unknown mode {mode!r}")
+    # satisfied constraints per alpha, for C2-1 .. C2-k and then C3
+    per_family = []
+    for i, (t, alpha) in enumerate(draws):
+        is_c3 = i == csp.k
+        diff = vals[t ^ (csp.diagonal(alpha) if is_c3 else csp.place(alpha, i))]
+        diff ^= vals[t]
+        ok = diff == csp.target_codes[alpha] if is_c3 else csp.c2_ok(i * num_alphas + alpha, diff)
+        hit_alphas = np.broadcast_to(alpha, ok.shape)[ok]
+        per_family.append(np.bincount(hit_alphas, minlength=num_alphas).tolist())
+    *c2_hits, c3_hits = per_family
+    total = diff.size
+    c2_per_i = tuple(Fraction(sum(hits), total) for hits in c2_hits)
+    c3 = Fraction(sum(c3_hits), total)
+    if not exact:
+        return SatReport(c1, c2_per_i, c3, False, samples=count, seed=seed)
+    # alpha = 0 relates a tuple to itself, so the maps skip it
+    c2_map = {
+        (i, ap): Fraction(hits[ap], n)
+        for i, hits in enumerate(c2_hits)
+        for ap in range(1, num_alphas)
+    }
+    c3_map = {ap: Fraction(c3_hits[ap], n) for ap in range(1, num_alphas)}
+    return SatReport(
+        c1, c2_per_i, c3, True,
+        c2_fraction_per_i_alpha=c2_map, c3_fraction_per_alpha=c3_map,
+    )
 
 
 @dataclass(frozen=True)
@@ -349,21 +357,20 @@ def linearity_decode(
         )
 
     # per-slot lookup: lut[c, a] = packed block_linear(a, c)
-    lut = np.empty((n_cands_per_slot, csp.num_alphas), dtype=np.uint64)
+    lut = np.empty((n_cands_per_slot, csp.num_alphas), dtype=np.int64)
     for c in range(n_cands_per_slot):
         cv = FVector(cdim, c)
         for ap in range(csp.num_alphas):
             lut[c, ap] = block_linear(FVector(h, ap), cv).bits
 
-    predicted = np.zeros((1, len(col_idx)), dtype=np.uint64)
+    predicted = np.zeros((1, len(col_idx)), dtype=np.int64)
     for i in range(k):
-        slots = np.array([csp.slot(int(t), i) for t in col_idx])
-        contrib = lut[:, slots]  # (n_cands_per_slot, n_cols)
+        contrib = lut[:, csp.slot(col_idx, i)]  # (n_cands_per_slot, n_cols)
         predicted = (predicted[:, None, :] ^ contrib[None, :, :]).reshape(
             -1, len(col_idx)
         )
     # candidate row index encodes (c_1, ..., c_k) with c_1 as the major digit
-    vals = np.array(a.values, dtype=np.uint64)[col_idx]
+    vals = np.array(a.values, dtype=np.int64)[col_idx]
     agreements = (predicted == vals).sum(axis=1)
     best = int(agreements.max())
     tied = np.flatnonzero(agreements == best)

@@ -108,12 +108,6 @@ def encode_f(scheme: EncodingScheme, a: FVector, v: FVector) -> FVector:
     return FVector(scheme.ell, bits)
 
 
-def all_vectors(dim: int):
-    """All of F^dim in packed order (coordinate 0 least significant)."""
-    for packed in range(4**dim):
-        yield FVector(dim, packed)
-
-
 def nonzero_vectors(dim: int):
     for packed in range(1, 4**dim):
         yield FVector(dim, packed)
@@ -465,6 +459,8 @@ def read_scheme(fp: IO[str]) -> EncodingScheme:
     if not lines or not lines[0].startswith("scheme "):
         raise ValueError("missing scheme header")
     tok = lines[0].split(maxsplit=4)
+    if len(tok) < 4:
+        raise ValueError(f"expected 'scheme H M ELL PROVENANCE' header, got {lines[0]!r}")
     h, m, ell = int(tok[1]), int(tok[2]), int(tok[3])
     provenance = tok[4] if len(tok) > 4 else ""
     body = lines[1:]

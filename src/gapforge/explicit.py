@@ -67,14 +67,8 @@ class ExplicitGraph:
     def adjacent(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
-
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2
-
-    def neighbors(self, u: int) -> Iterable[int]:
-        return _bits_iter(self.adj[u])
 
     def edges(self) -> Iterable[tuple[int, int]]:
         for u in range(self.n):
@@ -93,13 +87,6 @@ class ExplicitGraph:
         for v in vs:
             mask |= 1 << v
         return all((self.adj[v] | (1 << v)) & mask == mask for v in vs)
-
-    def complement(self) -> "ExplicitGraph":
-        g = ExplicitGraph(self.n)
-        full = (1 << self.n) - 1
-        for u in range(self.n):
-            g.adj[u] = full & ~self.adj[u] & ~(1 << u)
-        return g
 
     def __eq__(self, other) -> bool:
         return (

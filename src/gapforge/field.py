@@ -65,10 +65,6 @@ def inv(a: int) -> int:
     return INV[a]
 
 
-def element_name(a: int) -> str:
-    return ("0", "1", "w", "w+1")[a]
-
-
 def _lo_mask(dim: int) -> int:
     # 0b0101...01 with dim pairs: (4^dim - 1) / 3
     return ((1 << (2 * dim)) - 1) // 3

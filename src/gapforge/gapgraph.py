@@ -29,12 +29,13 @@ set {p+q, p, q} is XOR-closed, so a triple with two variables on one
 side already lives entirely on that side, and the remaining degenerate
 triples collapse to the zero-tuple rule.
 
-`GapGraph` tabulates the binary checks per difference once and applies
-the pair rule in one vectorized kernel; adjacency, clique checks, the
-planted family check, the explicit export and the implicit clique
-search are all conjunctions of that kernel over assignment pairs.  A
-vertex that is not sound on its own (internally inconsistent, or
-failing a check between its own variables) is adjacent to nothing."""
+`GapGraph` reads the binary checks per difference from the CSP's int64
+constraint table and applies the pair rule in one vectorized kernel;
+adjacency, clique checks, the planted family check, the explicit export
+and the implicit clique search are all conjunctions of that kernel over
+assignment pairs.  A vertex that is not sound on its own (internally
+inconsistent, or failing a check between its own variables) is adjacent
+to nothing."""
 
 from __future__ import annotations
 
@@ -70,24 +71,6 @@ class GapGraph:
         self.r = r
         self.num_tuples = csp.num_vars
         self.num_values = 4**csp.ell
-        # checks per variable difference d: the C2 (slot, alpha) row of
-        # _allowed when d has one nonzero slot, the C3 code when all slots
-        # are equal and nonzero, -1 for no check
-        k, num_alphas = csp.k, csp.num_alphas
-        d = np.arange(self.num_tuples)
-        slots = np.stack([(d >> (2 * csp.h * i)) & (num_alphas - 1) for i in range(k)])
-        nonzero = (slots != 0).sum(axis=0)
-        single = (slots != 0).argmax(axis=0) * num_alphas + slots.max(axis=0)
-        self._c2_row = np.where(nonzero == 1, single, -1)
-        codes = np.array([csp.target_code(a) for a in range(num_alphas)], dtype=np.int64)
-        diagonal = (nonzero == k) & (slots == slots[0]).all(axis=0)
-        self._c3_code = np.where(diagonal, codes[slots[0]], -1)
-        self._checked = np.flatnonzero((self._c2_row >= 0) | (self._c3_code >= 0))
-        # allowed C2 value differences, row i * num_alphas + alpha, padded with -1
-        rows = [sorted(csp.allowed_diffs(i, a)) for i in range(k) for a in range(num_alphas)]
-        self._allowed = np.full((len(rows), max(1, *map(len, rows))), -1, dtype=np.int64)
-        for j, row in enumerate(rows):
-            self._allowed[j, : len(row)] = row
 
     # -- counting ---------------------------------------------------------
 
@@ -188,15 +171,12 @@ class GapGraph:
         tuple may only hold 0.  Every adjacency and clique decision in
         this module is a conjunction of this rule over assignment pairs.
         """
+        csp = self.csp
         d = var_a ^ var_b
         diff = val_a ^ val_b
-        code = self._c3_code[d]
-        row = self._c2_row[d]
+        code = csp.c3_code[d]
         ok = ((d != 0) | (diff == 0)) & ((code < 0) | (diff == code))
-        in_row = row < 0
-        for column in self._allowed.T:
-            in_row |= column[row] == diff
-        ok &= in_row
+        ok &= csp.c2_ok(csp.c2_row[d], diff)
         return ok & ((var_a != 0) | (val_a == 0)) & ((var_b != 0) | (val_b == 0))
 
     def _vertex_arrays(self, vertices: Sequence[Vertex]) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +207,7 @@ class GapGraph:
         the checks of a ^ b; swept once per checked difference."""
         a = np.flatnonzero(assigned)
         first = None
-        for d in self._checked:
+        for d in self.csp.checked:
             b = a ^ d
             keep = (a < b) & assigned[b]
             aa, bb = a[keep], b[keep]

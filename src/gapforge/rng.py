@@ -49,16 +49,6 @@ class SplitMix64:
         """Uniform field element digit in 0..3 (top two bits of one word)."""
         return self.next_u64() >> 62
 
-    def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection from 64-bit words."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = _MASK64 - (_MASK64 + 1) % n
-        while True:
-            u = self.next_u64()
-            if u <= limit:
-                return u % n
-
 
 def _fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325

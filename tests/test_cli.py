@@ -105,13 +105,31 @@ def _honest_file(tmp_path, instance_path, scheme_path):
     return path
 
 
-def test_csp_build_counts(yes_instance, scheme_file, capsys):
+def test_csp_build_counts(tmp_path, yes_instance, scheme_file, capsys):
     rc = main(["csp", "--build", "--instance", str(yes_instance),
                "--scheme", str(scheme_file)])
     assert rc == 0
     report = kv(capsys.readouterr().out)
     assert report["num_vars"] == "4"
     assert report["c1_constraints"] == "16"
+    assert report["c2_constraints"] == "16"
+    assert report["c3_constraints"] == "16"
+    # k = 2 reduces to three sets; h = 1: |F|^{3h} tuples, |F|^h alphas per tuple
+    inst = reduce_clique(plain_to_multicolor(ExplicitGraph.from_edges(2, [(0, 1)]), 2))
+    assert inst.num_sets == 3
+    three_set = tmp_path / "three.vsi"
+    with open(three_set, "w") as fp:
+        write_vsi(inst, fp)
+    scheme = tmp_path / "three.txt"
+    assert main(["scheme", "--sample", "--h", "1", "--ell", "1", "--m", str(inst.dim),
+                 "--out", str(scheme)]) == 0
+    capsys.readouterr()
+    assert main(["csp", "--build", "--instance", str(three_set), "--scheme", str(scheme)]) == 0
+    report = kv(capsys.readouterr().out)
+    assert report["num_vars"] == str(4**3)
+    assert report["c1_constraints"] == str(4**6)
+    assert report["c2_constraints"] == str(3 * 4**3 * 4)
+    assert report["c3_constraints"] == str(4**3 * 4)
 
 
 def test_csp_evaluate_honest_assignment(tmp_path, yes_instance, scheme_file, capsys):
@@ -164,7 +182,8 @@ def test_graph_export_and_plant(tmp_path, yes_instance, scheme_file, capsys):
         lines = [ln.split() for ln in fp if ln.strip()]
     assert len(lines) == int(report["planted_size"]) == 32
     assert all(tok[0] in {"A", "B"} for tok in lines)
-    assert sum(1 for _ in open(str(dimacs) + ".map")) == 320
+    with open(str(dimacs) + ".map") as fp:
+        assert sum(1 for _ in fp) == 320
 
 
 def test_graph_plant_unsatisfiable(tmp_path, capsys):
@@ -286,6 +305,44 @@ def test_short_dimacs_line_exits_one(tmp_path, capsys, text):
     path = tmp_path / "short.dimacs"
     path.write_text(text)
     rc = main(["clique", "--exact", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_pipeline_ell_over_width_limit_exits_one(tmp_path, capsys):
+    path = tmp_path / "k2.col"
+    with open(path, "w") as fp:
+        write_dimacs(ExplicitGraph.from_edges(2, [(0, 1)]), fp)
+    rc = main(["pipeline", "--input", str(path), "--k", "1", "--h", "1",
+               "--ell", "40", "--replication", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--input", "p mcol 2\n"),
+        ("--input", "p mcol 1 0 1\nc 1\n"),
+        ("--input", "p mcol 2 1 1\nc 1 1\nc 2 1\ne 1\n"),
+        ("--instance", "vsi 1\n"),
+        ("--instance", "vsi 1 2\nt\n"),
+        ("--instance", "vsi 1 2\nt 10\ns 1\n"),
+        ("--scheme", "scheme 1\n"),
+    ],
+    ids=["p-mcol", "c", "e", "vsi", "t", "s", "scheme"],
+)
+def test_short_input_line_exits_one(tmp_path, capsys, yes_instance, scheme_file, flag, text):
+    path = tmp_path / "short.txt"
+    path.write_text(text)
+    if flag == "--input":
+        argv = ["pipeline", "--input", str(path), "--k", "1"]
+    else:
+        files = {"--instance": str(yes_instance), "--scheme": str(scheme_file), flag: str(path)}
+        argv = ["csp", "--build", "--instance", files["--instance"], "--scheme", files["--scheme"]]
+    rc = main(argv)
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

@@ -8,6 +8,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapforge.cliquered import (
     MulticolorGraph,
@@ -189,3 +191,32 @@ def test_vsi_rejects_bad_header():
         read_vsi(io.StringIO("t 11\n"))
     with pytest.raises(ValueError):
         read_vsi(io.StringIO("vsi 1 2\nt 111\n"))
+
+
+# lines built from the format's keywords and small numbers reach every
+# branch of a parser far more often than uniform text would
+def _text_from(tokens):
+    line = st.one_of(
+        st.lists(st.sampled_from(tokens), max_size=6).map(" ".join), st.text(max_size=12)
+    )
+    return st.lists(line, max_size=8).map("\n".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_text_from(["p", "mcol", "c", "e", "#", "x", "-1", "0", "1", "2", "3"]))
+def test_mcol_text_parses_or_raises_value_error(text):
+    try:
+        g = read_mcol(io.StringIO(text))
+    except ValueError:
+        return
+    assert isinstance(g, MulticolorGraph)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_text_from(["vsi", "t", "s", "#", "x", "-1", "0", "1", "2", "10", "01", "11", "2w"]))
+def test_vsi_text_parses_or_raises_value_error(text):
+    try:
+        inst = read_vsi(io.StringIO(text))
+    except ValueError:
+        return
+    assert isinstance(inst, VectorSumInstance)

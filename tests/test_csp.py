@@ -23,6 +23,7 @@ from gapforge.cliquered import (
 )
 from gapforge.csp import (
     Assignment,
+    SatReport,
     build_csp,
     evaluate,
     honest_assignment,
@@ -90,11 +91,8 @@ def recount_fractions(csp, a):
 def test_variable_and_family_counts():
     csp = tiny_csp()
     assert csp.num_vars == 4
-    assert len(list(csp.c1_indices())) == 16
-    assert len(list(csp.c3_indices())) == 16
     csp2 = two_set_csp()
     assert csp2.num_vars == 16
-    assert len(list(csp2.c2_indices(0))) == 16 * 4  # |F|^{kh} * |F|^h
 
 
 def test_build_rejects_mismatches():
@@ -105,6 +103,14 @@ def test_build_rejects_mismatches():
     scheme2 = sample_scheme(0, h=1, m=2, ell=1)
     with pytest.raises(ValueError):
         build_csp(inst, scheme2, 2, 1, 1)
+
+
+def test_build_rejects_ell_over_width_limit():
+    # values are packed into int64: ell = 32 is one over the width limit
+    inst = VectorSumInstance([[FVector.from_text("10")]], FVector.from_text("10"))
+    scheme = sample_scheme(0, h=1, m=2, ell=32)
+    with pytest.raises(ValueError, match="MAX_ELL = 31"):
+        build_csp(inst, scheme, 1, 1, 32)
 
 
 def test_honest_assignment_zero_tuple_is_zero():
@@ -303,3 +309,131 @@ def test_assignment_file_roundtrip():
 def test_assignment_file_rejects_partial():
     with pytest.raises(ValueError):
         read_assignment(io.StringIO("00 0\n"), 1, 1, 1)
+
+
+# -- reference: the per-alpha isin / per-sample loop evaluate -----------------
+
+
+def reference_honest_assignment(csp, sel):
+    """Per-tuple loop over per-slot tables of f(alpha, v_i)."""
+    tables = []
+    for i, idx in enumerate(sel.indices):
+        v = csp.inst.sets[i][idx]
+        tables.append(
+            [encode_f(csp.scheme, FVector(csp.h, a), v).bits for a in range(csp.num_alphas)]
+        )
+    values = []
+    for t in range(csp.num_vars):
+        acc = 0
+        for i in range(csp.k):
+            acc ^= tables[i][csp.slot(t, i)]
+        values.append(acc)
+    return Assignment(csp.k, csp.h, csp.ell, values)
+
+
+def reference_evaluate(csp, a, mode="exhaustive", count=10_000, seed=0):
+    """Exhaustive mode checks one alpha at a time with np.isin; sampled mode
+    walks the samples in Python."""
+    n = csp.num_vars
+    vals = np.array(a.values, dtype=np.int64)
+    allowed = [[csp.allowed_diffs(i, ap) for ap in range(csp.num_alphas)] for i in range(csp.k)]
+    if mode == "exhaustive":
+        idx = np.arange(n)
+        c1_hits = 0
+        for s in range(n):
+            c1_hits += int(np.count_nonzero((vals[s] ^ vals ^ vals[s ^ idx]) == 0))
+        c2_map, c2_per_i = {}, []
+        for i in range(csp.k):
+            total = 0
+            for ap in range(csp.num_alphas):
+                diffs = vals[idx ^ csp.place(ap, i)] ^ vals
+                hits = int(np.count_nonzero(np.isin(diffs, sorted(allowed[i][ap]))))
+                total += hits
+                if ap != 0:
+                    c2_map[(i, ap)] = Fraction(hits, n)
+            c2_per_i.append(Fraction(total, n * csp.num_alphas))
+        c3_map, c3_hits = {}, 0
+        for ap in range(csp.num_alphas):
+            diffs = vals[idx ^ csp.diagonal(ap)] ^ vals
+            hits = int(np.count_nonzero(diffs == csp.target_code(ap)))
+            c3_hits += hits
+            if ap != 0:
+                c3_map[ap] = Fraction(hits, n)
+        return SatReport(
+            Fraction(c1_hits, n * n), tuple(c2_per_i),
+            Fraction(c3_hits, n * csp.num_alphas), True,
+            c2_fraction_per_i_alpha=c2_map, c3_fraction_per_alpha=c3_map,
+        )
+    rng = np.random.default_rng(seed)
+    s_idx = rng.integers(0, n, count)
+    t_idx = rng.integers(0, n, count)
+    c1_hits = int(np.count_nonzero((vals[s_idx] ^ vals[t_idx] ^ vals[s_idx ^ t_idx]) == 0))
+    c2_per_i = []
+    for i in range(csp.k):
+        t_s = rng.integers(0, n, count)
+        a_s = rng.integers(0, csp.num_alphas, count)
+        hits = 0
+        for t, ap in zip(t_s.tolist(), a_s.tolist()):
+            hits += (a.values[t ^ csp.place(ap, i)] ^ a.values[t]) in allowed[i][ap]
+        c2_per_i.append(Fraction(hits, count))
+    t_s = rng.integers(0, n, count)
+    a_s = rng.integers(0, csp.num_alphas, count)
+    c3_hits = 0
+    for t, ap in zip(t_s.tolist(), a_s.tolist()):
+        c3_hits += (a.values[t ^ csp.diagonal(ap)] ^ a.values[t]) == csp.target_code(ap)
+    return SatReport(
+        Fraction(c1_hits, count), tuple(c2_per_i), Fraction(c3_hits, count), False,
+        samples=count, seed=seed,
+    )
+
+
+def reference_corpus():
+    """Seeded CSPs over k' in {1, 2, 3, 6}, h in {1, 2}, ell 1-3, each with
+    a random assignment, plus the honest assignment of a selection and a
+    corrupted copy of it.  Half the targets are the selection's sum (the
+    honest assignment satisfies everything); every third instance has an
+    empty set and only the random assignment."""
+    rng = np.random.default_rng(2024)
+    for case, (k, h) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (6, 1)]):
+        for ell in (1, 2, 3):
+            m = int(rng.integers(2, 5))
+            pool = [FVector.from_digits(d) for d in itertools.product((0, 1), repeat=m)]
+            sets = [
+                [pool[j] for j in rng.choice(len(pool), int(rng.integers(1, 4)), replace=False)]
+                for _ in range(k)
+            ]
+            sel = tuple(int(rng.integers(0, len(s))) for s in sets)
+            target = FVector(m, 0)
+            for s, j in zip(sets, sel):
+                target = target + s[j]
+            if (case + ell) % 2:
+                target = FVector(m, int(rng.integers(0, 4**m)))
+            empty = (case + ell) % 3 == 0
+            if empty:
+                sets[int(rng.integers(0, k))] = []
+            scheme = sample_scheme(int(rng.integers(0, 1 << 30)), h=h, m=m, ell=ell)
+            csp = build_csp(VectorSumInstance(sets, target), scheme, k, h, ell)
+            n, top = csp.num_vars, 4**ell
+            assignments = [Assignment(k, h, ell, rng.integers(0, top, n).tolist())]
+            if not empty:
+                honest = honest_assignment(csp, SelectionCertificate(sel))
+                assert honest == reference_honest_assignment(csp, SelectionCertificate(sel))
+                corrupted = np.array(honest.values)
+                hit = rng.random(n) < 0.1
+                corrupted[hit] = rng.integers(0, top, int(hit.sum()))
+                assignments += [honest, Assignment(k, h, ell, corrupted.tolist())]
+            yield csp, assignments
+
+
+def test_evaluate_and_honest_match_reference():
+    checked = 0
+    for csp, assignments in reference_corpus():
+        for a in assignments:
+            runs = [("exhaustive", 10_000, 0), ("sampled", 10_000, 3)]
+            runs += [("sampled", count, seed) for count in (1, 7) for seed in (0, 5)]
+            for mode, count, seed in runs:
+                got = evaluate(csp, a, mode=mode, count=count, seed=seed)
+                want = reference_evaluate(csp, a, mode=mode, count=count, seed=seed)
+                assert got == want  # the per-alpha maps are compared too
+                checked += 1
+    assert checked > 250

@@ -385,3 +385,23 @@ def test_scheme_file_rejects_malformed():
         read_scheme(io.StringIO("not a scheme\n"))
     with pytest.raises(ValueError):
         read_scheme(io.StringIO("scheme 1 2 2 explicit\n01\n"))
+
+
+# scheme text built from header and row tokens reaches every branch of
+# the parser far more often than uniform text would
+_scheme_token = st.sampled_from(
+    ["scheme", "#", "explicit", "-1", "0", "1", "2", "3", "01", "10", "x"]
+)
+_scheme_line = st.one_of(
+    st.lists(_scheme_token, max_size=6).map(" ".join), st.text(max_size=12)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_scheme_line, max_size=8))
+def test_scheme_text_parses_or_raises_value_error(lines):
+    try:
+        scheme = read_scheme(io.StringIO("\n".join(lines)))
+    except ValueError:
+        return
+    assert isinstance(scheme, EncodingScheme)

@@ -222,3 +222,14 @@ def test_derandomized_k2_planted_check_on_k4():
     assert b.csp.ell == 19
     assert b.planted_ok
     assert "planted_clique_ok=1" in b.report_text
+
+
+def test_ell_over_width_limit_raises_value_error():
+    with pytest.raises(ValueError, match="MAX_ELL = 31"):
+        run_pipeline(complete_graph(2), PipelineConfig(k=1, h=1, ell=40, replication=1))
+
+
+def test_ell_at_width_limit_completes():
+    bundle = run_pipeline(complete_graph(2), PipelineConfig(k=1, h=1, ell=31, replication=1))
+    assert "ell=31\n" in bundle.report_text
+    assert "planted_clique_ok=1\n" in bundle.report_text
