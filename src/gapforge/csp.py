@@ -33,21 +33,18 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .cliquered import SelectionCertificate, VectorSumInstance, verify_selection
-from .encoding import EncodingScheme, encode_f
+from .encoding import MAX_ELL, EncodingScheme, as_digits, f_codes, matrix_stack
 from .errors import BudgetExceededError
 from .field import FVector, block_linear
 
 
-# Values in F^ell are packed two bits per coordinate into int64, and -1
-# marks table padding and "no check"; 2 * 31 = 62 bits keeps every value
-# and every XOR of two values non-negative.
-MAX_ELL = 31
+# Values in F^ell are packed into int64 by `encoding.f_codes`; -1 marks padding and "no check".
 
 
 class CSPInstance:
     """Bundled vector-sum instance + encoding scheme with the constraint table.
 
-    The C2/C3 right-hand sides are tabulated once, as int64:
+    The C2/C3 right-hand sides are tabulated once, as int64 (`encoding.f_codes`):
 
       allowed       -1-padded sorted rows of allowed C2 value differences
                     f(alpha, v), v in V_i; row i * num_alphas + alpha
@@ -87,18 +84,13 @@ class CSPInstance:
         self.ell = ell
         self.num_vars = 4 ** (k * h)
         self.num_alphas = num_alphas = 4**h
-        alphas = [FVector(h, a) for a in range(num_alphas)]
-        rows = [
-            np.unique(np.array([encode_f(scheme, a, v).bits for v in s], dtype=np.int64))
-            for s in inst.sets
-            for a in alphas
-        ]
+        self.mats = matrix_stack(scheme.mats)
+        codes = [f_codes(self.mats, as_digits(s, inst.dim)) for s in inst.sets]
+        rows = [np.unique(row) for per_set in codes for row in per_set]
         self.allowed = np.full((len(rows), max(1, *map(len, rows))), -1, dtype=np.int64)
         for j, row in enumerate(rows):
             self.allowed[j, : len(row)] = row
-        self.target_codes = np.array(
-            [encode_f(scheme, a, inst.target).bits for a in alphas], dtype=np.int64
-        )
+        self.target_codes = f_codes(self.mats, as_digits([inst.target], inst.dim))[:, 0]
         d = np.arange(self.num_vars)
         slots = np.stack([self.slot(d, i) for i in range(k)])
         nonzero = (slots != 0).sum(axis=0)
@@ -197,11 +189,7 @@ def honest_assignment(csp: CSPInstance, sel: SelectionCertificate) -> Assignment
         s = csp.inst.sets[i]
         if not 0 <= idx < len(s):
             raise ValueError(f"selection index {idx} out of range for set {i}")
-        table = np.array(
-            [encode_f(csp.scheme, FVector(csp.h, a), s[idx]).bits for a in range(csp.num_alphas)],
-            dtype=np.int64,
-        )
-        values ^= table[csp.slot(t, i)]
+        values ^= f_codes(csp.mats, as_digits([s[idx]], csp.inst.dim))[csp.slot(t, i), 0]
     return Assignment(csp.k, csp.h, csp.ell, values.tolist())
 
 

@@ -16,6 +16,11 @@ good when three conditions hold:
   (self-corr)   f(a, v + w) != f(a', u + w) for all w in V, distinct
                 v, u in V \\ {w}, and nonzero a, a'.
 
+One numpy kernel, `f_values` (`encode_f` is its scalar form), gives the
+f-values of any matrix stack to the collision frequencies, the CSP's table
+and, as F[a, w, x] = f(a, x + w) for a != 0, w, x in V (`f_table`), to
+the two f-value conditions and the derandomizer.
+
 Random schemes satisfy all three with constant probability once
 ell >= 2 log2 |V| + 2h; `derandomize_scheme` constructs one
 deterministically with coordinate selectors plus greedy rows chosen by
@@ -38,11 +43,54 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .field import FMat, FVector, MUL, block_linear, outer, rank_and_kernel
+from .field import FMat, FVector, MUL, rank_and_kernel
 from .rng import SplitMix64
 
 _MUL_NP = np.array(MUL, dtype=np.uint8)
 _INV_NP = np.array([0, 1, 3, 2], dtype=np.uint8)
+
+# f-values in F^ell pack two bits per coordinate into int64 (`f_codes`);
+# 2 * 31 = 62 bits keeps every value and every XOR of two values non-negative.
+MAX_ELL = 31
+
+
+def as_digits(vectors: Sequence[FVector], dim: int) -> np.ndarray:
+    """The vectors as an (n, dim) uint8 array of digit rows."""
+    size = (dim + 3) // 4  # bytes per vector, four digits each
+    raw = np.frombuffer(b"".join(v.bits.to_bytes(size, "little") for v in vectors), np.uint8)
+    return ((raw[:, None] >> np.uint8([0, 2, 4, 6])) & 3).reshape(len(vectors), 4 * size)[:, :dim]
+
+
+def matrix_stack(mats: Sequence[FMat]) -> np.ndarray:
+    """The matrices as an (ell, h, m) uint8 digit stack."""
+    h, m = mats[0].h, mats[0].m
+    return as_digits([row for A in mats for row in A.rows], m).reshape(len(mats), h, m)
+
+
+def f_values(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The f-value kernel: T[a, x, i] = a^T mats[i] vectors[x] as digits, for
+    an (ell, h, m) matrix stack, (n, m) vectors and every a in F^h (row a
+    is the packed a, so row 0 is a = 0)."""
+    g = np.bitwise_xor.reduce(_MUL_NP[mats[:, :, None, :], vectors], axis=-1)  # (A_i x)_j
+    T = np.zeros((1, len(vectors), len(mats)), dtype=np.uint8)
+    for j in range(mats.shape[1]):  # prepend digit j of a as the most significant
+        T = (_MUL_NP[:, None, g[:, j].T] ^ T).reshape(4 * len(T), len(vectors), len(mats))
+    return T
+
+
+def f_codes(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """`f_values` with each f-value packed into one integer, coordinate i at
+    bits 2i: int64 up to MAX_ELL coordinates, Python ints (object) above."""
+    T = f_values(mats, vectors)
+    dtype = np.int64 if T.shape[-1] <= MAX_ELL else object
+    return (T.astype(dtype) << (2 * np.arange(T.shape[-1]))).sum(axis=-1)
+
+
+def f_table(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """F[a, w, x] = f(a, x) + f(a, w) = f(a, x + w) as packed integers
+    (`f_codes`), a nonzero in `nonzero_vectors` order, w and x over `vectors`."""
+    P = f_codes(mats, vectors)[1:]
+    return P[:, None] ^ P[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -139,6 +187,18 @@ class SchemeReport:
         return self.cond_injective and self.cond_separating and self.cond_self_correcting
 
 
+def _first_repeat(items):
+    """The (earlier, later) payloads of the first key met again under
+    another tag, or None; a repeat under the same tag replaces the payload."""
+    seen = {}
+    for key, tag, payload in items:
+        prev = seen.get(key)
+        if prev is not None and prev[0] != tag:
+            return prev[1], payload
+        seen[key] = (tag, payload)
+    return None
+
+
 def check_scheme(
     scheme: EncodingScheme,
     test_set: Sequence[FVector],
@@ -148,9 +208,9 @@ def check_scheme(
 
     Injectivity of g on all of F^m is decided exactly by the rank of the
     stacked ell*h x m matrix (a kernel vector is the witness), not by
-    enumerating F^m.  The separation and self-correction conditions are
-    checked by hashing f-values over the test set; their cost is about
-    4^h * |V| and 4^h * |V|^2 evaluations, guarded by the budget.
+    enumerating F^m.  The other two hash the entries of F[a, w, x] = f(a, x + w)
+    (`f_table`, 4^h * |V|^2 of them, guarded by the budget): separation keys on
+    F[a, V[0], v] = f(a, v) + f(a, V[0]), self-correction on F[a, w, x] per w.
 
     The report carries at most one witness: the first failure in the
     order injective, separating, self-correcting.
@@ -170,47 +230,34 @@ def check_scheme(
             budget=budget,
         )
 
-    witness = None
-
     rank, kernel = rank_and_kernel([row for A in scheme.mats for row in A.rows])
     cond_inj = rank == scheme.m
-    if not cond_inj and witness is None:
-        witness = ConditionWitness("injective", (), (kernel,))
+    witness = None if cond_inj else ConditionWitness("injective", (), (kernel,))
 
-    cond_sep = True
-    for a in nonzero_vectors(scheme.h):
-        seen: dict[int, FVector] = {}
-        for v in V:
-            key = encode_f(scheme, a, v).bits
-            if key in seen and seen[key] != v:
-                cond_sep = False
-                if witness is None:
-                    witness = ConditionWitness("separating", (a,), (seen[key], v))
-                break
-            seen[key] = v
-        if not cond_sep:
+    alphas = list(nonzero_vectors(scheme.h))
+    keys = []  # one test vector meets both conditions vacuously
+    if len(V) > 1:
+        keys = f_table(matrix_stack(scheme.mats), as_digits(V, scheme.m)).tolist()
+
+    cond_sep = cond_self = True
+    for a, plane in zip(alphas, keys):
+        hit = _first_repeat((key, v, v) for v, key in zip(V, plane[0]))
+        if hit:
+            cond_sep = False
+            witness = witness or ConditionWitness("separating", (a,), hit)
             break
 
-    cond_self = True
-    for w in V:
-        seen_pairs: dict[int, tuple[FVector, FVector]] = {}
-        for x in V:
-            if x == w:
-                continue
-            for a in nonzero_vectors(scheme.h):
-                key = encode_f(scheme, a, x + w).bits
-                prev = seen_pairs.get(key)
-                if prev is not None and prev[1] != x:
-                    cond_self = False
-                    if witness is None:
-                        witness = ConditionWitness(
-                            "self-correcting", (prev[0], a), (prev[1], x, w)
-                        )
-                    break
-                seen_pairs[key] = (a, x)
-            if not cond_self:
-                break
-        if not cond_self:
+    for wi, w in enumerate(V):
+        hit = _first_repeat(
+            (plane[wi][xi], x, (a, x))
+            for xi, x in enumerate(V)
+            if xi != wi
+            for a, plane in zip(alphas, keys)
+        )
+        if hit:
+            cond_self = False
+            (a, v), (ap, u) = hit
+            witness = witness or ConditionWitness("self-correcting", (a, ap), (v, u, w))
             break
 
     return SchemeReport(cond_inj, cond_sep, cond_self, witness)
@@ -220,13 +267,19 @@ def check_scheme(
 
 
 def _validate_collision_args(b: FVector, c: FVector, v: FVector, u: FVector) -> None:
-    if b.dim != c.dim or v.dim != u.dim:
-        raise ValueError("shape mismatch between the two bilinear forms")
     if b.is_zero() or c.is_zero():
         raise ValueError("b and c must be nonzero")
     for s in (1, 2, 3):
         if v == u.scalar_mul(s):
             raise ValueError("v must not be a scalar multiple of u")
+
+
+def _agreements(mats: np.ndarray, b: FVector, c: FVector, v: FVector, u: FVector) -> int:
+    """#{i : b^T mats[i] v == c^T mats[i] u} over an (N, h, m) stack."""
+    if b.dim != c.dim or v.dim != u.dim:
+        raise ValueError("shape mismatch between the two bilinear forms")
+    T = f_values(mats, as_digits([v, u], v.dim))
+    return int(np.count_nonzero(T[b.bits, 0] == T[c.bits, 1]))
 
 
 def collision_frequency(
@@ -243,25 +296,16 @@ def collision_frequency(
     For admissible inputs (b, c nonzero; v not a scalar multiple of u)
     the true value is exactly 1/4.  With require_valid=False degenerate
     inputs are measured as-is (e.g. b == c, v == u gives frequency 1).
-    Sampling uses numpy's seeded generator; both bilinear forms are
-    evaluated directly.
+    Sampling uses numpy's seeded generator; the samples form one matrix
+    stack whose forms come from `f_values`.
     """
     if require_valid:
         _validate_collision_args(b, c, v, u)
     if samples < 1:
         raise ValueError("need at least one sample")
-    h, m = b.dim, v.dim
     rng = np.random.default_rng(seed)
-    A = rng.integers(0, 4, size=(samples, h, m), dtype=np.uint8)
-
-    def form(lhs: FVector, rhs: FVector) -> np.ndarray:
-        rv = np.array(rhs.digits(), dtype=np.uint8)
-        Av = np.bitwise_xor.reduce(_MUL_NP[A, rv[None, None, :]], axis=2)
-        lv = np.array(lhs.digits(), dtype=np.uint8)
-        return np.bitwise_xor.reduce(_MUL_NP[lv[None, :], Av], axis=1)
-
-    hits = int(np.count_nonzero(form(b, v) == form(c, u)))
-    return Fraction(hits, samples)
+    A = rng.integers(0, 4, size=(samples, b.dim, v.dim), dtype=np.uint8)
+    return Fraction(_agreements(A, b, c, v, u), samples)
 
 
 def collision_frequency_exhaustive(
@@ -274,12 +318,9 @@ def collision_frequency_exhaustive(
         raise BudgetExceededError(
             f"would enumerate {total} matrices", needed=total, budget=budget
         )
-    hits = 0
-    for digits in itertools.product(range(4), repeat=h * m):
-        A = FMat.from_entries([digits[i * m : (i + 1) * m] for i in range(h)])
-        if b.dot(A.matvec(v)) == c.dot(A.matvec(u)):
-            hits += 1
-    return Fraction(hits, total)
+    entries = itertools.chain.from_iterable(itertools.product(range(4), repeat=h * m))
+    A = np.fromiter(entries, dtype=np.uint8, count=total * h * m).reshape(total, h, m)
+    return Fraction(_agreements(A, b, c, v, u), total)
 
 
 # -- derandomization ------------------------------------------------------
@@ -301,29 +342,22 @@ def derandomize_projections(m: int, h: int) -> list[FMat]:
     ]
 
 
-def conditional_expectation_vector(constraints) -> FVector:
+def conditional_expectation_vector(constraints: np.ndarray) -> FVector:
     """Greedy vector a with few zero dot products against the constraints.
 
-    Input: N nonzero vectors over F^D (sequence of FVector or a numpy
-    uint8 array of digit rows).  The uniform-random expectation of
-    #{i : <a, C_i> = 0} is N/4; fixing coordinates left to right and
-    minimizing the conditional expectation at each step (ties: smallest
-    digit, ordered 0 < 1 < w < w+1) yields a with zero count at most
-    floor(N/4).
+    Input: N nonzero vectors over F^D, as an (N, D) uint8 array of digit
+    rows.  The uniform-random expectation of #{i : <a, C_i> = 0} is N/4;
+    fixing coordinates left to right and minimizing the conditional
+    expectation at each step (ties: smallest digit, ordered
+    0 < 1 < w < w+1) yields a with zero count at most floor(N/4).
 
     At step j only constraints whose last nonzero coordinate is j can
     become decided-zero, and each is zeroed by exactly one digit choice,
     so the argmin reduces to a frequency count over those rows.
     """
-    if isinstance(constraints, np.ndarray):
-        C = np.ascontiguousarray(constraints, dtype=np.uint8)
-        if C.ndim != 2:
-            raise ValueError("constraint array must be 2-dimensional")
-    else:
-        rows = list(constraints)
-        if not rows:
-            raise ValueError("need at least one constraint")
-        C = np.array([r.digits() for r in rows], dtype=np.uint8)
+    C = np.ascontiguousarray(constraints, dtype=np.uint8)
+    if C.ndim != 2:
+        raise ValueError("constraint array must be 2-dimensional")
     n, d = C.shape
     if n == 0 or d == 0:
         raise ValueError("need at least one constraint of positive dimension")
@@ -360,6 +394,35 @@ class DerandomizationStats:
     rounds: int
 
 
+def _violated(mats: np.ndarray, V: list[FVector]) -> np.ndarray:
+    """The `derandomize_scheme` constraints the stack violates, as rank-one rows."""
+    h, m = mats.shape[1:]
+    X = as_digits(V, m)
+    L = f_table(mats, X)
+    alphas = as_digits(list(nonzero_vectors(h)), h)
+
+    def outer(a, d):  # the rank-one matrices alphas[a] d^T, flattened row-major
+        return _MUL_NP[alphas[a][:, :, None], d[:, None, :]].reshape(len(a), h * m)
+
+    i = np.arange(len(V))
+    # separating: f(a, v + u) = 0 for a pair v < u
+    a, v, u = np.nonzero((L == 0) & (i[:, None] < i))
+    separating = outer(a, X[v] ^ X[u])
+    # self-correcting: f(a, v + w) = f(a', u + w) for a pair v < u, both != w
+    pairs = (i[:, None] < i) & (i[:, None, None] != i[:, None]) & (i[:, None, None] != i)
+    equal = L[:, :, :, None, None] == L.transpose(1, 0, 2)[None, :, None]  # [a, w, v, a', u]
+    a, w, v, ap, u = np.nonzero(equal & pairs[:, :, None, :])
+    self_correcting = outer(a, X[v] ^ X[w]) ^ outer(ap, X[u] ^ X[w])
+    zero = np.flatnonzero(~self_correcting.any(axis=1))
+    if len(zero):
+        # outer(a, v+w) == outer(a', u+w): no scheme can tell these apart
+        wt, vt, ut = (V[j].to_text() for j in min(zip(w[zero], v[zero], u[zero])))
+        raise ValueError(
+            f"self-correction unachievable: {ut}+{wt} is a scalar multiple of {vt}+{wt}"
+        )
+    return np.concatenate([separating, self_correcting])
+
+
 def derandomize_scheme(
     test_set: Sequence[FVector],
     h: int,
@@ -375,10 +438,10 @@ def derandomize_scheme(
       separating       outer(a, v + u)             a != 0, v != u in V
       self-correcting  outer(a, v+w) + outer(a', u+w)   w in V, v != u
 
-    A scheme matrix B satisfies a constraint D when <B.flatten(), D> != 0.
-    Each round appends one conditional-expectations matrix, which zeroes
-    at most a quarter of the still-violated constraints, so the number of
-    rounds is at most ceil(log4(N+1)).
+    A scheme matrix B satisfies a constraint D when <B flattened, D> != 0.
+    Each round builds only the constraints its table F[a, w, x] = f(a, x + w)
+    shows violated and appends one conditional-expectations matrix, which
+    leaves at most a quarter of them violated: at most ceil(log4(N+1)) rounds.
     """
     V = list(test_set)
     if len(V) < 1:
@@ -390,51 +453,20 @@ def derandomize_scheme(
     if h < 1:
         raise ValueError("h must be positive")
 
-    nz_alphas = list(nonzero_vectors(h))
-    n_alpha = len(nz_alphas)
+    q = 4**h - 1
     n = len(V)
-    est = n_alpha * n * (n - 1) + (n_alpha * (n - 1)) ** 2 * n // 2
+    est = q * n * (n - 1) + (q * (n - 1)) ** 2 * n // 2
     if est > budget:
         raise BudgetExceededError(
             f"would enumerate about {est} constraints", needed=est, budget=budget
         )
-
-    constraints: list[FVector] = []
-    for v, u in itertools.combinations(V, 2):
-        diff = v + u
-        for a in nz_alphas:
-            constraints.append(outer(a, diff).flatten())
-    for w in V:
-        others = [x for x in V if x != w]
-        for (v, u) in itertools.combinations(others, 2):
-            vw, uw = v + w, u + w
-            for a in nz_alphas:
-                left = outer(a, vw).flatten()
-                for ap in nz_alphas:
-                    constraint = left + outer(ap, uw).flatten()
-                    if constraint.is_zero():
-                        # outer(a, v+w) == outer(a', u+w): no scheme can
-                        # tell these apart, self-correction is unachievable
-                        raise ValueError(
-                            "self-correction unachievable: "
-                            f"{u.to_text()}+{w.to_text()} is a scalar multiple "
-                            f"of {v.to_text()}+{w.to_text()}"
-                        )
-                    constraints.append(constraint)
-    n_constraints = len(constraints)
+    n_constraints = q * n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 2 * q * q
 
     mats = derandomize_projections(m, h)
-    flat_mats = [A.flatten() for A in mats]
-    remaining = [
-        c for c in constraints if all(fm.dot(c) == 0 for fm in flat_mats)
-    ]
-
     rounds = 0
-    while remaining:
+    while len(remaining := _violated(matrix_stack(mats), V)):
         a = conditional_expectation_vector(remaining)
-        B = FMat([a.slice(i * m, (i + 1) * m) for i in range(h)])
-        mats.append(B)
-        remaining = [c for c in remaining if a.dot(c) == 0]
+        mats.append(FMat([a.slice(i * m, (i + 1) * m) for i in range(h)]))
         rounds += 1
 
     scheme = EncodingScheme(h, m, len(mats), tuple(mats), "derandomized")

@@ -28,7 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-ORDER = 4
 _DIGITS = "0123"
 
 
@@ -110,10 +109,6 @@ class FVector:
     @classmethod
     def zeros(cls, dim: int) -> "FVector":
         return cls(dim, 0)
-
-    @classmethod
-    def ones(cls, dim: int) -> "FVector":
-        return cls(dim, _lo_mask(dim))
 
     @classmethod
     def unit(cls, dim: int, index: int, value: int = 1) -> "FVector":
@@ -221,15 +216,6 @@ def dist(v: FVector, u: FVector) -> Fraction:
     return Fraction(v.hamming_differences(u), v.dim)
 
 
-def concat_all(parts: Sequence[FVector]) -> FVector:
-    bits = 0
-    dim = 0
-    for p in parts:
-        bits |= p.bits << (2 * dim)
-        dim += p.dim
-    return FVector(dim, bits)
-
-
 def block_linear(a: FVector, v: FVector) -> FVector:
     """Contract blocks of v against a.
 
@@ -277,10 +263,6 @@ class FMat:
     def from_entries(cls, entries: Sequence[Sequence[int]]) -> "FMat":
         return cls([FVector.from_digits(row) for row in entries])
 
-    @classmethod
-    def zeros(cls, h: int, m: int) -> "FMat":
-        return cls([FVector.zeros(m)] * h)
-
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
@@ -291,10 +273,6 @@ class FMat:
         for i, row in enumerate(self.rows):
             bits |= row.dot(v) << (2 * i)
         return FVector(self.h, bits)
-
-    def flatten(self) -> FVector:
-        """Rows concatenated in row-major order."""
-        return concat_all(self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FMat) and self.rows == other.rows

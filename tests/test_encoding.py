@@ -9,7 +9,9 @@ independent condition checker.
 
 from __future__ import annotations
 
+import hashlib
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,14 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapforge.cliquered import reduce_clique
 from gapforge.encoding import (
     EncodingScheme,
+    as_digits,
     check_scheme,
     conditional_expectation_vector,
     derandomize_projections,
     derandomize_scheme,
     encode_f,
     encode_g,
+    f_codes,
+    f_table,
+    f_values,
+    matrix_stack,
     collision_frequency,
     collision_frequency_exhaustive,
     read_scheme,
@@ -34,7 +42,9 @@ from gapforge.encoding import (
     zero_dot_count,
 )
 from gapforge.errors import BudgetExceededError
+from gapforge.explicit import ExplicitGraph
 from gapforge.field import FMat, FVector, block_linear
+from gapforge.pipeline import plain_to_multicolor
 
 
 def random_vector(rng, dim: int) -> FVector:
@@ -74,6 +84,24 @@ def test_encode_f_matches_blockwise_g():
         v = random_vector(rng, m)
         a = random_vector(rng, h)
         assert encode_f(s, a, v) == block_linear(a, encode_g(s, v))
+
+
+def test_f_kernel_matches_encode_f():
+    # ell = 33 packs f-values into Python ints instead of int64
+    rng = np.random.default_rng(23)
+    for h, m, ell, n in [(1, 3, 2, 4), (2, 4, 3, 5), (1, 5, 33, 4)]:
+        s = sample_scheme(int(rng.integers(0, 2**32)), h, m, ell)
+        V = [random_vector(rng, m) for _ in range(n)]
+        mats, X = matrix_stack(s.mats), as_digits(V, m)
+        codes, table = f_codes(mats, X), f_table(mats, X)
+        for a in range(4**h):
+            for x, v in enumerate(V):
+                f = encode_f(s, FVector(h, a), v)
+                assert FVector.from_digits(f_values(mats, X)[a, x].tolist()) == f
+                assert codes[a, x] == f.bits
+                for w, u in enumerate(V):
+                    if a:
+                        assert table[a - 1, w, x] == encode_f(s, FVector(h, a), v + u).bits
 
 
 def test_encode_g_concatenates_matvecs():
@@ -276,14 +304,14 @@ def test_collision_degenerate_inputs():
 
 
 def test_conditional_expectation_single_constraint():
-    a = conditional_expectation_vector([FVector.from_text("1")])
+    a = conditional_expectation_vector(np.array([[1]], dtype=np.uint8))
     assert a == FVector.from_text("1")
     assert zero_dot_count(a, [FVector.from_text("1")]) == 0
 
 
 def test_conditional_expectation_identical_constraints():
     cons = [FVector.from_text("11")] * 4
-    a = conditional_expectation_vector(cons)
+    a = conditional_expectation_vector(np.array([[1, 1]] * 4, dtype=np.uint8))
     assert zero_dot_count(a, cons) <= 1
     # ties resolve to the smallest digit: coordinate 0 is free, stays 0
     assert a[0] == 0
@@ -291,7 +319,7 @@ def test_conditional_expectation_identical_constraints():
 
 def test_conditional_expectation_rejects_zero_rows():
     with pytest.raises(ValueError):
-        conditional_expectation_vector([FVector.from_text("00")])
+        conditional_expectation_vector(np.array([[0, 0]], dtype=np.uint8))
 
 
 @settings(deadline=None, max_examples=40)
@@ -306,13 +334,6 @@ def test_conditional_expectation_quarter_guarantee(seed, n, d):
     a = conditional_expectation_vector(C)
     cons = [FVector.from_digits(int(x) for x in row) for row in C]
     assert zero_dot_count(a, cons) <= C.shape[0] // 4
-
-
-def test_conditional_expectation_array_and_fvector_paths_agree():
-    rng = np.random.default_rng(55)
-    C = rng.integers(1, 4, size=(20, 5), dtype=np.uint8)
-    as_vectors = [FVector.from_digits(int(x) for x in row) for row in C]
-    assert conditional_expectation_vector(C) == conditional_expectation_vector(as_vectors)
 
 
 # -- derandomization --------------------------------------------------------
@@ -360,6 +381,21 @@ def test_derandomize_scheme_counts_constraints():
     n, q = 4, 3
     expected = q * (n * (n - 1) // 2) + n * q * q * ((n - 1) * (n - 2) // 2)
     assert stats.n_constraints == expected
+
+
+def test_derandomize_k4_k3_h1_union_is_clean_and_pinned():
+    # the k = 3, h = 1 reduction of K4: 48 test vectors over F^42, 470,376
+    # constraints, all satisfied by the 42 coordinate selectors
+    g = ExplicitGraph.from_edges(4, itertools.combinations(range(4), 2))
+    inst = reduce_clique(plain_to_multicolor(g, 3))
+    union = inst.union()
+    scheme, stats = derandomize_scheme(union, 1, inst.dim)
+    assert (stats.n_constraints, stats.rounds) == (470_376, 0)
+    assert check_scheme(scheme, union).all_pass
+    buf = io.StringIO()
+    write_scheme(scheme, buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "7f57e4caa8a2ea8d50865c965b6ecf2970ab28dd4e5c762b38ba61596337ed98"
 
 
 def test_derandomize_detects_unachievable_self_correction():

@@ -1,0 +1,232 @@
+"""The table-driven scheme layer against scalar reference implementations.
+
+The references below are the per-pair formulations the f-value table
+replaced: `check_scheme` hashing one `encode_f` call per (a, v),
+`derandomize_scheme` building every rank-one constraint as an FVector
+and filtering the whole list each round, and the two collision
+frequencies evaluating each bilinear form directly.  On a seeded corpus
+(h in {1, 2}, m 1-5, ell 1-4, |V| up to 7, digits {0, 1} and {0..3}) the
+package must give the same reports and witnesses, the same schemes and
+stats, the same Fractions and the same ValueError messages.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from gapforge.encoding import (
+    ConditionWitness,
+    EncodingScheme,
+    SchemeReport,
+    check_scheme,
+    collision_frequency,
+    collision_frequency_exhaustive,
+    conditional_expectation_vector,
+    derandomize_projections,
+    derandomize_scheme,
+    encode_f,
+    nonzero_vectors,
+    sample_scheme,
+)
+from gapforge.field import MUL, FMat, FVector, outer, rank_and_kernel
+
+_MUL_NP = np.array(MUL, dtype=np.uint8)
+
+
+def flatten(A: FMat) -> FVector:
+    return FVector.from_digits(d for row in A.rows for d in row.digits())
+
+
+def ref_check_scheme(scheme: EncodingScheme, V: list[FVector]) -> SchemeReport:
+    witness = None
+    rank, kernel = rank_and_kernel([row for A in scheme.mats for row in A.rows])
+    cond_inj = rank == scheme.m
+    if not cond_inj:
+        witness = ConditionWitness("injective", (), (kernel,))
+
+    cond_sep = True
+    for a in nonzero_vectors(scheme.h):
+        seen: dict[int, FVector] = {}
+        for v in V:
+            key = encode_f(scheme, a, v).bits
+            if key in seen and seen[key] != v:
+                cond_sep = False
+                if witness is None:
+                    witness = ConditionWitness("separating", (a,), (seen[key], v))
+                break
+            seen[key] = v
+        if not cond_sep:
+            break
+
+    cond_self = True
+    for w in V:
+        seen_pairs: dict[int, tuple[FVector, FVector]] = {}
+        for x in V:
+            if x == w:
+                continue
+            for a in nonzero_vectors(scheme.h):
+                key = encode_f(scheme, a, x + w).bits
+                prev = seen_pairs.get(key)
+                if prev is not None and prev[1] != x:
+                    cond_self = False
+                    if witness is None:
+                        witness = ConditionWitness(
+                            "self-correcting", (prev[0], a), (prev[1], x, w)
+                        )
+                    break
+                seen_pairs[key] = (a, x)
+            if not cond_self:
+                break
+        if not cond_self:
+            break
+
+    return SchemeReport(cond_inj, cond_sep, cond_self, witness)
+
+
+def ref_derandomize_scheme(V: list[FVector], h: int, m: int):
+    nz_alphas = list(nonzero_vectors(h))
+    constraints: list[FVector] = []
+    for v, u in itertools.combinations(V, 2):
+        for a in nz_alphas:
+            constraints.append(flatten(outer(a, v + u)))
+    for w in V:
+        others = [x for x in V if x != w]
+        for v, u in itertools.combinations(others, 2):
+            vw, uw = v + w, u + w
+            for a in nz_alphas:
+                left = flatten(outer(a, vw))
+                for ap in nz_alphas:
+                    constraint = left + flatten(outer(ap, uw))
+                    if constraint.is_zero():
+                        raise ValueError(
+                            "self-correction unachievable: "
+                            f"{u.to_text()}+{w.to_text()} is a scalar multiple "
+                            f"of {v.to_text()}+{w.to_text()}"
+                        )
+                    constraints.append(constraint)
+
+    mats = derandomize_projections(m, h)
+    flat_mats = [flatten(A) for A in mats]
+    remaining = [c for c in constraints if all(fm.dot(c) == 0 for fm in flat_mats)]
+    rounds = 0
+    while remaining:
+        rows = np.array([c.digits() for c in remaining], dtype=np.uint8)
+        a = conditional_expectation_vector(rows)
+        mats.append(FMat([a.slice(i * m, (i + 1) * m) for i in range(h)]))
+        remaining = [c for c in remaining if a.dot(c) == 0]
+        rounds += 1
+    scheme = EncodingScheme(h, m, len(mats), tuple(mats), "derandomized")
+    return scheme, (len(constraints), rounds)
+
+
+def ref_collision_frequency(b, c, v, u, samples, seed) -> Fraction:
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, 4, size=(samples, b.dim, v.dim), dtype=np.uint8)
+
+    def form(lhs: FVector, rhs: FVector) -> np.ndarray:
+        rv = np.array(rhs.digits(), dtype=np.uint8)
+        Av = np.bitwise_xor.reduce(_MUL_NP[A, rv[None, None, :]], axis=2)
+        lv = np.array(lhs.digits(), dtype=np.uint8)
+        return np.bitwise_xor.reduce(_MUL_NP[lv[None, :], Av], axis=1)
+
+    return Fraction(int(np.count_nonzero(form(b, v) == form(c, u))), samples)
+
+
+def ref_collision_frequency_exhaustive(b, c, v, u) -> Fraction:
+    h, m = b.dim, v.dim
+    hits = 0
+    for digits in itertools.product(range(4), repeat=h * m):
+        A = FMat.from_entries([digits[i * m : (i + 1) * m] for i in range(h)])
+        if b.dot(A.matvec(v)) == c.dot(A.matvec(u)):
+            hits += 1
+    return Fraction(hits, 4 ** (h * m))
+
+
+def outcome(fn, *args):
+    """The result, or the message of the ValueError raised."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def random_vector(rng, dim: int, top: int) -> FVector:
+    return FVector.from_digits(int(x) for x in rng.integers(0, top, dim))
+
+
+def corpus(cases: int):
+    for case in range(cases):
+        rng = np.random.default_rng(9000 + case)
+        h = 1 + case % 2
+        top = 2 if case % 4 < 2 else 4
+        m = int(rng.integers(1, 6))
+        n = int(rng.integers(1, min(7, top**m) + 1))
+        if h == 2:
+            n = min(n, 5)  # the reference enumerates q^2 n^3 / 2 FVector constraints
+        V: list[FVector] = []
+        while len(V) < n:
+            v = random_vector(rng, m, top)
+            if v not in V:
+                V.append(v)
+        ell = int(rng.integers(1, 5))
+        yield rng, h, m, ell, V
+
+
+def test_check_and_derandomize_match_reference():
+    kinds = set()
+    for rng, h, m, ell, V in corpus(120):
+        for seed in rng.integers(0, 2**32, 3):
+            scheme = sample_scheme(int(seed), h, m, ell)
+            rep = check_scheme(scheme, V)
+            assert rep == ref_check_scheme(scheme, V), (scheme, V)
+            kinds.add(rep.witness.condition if rep.witness else "pass")
+        got = outcome(derandomize_scheme, V, h, m)
+        want = outcome(ref_derandomize_scheme, V, h, m)
+        if want[0] == "ValueError":
+            assert got == want
+            kinds.add("unachievable")
+            continue
+        scheme, stats = got
+        assert (scheme, (stats.n_constraints, stats.rounds)) == want, V
+        assert check_scheme(scheme, V).all_pass
+        if stats.rounds:
+            kinds.add("rounds")
+    # the corpus reaches every outcome the comparison is meant to cover
+    assert kinds >= {
+        "pass", "injective", "separating", "self-correcting", "unachievable", "rounds"
+    }, kinds
+
+
+def test_collision_frequencies_match_reference():
+    rng = np.random.default_rng(9100)
+    seen_error = seen_degenerate = 0
+    for trial in range(60):
+        h = int(rng.integers(1, 3))
+        m = int(rng.integers(1, 4 if h == 1 else 3))
+        b, c = random_vector(rng, h, 4), random_vector(rng, h, 4)
+        v, u = random_vector(rng, m, 4), random_vector(rng, m, 4)
+        want = outcome(ref_collision_frequency, b, c, v, u, 500, trial)
+        got = outcome(collision_frequency, b, c, v, u, 500, trial, False)
+        assert got == want
+        checked = outcome(collision_frequency, b, c, v, u, 500, trial)
+        if isinstance(checked, tuple):
+            seen_error += 1
+        else:
+            assert checked == want
+        exact = collision_frequency_exhaustive(b, c, v, u)
+        assert exact == ref_collision_frequency_exhaustive(b, c, v, u)
+        seen_degenerate += exact != Fraction(1, 4)
+    assert seen_error and seen_degenerate
+
+
+@pytest.mark.parametrize("texts", [("1", "10", "1", "0"), ("1", "1", "1", "10")])
+def test_collision_shape_mismatch_is_value_error(texts):
+    args = [FVector.from_text(t) for t in texts]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        collision_frequency(*args, samples=10, seed=0, require_valid=False)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        collision_frequency_exhaustive(*args)
