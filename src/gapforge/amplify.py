@@ -6,16 +6,23 @@ exactly: tuples built from base cliques are cliques, and projecting a
 product clique to any coordinate yields a base clique, so
 omega(g^t) = omega(g)^t.  A completeness/soundness pair (C, S) on the
 base therefore becomes (C^t, S^t), shrinking the ratio to (S/C)^t.
+
+export_power writes ExplicitGraph's bitset rows directly.  The closed
+neighbourhood of a tuple (the tuple included) is the product of its
+coordinates' closed neighbourhoods N[a].  Spread coordinate i as
+S_i(a) = sum of 2^(j * n^(t-1-i)) over j in N[a]; the closed row of
+(a_1, ..., a_t) is then the integer product S_0(a_1) * ... * S_{t-1}(a_t).
+The product has no carries: each term of its expansion is
+2^(j_1 n^(t-1) + ... + j_t), the big-endian index of one closed
+neighbour, and no two terms share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceededError
-from .explicit import ExplicitGraph
+from .explicit import ExplicitGraph, _bits_iter
 
 
 @dataclass(frozen=True)
@@ -23,7 +30,7 @@ class ProductGraph:
     """Implicit t-fold strong power; vertices are t-tuples over the base.
 
     Tuple indices are big-endian: the first coordinate varies slowest,
-    matching the Kronecker layout of export_power."""
+    the row order of export_power."""
 
     base: ExplicitGraph
     t: int
@@ -69,22 +76,28 @@ def strong_power(g: ExplicitGraph, t: int) -> ProductGraph:
 
 
 def export_power(p: ProductGraph, budget: int = 20_000) -> ExplicitGraph:
-    """Materialize the power as an explicit graph.
+    """Materialize the power as an explicit graph of at most `budget` vertices.
 
-    The closed adjacency (edges plus loops) turns the strong product
-    into a plain Kronecker product; stripping the diagonal afterwards
-    restores loop-freeness.
+    Rows are built coordinate by coordinate: each prefix row is
+    multiplied by the spread closed rows of the next coordinate, so the
+    first coordinate varies slowest.  Each finished row is a closed
+    neighbourhood; its own bit is cleared in place.
     """
-    total = p.num_vertices
-    if total > budget:
+    n, t = p.base.n, p.t
+    # n >= 2 and t > budget.bit_length() give n^t >= 2^t > budget without n^t
+    total = None if n >= 2 and t > budget.bit_length() else n**t
+    if total is None or total > budget:
         raise BudgetExceededError(
-            f"power has {total} vertices", needed=total, budget=budget
+            f"power has {n}^{t} vertices, over budget {budget}", needed=total, budget=budget
         )
-    closed = p.base.to_bool_matrix().astype(np.uint8)
-    np.fill_diagonal(closed, 1)
-    mat = closed
-    for _ in range(p.t - 1):
-        mat = np.kron(mat, closed)
-    out = mat.astype(bool)
-    np.fill_diagonal(out, False)
-    return ExplicitGraph.from_bool_matrix(out)
+    closed = [row | 1 << a for a, row in enumerate(p.base.adj)]
+    rows = [1]
+    for i in range(t):
+        stride = n ** (t - 1 - i)
+        spreads = [sum(1 << j * stride for j in _bits_iter(row)) for row in closed]
+        rows = [r * s for r in rows for s in spreads]
+    for u in range(total):
+        rows[u] ^= 1 << u
+    g = ExplicitGraph(total)
+    g.adj = rows
+    return g

@@ -85,12 +85,14 @@ class CSPInstance:
         self.num_vars = 4 ** (k * h)
         self.num_alphas = num_alphas = 4**h
         self.mats = matrix_stack(scheme.mats)
-        codes = [f_codes(self.mats, as_digits(s, inst.dim)) for s in inst.sets]
-        rows = [np.unique(row) for per_set in codes for row in per_set]
+        vectors = [v for s in inst.sets for v in s] + [inst.target]
+        codes = f_codes(self.mats, as_digits(vectors, inst.dim))  # one call; target last
+        ends = np.cumsum([len(s) for s in inst.sets])
+        rows = [np.unique(row) for per_set in np.split(codes, ends, axis=1)[:-1] for row in per_set]
         self.allowed = np.full((len(rows), max(1, *map(len, rows))), -1, dtype=np.int64)
         for j, row in enumerate(rows):
             self.allowed[j, : len(row)] = row
-        self.target_codes = f_codes(self.mats, as_digits([inst.target], inst.dim))[:, 0]
+        self.target_codes = codes[:, -1]
         d = np.arange(self.num_vars)
         slots = np.stack([self.slot(d, i) for i in range(k)])
         nonzero = (slots != 0).sum(axis=0)

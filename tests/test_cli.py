@@ -1,5 +1,7 @@
 """End-to-end runs of the command line interface on tiny inputs."""
 
+import time
+
 import pytest
 
 from gapforge.cli import main
@@ -250,6 +252,25 @@ def test_amplify_defaults_to_stdout(c5_file, capsys):
     rc = main(["amplify", "--power", "1", "--input", str(c5_file)])
     assert rc == 0
     assert capsys.readouterr().out.startswith("p edge 5 5")
+
+
+@pytest.mark.parametrize("power", [100_000, 30_000_000])
+def test_amplify_huge_power_is_over_budget_at_once(tmp_path, capsys, power):
+    """3^power has far more digits than a decimal string may hold; the budget
+    verdict must not need n**t at all."""
+    path = tmp_path / "p3.dimacs"
+    with open(path, "w") as fp:
+        write_dimacs(ExplicitGraph.from_edges(3, [(0, 1), (1, 2)]), fp)
+    start = time.perf_counter()
+    rc = main(["amplify", "--power", str(power), "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"3^{power}" in lines[0] and "budget 20000" in lines[0]
+    assert elapsed < 1.0
 
 
 def test_pipeline_dry_run_prints_sizes_only(tmp_path, capsys):
