@@ -343,6 +343,7 @@ def write_sidecar(vertices: Sequence[Vertex], g: GapGraph, fp: IO[str]) -> None:
 
 
 def read_sidecar(fp: IO[str], g: GapGraph) -> list[Vertex]:
+    """Inverse of `write_sidecar`; the ids must be 1..N, each listed once."""
     kh = g.csp.k * g.csp.h
     ell = g.csp.ell
     out: dict[int, Vertex] = {}
@@ -350,7 +351,11 @@ def read_sidecar(fp: IO[str], g: GapGraph) -> list[Vertex]:
         tok = line.split()
         if not tok or tok[0] == "#":
             continue
+        if len(tok) < 2 or len(tok) != {"B": 4, "A": 5}.get(tok[1]):
+            raise ValueError(f"malformed sidecar line {line!r}")
         idx = int(tok[0])
+        if idx in out:
+            raise ValueError(f"sidecar id {idx} listed twice")
         if tok[1] == "B":
             packed = FVector.from_text(tok[2])
             vals = FVector.from_text(tok[3])
@@ -361,16 +366,17 @@ def read_sidecar(fp: IO[str], g: GapGraph) -> list[Vertex]:
             y = vals.bits & (4**ell - 1)
             z = vals.bits >> (2 * ell)
             out[idx] = g.b_vertex(p, q, y, z)
-        elif tok[1] == "A":
+        else:
             p = FVector.from_text(tok[2])
             i = int(tok[3])
             val = FVector.from_text(tok[4])
             if p.dim != kh or val.dim != ell:
                 raise ValueError("sidecar widths disagree with graph parameters")
             out[idx] = g.a_vertex(p.bits, i, val.bits)
-        else:
-            raise ValueError(f"unrecognized sidecar line {line!r}")
-    return [out[i] for i in range(1, len(out) + 1)]
+    ids = range(1, len(out) + 1)
+    if out.keys() != set(ids):
+        raise ValueError(f"sidecar ids are not 1..{len(out)}")
+    return [out[i] for i in ids]
 
 
 def write_clique_set(vertices: Iterable[Vertex], g: GapGraph, fp: IO[str]) -> None:

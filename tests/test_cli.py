@@ -156,6 +156,16 @@ def test_csp_evaluate_sampled_reports_sampling(tmp_path, yes_instance, scheme_fi
     assert report["seed"] == "3"
 
 
+def test_csp_evaluate_tuple_listed_twice_exits_one(tmp_path, yes_instance, scheme_file, capsys):
+    path = tmp_path / "twice.txt"
+    path.write_text("0 0\n1 0\n2 0\n3 0\n1 3\n")
+    rc = main(["csp", "--evaluate", str(path), "--instance", str(yes_instance),
+               "--scheme", str(scheme_file)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_csp_decode_honest_assignment(tmp_path, yes_instance, scheme_file, capsys):
     honest = _honest_file(tmp_path, yes_instance, scheme_file)
     rc = main(["csp", "--decode", str(honest), "--instance", str(yes_instance),

@@ -24,6 +24,7 @@ from gapforge.cliquered import (
 from gapforge.csp import (
     Assignment,
     SatReport,
+    _nonlinear_part,
     build_csp,
     evaluate,
     honest_assignment,
@@ -32,7 +33,7 @@ from gapforge.csp import (
     read_assignment,
     write_assignment,
 )
-from gapforge.encoding import EncodingScheme, encode_f, encode_g, sample_scheme
+from gapforge.encoding import MAX_ELL, EncodingScheme, encode_f, encode_g, sample_scheme
 from gapforge.errors import BudgetExceededError
 from gapforge.field import FMat, FVector
 
@@ -389,10 +390,14 @@ def reference_evaluate(csp, a, mode="exhaustive", count=10_000, seed=0):
 
 def reference_corpus():
     """Seeded CSPs over k' in {1, 2, 3, 6}, h in {1, 2}, ell 1-3, each with
-    a random assignment, plus the honest assignment of a selection and a
-    corrupted copy of it.  Half the targets are the selection's sum (the
-    honest assignment satisfies everything); every third instance has an
-    empty set and only the random assignment."""
+    a random assignment, plus the honest assignment of a selection and
+    copies of it with 10% of the tuples corrupted, with one non-basis
+    tuple corrupted, with one basis tuple 2^j corrupted, and with x_0 != 0.
+    Half the targets are the selection's sum (the honest assignment
+    satisfies everything); every third instance has an empty set and only
+    the random assignment.  Last, a CSP at ell = MAX_ELL with a linear
+    assignment whose values sit near 2^62 and a copy with one tuple
+    corrupted."""
     rng = np.random.default_rng(2024)
     for case, (k, h) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (6, 1)]):
         for ell in (1, 2, 3):
@@ -422,7 +427,24 @@ def reference_corpus():
                 hit = rng.random(n) < 0.1
                 corrupted[hit] = rng.integers(0, top, int(hit.sum()))
                 assignments += [honest, Assignment(k, h, ell, corrupted.tolist())]
+                delta = FVector(ell, int(rng.integers(1, top)))
+                basis = 1 << int(rng.integers(0, n.bit_length() - 1))
+                for t in (n - 1, basis, 0):
+                    assignments.append(honest.replace(t, honest.value(t) + delta))
             yield csp, assignments
+    ell = MAX_ELL
+    scheme = sample_scheme(int(rng.integers(0, 1 << 30)), h=1, m=2, ell=ell)
+    inst = VectorSumInstance([[FVector.from_text("10")], [FVector.from_text("01")]],
+                             FVector.from_text("11"))
+    csp = build_csp(inst, scheme, 2, 1, ell)
+    images = rng.integers(1 << 61, 1 << 62, csp.num_vars.bit_length() - 1).tolist()
+    linear = [0] * csp.num_vars
+    for t in range(csp.num_vars):
+        for j, image in enumerate(images):
+            if t >> j & 1:
+                linear[t] ^= image
+    linear = Assignment(2, 1, ell, linear)
+    yield csp, [linear, linear.replace(5, FVector(ell, (1 << 62) - 1))]
 
 
 def test_evaluate_and_honest_match_reference():
@@ -437,3 +459,13 @@ def test_evaluate_and_honest_match_reference():
                 assert got == want  # the per-alpha maps are compared too
                 checked += 1
     assert checked > 250
+
+
+def test_nonlinear_part_vanishes_on_basis_and_on_linear_assignments():
+    for csp, assignments in reference_corpus():
+        basis = [1 << j for j in range(csp.num_vars.bit_length() - 1)]
+        for a in assignments:
+            e = _nonlinear_part(np.array(a.values, dtype=np.int64))
+            assert not e[basis].any() and e[0] == a.values[0]
+            linear = evaluate(csp, a).c1_fraction == 1
+            assert linear == (not e.any())

@@ -14,6 +14,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapforge.cliquered import (
     SelectionCertificate,
@@ -310,6 +312,36 @@ def test_sidecar_roundtrip():
     write_sidecar(verts, g, buf)
     buf.seek(0)
     assert read_sidecar(buf, g) == verts
+
+
+# lines built from sidecar tokens (widths of `tiny_gap`: kh = ell = 1, one
+# copy) reach every branch of the parser far more often than uniform text
+_sidecar_token = st.sampled_from(
+    ["A", "B", "#", "x", "-1", "0", "1", "2", "3", "00", "01", "13", "2w"]
+)
+_sidecar_line = st.one_of(
+    st.lists(_sidecar_token, max_size=6).map(" ".join), st.text(max_size=12)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_sidecar_line, max_size=8))
+def test_sidecar_text_parses_or_raises_value_error(lines):
+    g = tiny_gap()
+    try:
+        verts = read_sidecar(io.StringIO("\n".join(lines)), g)
+    except ValueError:
+        return
+    assert all(g.validate_vertex(v) == v for v in verts)
+
+
+@pytest.mark.parametrize(
+    "text", ["1\n", "1 B\n", "1 A 0 1\n", "2 B 00 00\n", "1 B 00 00\n1 B 01 00\n"],
+    ids=["id-only", "short-B", "short-A", "id-gap", "id-twice"],
+)
+def test_malformed_sidecar_raises_value_error(text):
+    with pytest.raises(ValueError):
+        read_sidecar(io.StringIO(text), tiny_gap())
 
 
 def test_clique_set_file_is_deterministic():
