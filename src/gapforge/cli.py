@@ -32,6 +32,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, BudgetExceededError, StageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:  # its message is usually empty
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -36,9 +36,16 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .cliquered import SelectionCertificate, VectorSumInstance, verify_selection
-from .encoding import MAX_ELL, EncodingScheme, as_digits, f_codes, matrix_stack
+from .encoding import (
+    MAX_ELL,
+    EncodingScheme,
+    as_digits,
+    derandomize_projections,
+    f_codes,
+    matrix_stack,
+)
 from .errors import BudgetExceededError
-from .field import FVector, block_linear
+from .field import FVector
 
 
 # Values in F^ell are packed into int64 by `encoding.f_codes`; -1 marks padding and "no check".
@@ -396,12 +403,10 @@ def linearity_decode(
             budget=budget,
         )
 
-    # per-slot lookup: lut[c, a] = packed block_linear(a, c)
-    lut = np.empty((n_cands_per_slot, csp.num_alphas), dtype=np.int64)
-    for c in range(n_cands_per_slot):
-        cv = FVector(cdim, c)
-        for ap in range(csp.num_alphas):
-            lut[c, ap] = block_linear(FVector(h, ap), cv).bits
+    # per-slot lookup: lut[c, a] = packed block_linear(a, c), the f-values
+    # of the block selectors, c over every vector of F^{h*ell}
+    cands = (np.arange(n_cands_per_slot)[:, None] >> 2 * np.arange(cdim)) & 3
+    lut = f_codes(matrix_stack(derandomize_projections(cdim, h)), cands).T
 
     predicted = np.zeros((1, len(col_idx)), dtype=np.int64)
     for i in range(k):

@@ -71,36 +71,15 @@ class GapGraph:
         self.r = r
         self.num_tuples = csp.num_vars
         self.num_values = 4**csp.ell
+        self.num_b_groups = self.num_tuples**2
+        self.num_a_groups = self.num_tuples * r
+        self.b_group_size = self.num_values**2
+        self.a_group_size = self.num_values
+        self.num_b_vertices = self.num_b_groups * self.b_group_size
+        self.num_a_vertices = self.num_a_groups * self.a_group_size
+        self.num_vertices = self.num_b_vertices + self.num_a_vertices
 
     # -- counting ---------------------------------------------------------
-
-    @property
-    def num_b_groups(self) -> int:
-        return self.num_tuples**2
-
-    @property
-    def num_a_groups(self) -> int:
-        return self.num_tuples * self.r
-
-    @property
-    def b_group_size(self) -> int:
-        return self.num_values**2
-
-    @property
-    def a_group_size(self) -> int:
-        return self.num_values
-
-    @property
-    def num_b_vertices(self) -> int:
-        return self.num_b_groups * self.b_group_size
-
-    @property
-    def num_a_vertices(self) -> int:
-        return self.num_a_groups * self.a_group_size
-
-    @property
-    def num_vertices(self) -> int:
-        return self.num_b_vertices + self.num_a_vertices
 
     def planted_size(self) -> int:
         return self.num_b_groups + self.num_a_groups
@@ -327,19 +306,42 @@ def build_gap_graph(csp: CSPInstance, r: int) -> GapGraph:
     return GapGraph(csp, r)
 
 
-def write_sidecar(vertices: Sequence[Vertex], g: GapGraph, fp: IO[str]) -> None:
-    """Map integer DIMACS ids (1-based) to vertex descriptors."""
-    kh = g.csp.k * g.csp.h
-    ell = g.csp.ell
-    for idx, v in enumerate(vertices, start=1):
+class _DigitText(dict):
+    """Per-call memo: packed int -> `FVector.to_text` at one width, so each
+    distinct value is formatted (and range-checked) once."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = FVector(self.dim, bits).to_text()
+        return text
+
+
+def _descriptors(vertices: Iterable[Vertex], g: GapGraph) -> Iterable[str]:
+    """The text of each vertex, the one vertex format of `graph.map` and
+    `planted.clq`:
+
+      B <p><q> <y><z>          ("B", p, q, y, z)
+      A <p> <copy> <value>     ("A", p, copy, value)
+
+    Each <...> is the digit string of a packed tuple (kh digits) or value
+    (ell digits), coordinate 0 first; `read_sidecar` parses it back."""
+    tup = _DigitText(g.csp.k * g.csp.h)
+    val = _DigitText(g.csp.ell)
+    for v in vertices:
         if v[0] == "B":
             _, p, q, y, z = v
-            tup = FVector(2 * kh, p | (q << (2 * kh))).to_text()
-            val = FVector(2 * ell, y | (z << (2 * ell))).to_text()
-            fp.write(f"{idx} B {tup} {val}\n")
+            yield f"B {tup[p]}{tup[q]} {val[y]}{val[z]}"
         else:
             _, p, i, x = v
-            fp.write(f"{idx} A {FVector(kh, p).to_text()} {i} {FVector(ell, x).to_text()}\n")
+            yield f"A {tup[p]} {i} {val[x]}"
+
+
+def write_sidecar(vertices: Sequence[Vertex], g: GapGraph, fp: IO[str]) -> None:
+    """Map integer DIMACS ids (1-based) to vertex descriptors."""
+    fp.writelines(f"{idx} {d}\n" for idx, d in enumerate(_descriptors(vertices, g), start=1))
 
 
 def read_sidecar(fp: IO[str], g: GapGraph) -> list[Vertex]:
@@ -381,14 +383,4 @@ def read_sidecar(fp: IO[str], g: GapGraph) -> list[Vertex]:
 
 def write_clique_set(vertices: Iterable[Vertex], g: GapGraph, fp: IO[str]) -> None:
     """Vertex descriptor lines (same shape as the sidecar, without ids)."""
-    kh = g.csp.k * g.csp.h
-    ell = g.csp.ell
-    for v in sorted(set(vertices)):
-        if v[0] == "B":
-            _, p, q, y, z = v
-            tup = FVector(2 * kh, p | (q << (2 * kh))).to_text()
-            val = FVector(2 * ell, y | (z << (2 * ell))).to_text()
-            fp.write(f"B {tup} {val}\n")
-        else:
-            _, p, i, x = v
-            fp.write(f"A {FVector(kh, p).to_text()} {i} {FVector(ell, x).to_text()}\n")
+    fp.writelines(f"{d}\n" for d in _descriptors(sorted(set(vertices)), g))

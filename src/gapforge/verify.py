@@ -25,7 +25,7 @@ export are searched implicitly, on a vertex sample per restart."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -267,11 +267,7 @@ def clique_local_search(
             if initial_clique is not None:
                 init = [index_of[g.validate_vertex(v)] for v in initial_clique]
             rep = clique_local_search(graph, restarts, seed, init)
-            witness = tuple(verts[i] for i in rep.witness)
-            return CliqueReport(
-                rep.lower_bound, witness, rep.upper_bound, False,
-                rep.nodes_explored, rep.restarts,
-            )
+            return replace(rep, witness=tuple(verts[i] for i in rep.witness))
         return _implicit_search(g, restarts, seed, initial_clique, sample_size)
 
     adj = g.adj
@@ -375,11 +371,7 @@ def soundness_probe(
     if mode == "exact":
         graph, verts = g.export_explicit(budget=export_budget)
         rep = max_clique_exact(graph, vertex_budget, node_budget)
-        witness = tuple(verts[i] for i in rep.witness)
-        rep = CliqueReport(
-            rep.lower_bound, witness, rep.upper_bound, rep.exact,
-            rep.nodes_explored, rep.restarts,
-        )
+        rep = replace(rep, witness=tuple(verts[i] for i in rep.witness))
     elif mode == "search":
         rep = clique_local_search(
             g, restarts=restarts, seed=seed, export_budget=export_budget

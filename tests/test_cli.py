@@ -1,9 +1,15 @@
 """End-to-end runs of the command line interface on tiny inputs."""
 
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gapforge
 from gapforge.cli import main
 from gapforge.cliquered import read_vsi, reduce_clique, write_mcol, write_vsi
 from gapforge.csp import build_csp, honest_assignment, write_assignment
@@ -377,3 +383,32 @@ def test_short_input_line_exits_one(tmp_path, capsys, yes_instance, scheme_file,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _limit_address_space():
+    # runs in the child only, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["clique", "--exact"], "p edge 3000000000 0\n"),
+        (["csp", "--build", "--instance"], "vsi 3000000000 2\nt 00\n"),
+    ],
+    ids=["dimacs", "vsi"],
+)
+def test_out_of_memory_exits_one(tmp_path, scheme_file, argv, text):
+    # both headers declare three billion rows, which the parsers allocate
+    # before reading the body; under a 1.5 GB address-space limit that is
+    # a MemoryError, and the CLI must still end with one error line
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    argv = argv + [str(path)] + (["--scheme", str(scheme_file)] if argv[0] == "csp" else [])
+    env = {**os.environ, "PYTHONPATH": str(Path(gapforge.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapforge.cli", *argv], capture_output=True, text=True,
+        env=env, preexec_fn=_limit_address_space, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: out of memory\n"

@@ -45,7 +45,7 @@ def tiny_csp(target_text: str = "10", row=(1, 2)):
     return build_csp(inst, scheme, k=1, h=1, ell=1)
 
 
-def two_set_csp(ell: int = 2, seed: int = 3):
+def two_set_csp(ell: int = 2, seed: int = 3, h: int = 1):
     inst = VectorSumInstance(
         [
             [FVector.from_text("100"), FVector.from_text("010")],
@@ -53,8 +53,8 @@ def two_set_csp(ell: int = 2, seed: int = 3):
         ],
         FVector.from_text("101"),
     )
-    scheme = sample_scheme(seed, h=1, m=3, ell=ell)
-    return build_csp(inst, scheme, k=2, h=1, ell=ell)
+    scheme = sample_scheme(seed, h=h, m=3, ell=ell)
+    return build_csp(inst, scheme, k=2, h=h, ell=ell)
 
 
 def recount_fractions(csp, a):
@@ -221,8 +221,11 @@ def test_evaluate_budget_guard():
         evaluate(csp, a, budget=8)
 
 
-def test_decode_recovers_honest():
-    csp = two_set_csp(ell=1, seed=9)
+@pytest.mark.parametrize("h, ell", [(1, 1), (1, 3), (2, 1), (2, 2)])
+def test_decode_recovers_honest(h, ell):
+    # ell >= 2 tells the blocks of each component apart, h = 2 the
+    # coordinates within a block
+    csp = two_set_csp(ell=ell, seed=9, h=h)
     sel = brute_force_vector_sum(csp.inst)
     a = honest_assignment(csp, sel)
     res = linearity_decode(csp, a)

@@ -41,7 +41,7 @@ def tiny_gap(target_text: str = "10", row=(1, 2), r: int = 1) -> GapGraph:
     return build_gap_graph(build_csp(inst, scheme, 1, 1, 1), r)
 
 
-def k2_gap(r: int = 1, seed: int = 9) -> GapGraph:
+def k2_gap(r: int = 1, seed: int = 9, ell: int = 1) -> GapGraph:
     inst = VectorSumInstance(
         [
             [FVector.from_text("100"), FVector.from_text("010")],
@@ -49,8 +49,8 @@ def k2_gap(r: int = 1, seed: int = 9) -> GapGraph:
         ],
         FVector.from_text("101"),
     )
-    scheme = sample_scheme(seed, h=1, m=3, ell=1)
-    return build_gap_graph(build_csp(inst, scheme, 2, 1, 1), r)
+    scheme = sample_scheme(seed, h=1, m=3, ell=ell)
+    return build_gap_graph(build_csp(inst, scheme, 2, 1, ell), r)
 
 
 def materialized_constraints(csp):
@@ -312,6 +312,51 @@ def test_sidecar_roundtrip():
     write_sidecar(verts, g, buf)
     buf.seek(0)
     assert read_sidecar(buf, g) == verts
+
+
+def reference_descriptor(v, g: GapGraph) -> str:
+    """The vertex text as the per-vertex FVector writers produced it: a B
+    vertex packs (p, q) and (y, z) into one vector each, low half first."""
+    kh, ell = g.csp.k * g.csp.h, g.csp.ell
+    if v[0] == "B":
+        _, p, q, y, z = v
+        tup = FVector(2 * kh, p | (q << (2 * kh))).to_text()
+        val = FVector(2 * ell, y | (z << (2 * ell))).to_text()
+        return f"B {tup} {val}"
+    _, p, i, x = v
+    return f"A {FVector(kh, p).to_text()} {i} {FVector(ell, x).to_text()}"
+
+
+@pytest.mark.parametrize("family", ["planted", "sample"])
+def test_vertex_text_matches_per_vertex_reference(family):
+    # kh = 2 and ell = 2: every descriptor half has two digits, so a
+    # swapped half or a reversed digit order changes the bytes
+    g = k2_gap(r=2, ell=2)
+    if family == "planted":
+        verts = g.planted_clique(brute_force_vector_sum(g.csp.inst))
+    else:
+        rng = np.random.default_rng(5)
+        verts = [g.vertex_by_index(int(i)) for i in rng.integers(0, g.num_vertices, 2000)]
+    sidecar, clique_set = io.StringIO(), io.StringIO()
+    write_sidecar(verts, g, sidecar)
+    write_clique_set(verts, g, clique_set)
+    assert sidecar.getvalue() == "".join(
+        f"{idx} {reference_descriptor(v, g)}\n" for idx, v in enumerate(verts, start=1)
+    )
+    assert clique_set.getvalue() == "".join(
+        f"{reference_descriptor(v, g)}\n" for v in sorted(set(verts))
+    )
+    sidecar.seek(0)
+    assert read_sidecar(sidecar, g) == verts
+
+
+@pytest.mark.parametrize(
+    "v", [("B", 16, 0, 0, 0), ("B", 0, 0, 0, 16), ("A", 0, 1, 16), ("A", -1, 1, 0)]
+)
+def test_vertex_text_rejects_out_of_range_values(v):
+    g = k2_gap(ell=2)
+    with pytest.raises(ValueError):
+        write_sidecar([v], g, io.StringIO())
 
 
 # lines built from sidecar tokens (widths of `tiny_gap`: kh = ell = 1, one
