@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .explicit import ExplicitGraph, _bits_iter
+from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, _bits_iter
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def strong_power(g: ExplicitGraph, t: int) -> ProductGraph:
     return ProductGraph(g, t)
 
 
-def export_power(p: ProductGraph, budget: int = 20_000) -> ExplicitGraph:
+def export_power(p: ProductGraph, budget: int = EXPORT_VERTEX_BUDGET) -> ExplicitGraph:
     """Materialize the power as an explicit graph of at most `budget` vertices.
 
     Rows are built coordinate by coordinate: each prefix row is

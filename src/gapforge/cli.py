@@ -18,10 +18,10 @@ from .cliquered import brute_force_vector_sum, read_mcol, read_vsi
 from .csp import build_csp, evaluate, linearity_decode, read_assignment
 from .encoding import check_scheme, derandomize_scheme, read_scheme, sample_scheme, write_scheme
 from .errors import BudgetExceededError, StageError
-from .explicit import read_dimacs, write_dimacs
+from .explicit import EXPORT_VERTEX_BUDGET, read_dimacs, write_dimacs
 from .gapgraph import build_gap_graph, write_clique_set, write_sidecar
 from .pipeline import PipelineConfig, run_pipeline
-from .verify import EXACT_VERTEX_BUDGET, clique_local_search, max_clique_exact
+from .verify import EXACT_NODE_BUDGET, EXACT_VERTEX_BUDGET, clique_local_search, max_clique_exact
 
 
 def main(argv=None) -> int:
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--export", metavar="DIMACS", help="write the explicit graph")
     g.add_argument("--map", metavar="FILE", help="sidecar map (default DIMACS path + .map)")
     g.add_argument("--plant", metavar="FILE", help="write the planted clique set")
-    g.add_argument("--budget", type=int, default=20_000)
+    g.add_argument("--budget", type=int, default=EXPORT_VERTEX_BUDGET)
     g.set_defaults(func=_cmd_graph)
 
     q = sub.add_parser("clique", help="clique search on a DIMACS graph")
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--restarts", type=int, default=100)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--vertex-budget", type=int, default=EXACT_VERTEX_BUDGET)
-    q.add_argument("--node-budget", type=int, default=20_000_000)
+    q.add_argument("--node-budget", type=int, default=EXACT_NODE_BUDGET)
     q.add_argument("input", metavar="DIMACS")
     q.set_defaults(func=_cmd_clique)
 
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--power", type=int, required=True)
     a.add_argument("--input", required=True, metavar="DIMACS")
     a.add_argument("--out", metavar="DIMACS", help="default stdout")
-    a.add_argument("--budget", type=int, default=20_000)
+    a.add_argument("--budget", type=int, default=EXPORT_VERTEX_BUDGET)
     a.set_defaults(func=_cmd_amplify)
 
     r = sub.add_parser("pipeline", help="full reduction pipeline")

@@ -12,6 +12,9 @@ from typing import IO, Iterable
 
 import numpy as np
 
+# largest graph any stage materializes (gap-graph export, strong power)
+EXPORT_VERTEX_BUDGET = 20_000
+
 
 class ExplicitGraph:
     def __init__(self, n: int):

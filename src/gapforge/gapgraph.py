@@ -47,7 +47,7 @@ import numpy as np
 from .cliquered import SelectionCertificate, verify_selection
 from .csp import CSPInstance, honest_assignment
 from .errors import BudgetExceededError
-from .explicit import ExplicitGraph
+from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
 from .field import FVector
 
 Vertex = tuple
@@ -269,7 +269,9 @@ class GapGraph:
 
     # -- explicit export ------------------------------------------------------
 
-    def export_explicit(self, budget: int = 20_000) -> tuple[ExplicitGraph, list[Vertex]]:
+    def export_explicit(
+        self, budget: int = EXPORT_VERTEX_BUDGET
+    ) -> tuple[ExplicitGraph, list[Vertex]]:
         """Materialize vertices (canonical order) and the full adjacency.
 
         Self-unsound vertices are isolated.  The rest are checked against

@@ -41,7 +41,7 @@ from .encoding import (
     write_scheme,
 )
 from .errors import BudgetExceededError, StageError
-from .explicit import ExplicitGraph, write_dimacs
+from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, write_dimacs
 from .gapgraph import GapGraph, build_gap_graph, write_clique_set, write_sidecar
 from .rng import derive_seed
 from .verify import EXACT_VERTEX_BUDGET, SoundnessProbe, soundness_probe
@@ -60,10 +60,7 @@ class PipelineConfig:
     derandomize: bool = False
     dry_run: bool = False
     gadget_budget: int = 1_000_000
-    scheme_budget: int = 10_000_000
     csp_var_budget: int = 1 << 14
-    eval_budget: int = 50_000_000
-    export_budget: int = 20_000
     planted_budget: int = 200_000
     probe_mode: str = "auto"
     probe_restarts: int = 200
@@ -73,6 +70,8 @@ class PipelineConfig:
             raise ValueError("k must be positive")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie strictly between 0 and 1")
+        if self.derandomize and self.ell is not None:
+            raise ValueError("derandomize chooses ell itself; leave ell unset")
         if self.probe_mode not in ("auto", "exact", "search", "skip"):
             raise ValueError(f"unknown probe mode {self.probe_mode!r}")
 
@@ -216,7 +215,7 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
     if sel is not None:
         completeness = _run_stage(
             "completeness",
-            lambda: evaluate(csp, honest_assignment(csp, sel), budget=cfg.eval_budget),
+            lambda: evaluate(csp, honest_assignment(csp, sel)),
         )
         planted_ok = gap.planted_clique_ok(sel)
         lines.append(("completeness_all_satisfied", int(completeness.all_satisfied)))
@@ -224,15 +223,13 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
         if gap.planted_size() <= cfg.planted_budget:
             planted = gap.planted_clique(sel)
 
-    explicit_graph = None
-    vertices = None
-    if gap.num_vertices <= cfg.export_budget:
-        explicit_graph, vertices = _run_stage(
-            "export", lambda: gap.export_explicit(budget=cfg.export_budget)
-        )
-    lines.append(("graph_explicit", int(explicit_graph is not None)))
+    exported = None
+    if gap.num_vertices <= EXPORT_VERTEX_BUDGET:
+        exported = _run_stage("export", gap.export_explicit)
+    explicit_graph, vertices = exported or (None, None)
+    lines.append(("graph_explicit", int(exported is not None)))
 
-    probe = _run_stage("probe", lambda: _probe(gap, sel, cfg, explicit_graph))
+    probe = _run_stage("probe", lambda: _probe(gap, sel, cfg, exported))
     threshold = (1 - cfg.epsilon) * gap.planted_size()
     if probe is not None:
         lines.append(("soundness_verdict", probe.verdict))
@@ -300,11 +297,11 @@ def _make_scheme(inst: VectorSumInstance, cfg: PipelineConfig, h: int, ell: int)
     if cfg.derandomize:
         if not union:
             raise ValueError("cannot derandomize with no gadget vectors")
-        scheme, _stats = derandomize_scheme(union, h, inst.dim, budget=cfg.scheme_budget)
+        scheme, _stats = derandomize_scheme(union, h, inst.dim)
     else:
         scheme = sample_scheme(derive_seed(cfg.seed, "scheme"), h, inst.dim, ell)
     # an all-empty instance leaves nothing to test the scheme against
-    report = check_scheme(scheme, union, budget=cfg.scheme_budget) if union else None
+    report = check_scheme(scheme, union) if union else None
     return scheme, report
 
 
@@ -319,12 +316,12 @@ def _make_csp(inst, scheme, k_prime: int, h: int, ell: int, cfg: PipelineConfig)
     return build_csp(inst, scheme, k_prime, h, ell)
 
 
-def _probe(gap, sel, cfg: PipelineConfig, explicit_graph) -> SoundnessProbe | None:
+def _probe(gap, sel, cfg: PipelineConfig, exported) -> SoundnessProbe | None:
     mode = cfg.probe_mode
     if mode == "skip":
         return None
     if mode == "auto":
-        if explicit_graph is not None and gap.num_vertices <= EXACT_VERTEX_BUDGET:
+        if exported is not None and gap.num_vertices <= EXACT_VERTEX_BUDGET:
             mode = "exact"
         elif sel is not None:
             # soundness side is settled by the planted family; searching
@@ -333,11 +330,7 @@ def _probe(gap, sel, cfg: PipelineConfig, explicit_graph) -> SoundnessProbe | No
         else:
             mode = "search"
     return soundness_probe(
-        gap,
-        mode=mode,
-        restarts=cfg.probe_restarts,
-        seed=derive_seed(cfg.seed, "probe"),
-        export_budget=cfg.export_budget,
+        gap, mode, cfg.probe_restarts, derive_seed(cfg.seed, "probe"), exported
     )
 
 

@@ -20,8 +20,10 @@ Local search is restarted greedy insertion by a random vertex priority
 followed by bounded 2-improvement (swap one clique member for two
 compatible outsiders).  Every restart draws its own generator from
 (seed, restart index), so reports are reproducible and restarts could
-run in any order without changing the outcome.  Gap graphs too large to
-export are searched implicitly, on a vertex sample per restart."""
+run in any order without changing the outcome.  Both oracles take
+explicit graphs only; the soundness probe is the one entry point on gap
+graphs.  It runs them on its caller's export or its own, and searches a
+gap graph too large to export implicitly, on a vertex sample per restart."""
 
 from __future__ import annotations
 
@@ -30,12 +32,16 @@ from itertools import islice
 
 import numpy as np
 
-from .explicit import ExplicitGraph, _bits_iter
+from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, _bits_iter
 from .gapgraph import GapGraph, Vertex
 
 
 # largest explicit graph the exact solver searches; bigger ones get bounds only
 EXACT_VERTEX_BUDGET = 1_000
+# search nodes before the exact solver stops with bounds
+EXACT_NODE_BUDGET = 20_000_000
+# vertices drawn per restart when a gap graph is searched implicitly
+IMPLICIT_SAMPLE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,7 @@ class _NodeBudget(Exception):
 def max_clique_exact(
     g: ExplicitGraph,
     vertex_budget: int = EXACT_VERTEX_BUDGET,
-    node_budget: int = 20_000_000,
+    node_budget: int = EXACT_NODE_BUDGET,
 ) -> CliqueReport:
     """Exact maximum clique with witness.
 
@@ -245,40 +251,21 @@ def _extend_maximal(adj: list[int], clique: list[int]) -> list[int]:
 
 
 def clique_local_search(
-    g,
-    restarts: int = 100,
-    seed: int = 0,
-    initial_clique=None,
-    sample_size: int = 512,
-    export_budget: int = 20_000,
+    g: ExplicitGraph, restarts: int = 100, seed: int = 0, initial_clique=None
 ) -> CliqueReport:
     """Restarted randomized greedy clique search; exact=False always.
 
-    Accepts an explicit graph or a gap graph.  Gap graphs within the
-    export budget are materialized once; larger ones are probed
-    implicitly on per-restart vertex samples.  The report depends only
-    on (graph, restarts, seed, initial_clique).
+    The report depends only on (graph, restarts, seed, initial_clique).
+    A warm start must be a clique of distinct vertices of g.
     """
-    if isinstance(g, GapGraph):
-        if g.num_vertices <= export_budget:
-            graph, verts = g.export_explicit(budget=export_budget)
-            index_of = {v: i for i, v in enumerate(verts)}
-            init = None
-            if initial_clique is not None:
-                init = [index_of[g.validate_vertex(v)] for v in initial_clique]
-            rep = clique_local_search(graph, restarts, seed, init)
-            return replace(rep, witness=tuple(verts[i] for i in rep.witness))
-        return _implicit_search(g, restarts, seed, initial_clique, sample_size)
-
     adj = g.adj
     n = g.n
     best: list[int] = []
     nodes = 0
     if initial_clique is not None:
-        check = g.is_clique(list(initial_clique))
-        if not check:
-            raise ValueError("warm start is not a clique")
-        best = _extend_maximal(adj, list(initial_clique))
+        init = list(initial_clique)
+        _check_warm(init, lambda w: all(0 <= v < n for v in w) and g.is_clique(w))
+        best = _extend_maximal(adj, init)
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
         clique = _greedy_by_priority(adj, rng.permutation(n).tolist()) if n else []
@@ -287,6 +274,12 @@ def clique_local_search(
         if len(clique) > len(best):
             best = clique
     return CliqueReport(len(best), tuple(sorted(best)), None, False, nodes, restarts)
+
+
+def _check_warm(warm: list, is_clique) -> None:
+    # a repeated vertex passes the set-based clique checks but counts twice
+    if len(set(warm)) != len(warm) or not is_clique(warm):
+        raise ValueError("warm start is not a clique of distinct vertices")
 
 
 def _implicit_search(
@@ -298,8 +291,7 @@ def _implicit_search(
     warm: list[Vertex] = []
     if initial_clique is not None:
         warm = [g.validate_vertex(v) for v in initial_clique]
-        if not g.is_clique(warm).ok:
-            raise ValueError("warm start is not a clique")
+        _check_warm(warm, lambda w: g.is_clique(w).ok)
     warm_set = set(warm)
     warm_var, warm_val = g._vertex_arrays(warm)
     warm_closed = not g._sound(warm_var, warm_val).all()
@@ -353,31 +345,33 @@ class SoundnessProbe:
 
 def soundness_probe(
     g: GapGraph,
-    planted_size: int | None = None,
     mode: str = "exact",
     restarts: int = 10_000,
     seed: int = 0,
-    export_budget: int = 20_000,
-    vertex_budget: int = EXACT_VERTEX_BUDGET,
-    node_budget: int = 20_000_000,
+    exported: tuple[ExplicitGraph, list[Vertex]] | None = None,
 ) -> SoundnessProbe:
     """Ask whether any clique reaches the planted size.
 
-    Exact mode materializes the graph (raising if over budget) and
-    solves; search mode runs seeded restarts.  A reached verdict is
+    exported is the (graph, vertices) pair g.export_explicit() returned,
+    when the caller already made it.  Without it, exact mode exports
+    here (raising if over budget) and search mode exports only within
+    the budget, searching implicitly otherwise.  A reached verdict is
     only ever issued for a witness that passes is_clique.
     """
-    target = g.planted_size() if planted_size is None else planted_size
-    if mode == "exact":
-        graph, verts = g.export_explicit(budget=export_budget)
-        rep = max_clique_exact(graph, vertex_budget, node_budget)
-        rep = replace(rep, witness=tuple(verts[i] for i in rep.witness))
-    elif mode == "search":
-        rep = clique_local_search(
-            g, restarts=restarts, seed=seed, export_budget=export_budget
-        )
-    else:
+    if mode not in ("exact", "search"):
         raise ValueError(f"unknown probe mode {mode!r}")
+    target = g.planted_size()
+    if exported is None and (mode == "exact" or g.num_vertices <= EXPORT_VERTEX_BUDGET):
+        exported = g.export_explicit()
+    if exported is None:
+        rep = _implicit_search(g, restarts, seed, None, IMPLICIT_SAMPLE_SIZE)
+    else:
+        graph, verts = exported
+        if mode == "exact":
+            rep = max_clique_exact(graph)
+        else:
+            rep = clique_local_search(graph, restarts, seed)
+        rep = replace(rep, witness=tuple(verts[i] for i in rep.witness))
 
     if rep.lower_bound >= target:
         if not g.is_clique(list(rep.witness)).ok:

@@ -331,6 +331,18 @@ def test_pipeline_accepts_mcol_input(tmp_path, capsys):
     assert report["planted_clique_ok"] == "1"
 
 
+def test_pipeline_derandomize_with_ell_exits_one(tmp_path, capsys):
+    path = tmp_path / "k3.col"
+    with open(path, "w") as fp:
+        write_dimacs(ExplicitGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), fp)
+    rc = main(["pipeline", "--input", str(path), "--k", "2", "--h", "1",
+               "--replication", "1", "--derandomize", "--ell", "2"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_missing_file_exits_one(capsys):
     rc = main(["clique", "--exact", "/nonexistent/input.dimacs"])
     assert rc == 1

@@ -9,6 +9,7 @@ import pytest
 from gapforge.cliquered import MulticolorGraph, brute_force_multicolor_clique
 from gapforge.errors import StageError
 from gapforge.explicit import ExplicitGraph
+from gapforge.gapgraph import GapGraph
 from gapforge.pipeline import (
     PipelineConfig,
     default_k_prime,
@@ -212,6 +213,30 @@ def test_derandomized_run():
     assert b.scheme.provenance == "derandomized"
     assert b.scheme_report.all_pass
     assert b.completeness.all_satisfied
+
+
+def test_derandomize_rejects_ell():
+    # the derandomizer picks ell itself; a requested ell would be ignored
+    with pytest.raises(ValueError, match="ell"):
+        PipelineConfig(k=2, h=1, replication=1, derandomize=True, ell=2)
+
+
+def test_run_exports_gap_graph_once(monkeypatch):
+    calls = []
+    export = GapGraph.export_explicit
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.num_vertices)
+        return export(self, *args, **kwargs)
+
+    monkeypatch.setattr(GapGraph, "export_explicit", counted)
+    # YES and NO inputs (no vertex at all), exact probe and search probe
+    for g, mode in ((complete_graph(2), "auto"), (ExplicitGraph(0), "auto"),
+                    (ExplicitGraph(0), "search")):
+        calls.clear()
+        b = run_pipeline(g, desk_cfg(probe_mode=mode))
+        assert b.probe is not None and b.explicit_graph is not None
+        assert calls == [272]
 
 
 def test_derandomized_k2_planted_check_on_k4():

@@ -155,7 +155,7 @@ def test_warm_start_reaches_planted():
     g = tiny_gap("10")
     sel = brute_force_vector_sum(g.csp.inst)
     planted = g.planted_clique(sel)
-    rep = clique_local_search(g, restarts=0, seed=1, initial_clique=planted)
+    rep = verify._implicit_search(g, 0, 1, planted, 512)
     assert rep.lower_bound == g.planted_size() == 20
     assert g.is_clique(list(rep.witness)).ok
 
@@ -164,14 +164,26 @@ def test_warm_start_must_be_clique():
     g = tiny_gap("10")
     bad = [g.b_vertex(1, 2, 0, 0), g.b_vertex(1, 2, 1, 1)]
     with pytest.raises(ValueError):
-        clique_local_search(g, restarts=0, seed=1, initial_clique=bad)
+        verify._implicit_search(g, 0, 1, bad, 512)
+
+
+def test_warm_start_repeated_or_out_of_range_vertex_rejected():
+    # a set-based clique check accepts a repeated vertex, which would then
+    # count once per repetition in the reported lower bound
+    g = ExplicitGraph.from_edges(3, [(0, 1)])
+    for bad in ([2, 2, 2], [7], [-1], [0, 3]):
+        with pytest.raises(ValueError):
+            clique_local_search(g, restarts=0, seed=1, initial_clique=bad)
+    gap = tiny_gap("10")
+    v = gap.planted_clique(brute_force_vector_sum(gap.csp.inst))[0]
+    with pytest.raises(ValueError):
+        verify._implicit_search(gap, 0, 0, [v] * 5, 80)
 
 
 def test_implicit_search_path():
     g = tiny_gap("10")
-    # force the implicit path by disallowing export
-    a = clique_local_search(g, restarts=30, seed=2, export_budget=100, sample_size=80)
-    b = clique_local_search(g, restarts=30, seed=2, export_budget=100, sample_size=80)
+    a = verify._implicit_search(g, 30, 2, None, 80)
+    b = verify._implicit_search(g, 30, 2, None, 80)
     assert a == b
     assert g.is_clique(list(a.witness)).ok
     assert a.upper_bound is None
@@ -219,10 +231,7 @@ def test_implicit_search_matches_scalar_reference():
         warms = (None, planted[:1], planted[::7], [unsound])
         for seed in range(3):
             for warm in warms:
-                got = clique_local_search(
-                    g, restarts=6, seed=seed, initial_clique=warm,
-                    sample_size=sample_size, export_budget=100,
-                )
+                got = verify._implicit_search(g, 6, seed, warm, sample_size)
                 want = reference_implicit_search(g, 6, seed, warm or [], sample_size)
                 assert got == want
 
@@ -251,6 +260,15 @@ def test_probe_search_mode_never_false_reached():
     probe = soundness_probe(g_yes, mode="search", restarts=300, seed=4)
     if probe.verdict == "reached":
         assert g_yes.is_clique(list(probe.witness)).ok
+
+
+def test_probe_reuses_callers_export():
+    for target in ("10", "01"):
+        g = tiny_gap(target)
+        for mode in ("exact", "search"):
+            want = soundness_probe(g, mode, restarts=50, seed=3)
+            got = soundness_probe(g, mode, restarts=50, seed=3, exported=g.export_explicit())
+            assert got == want
 
 
 def test_probe_rejects_unknown_mode():
