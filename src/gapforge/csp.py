@@ -14,9 +14,9 @@ scheme encoder.  The honest assignment of a selection (v_1, ..., v_k) is
 x_t = f(a_1, v_1) + ... + f(a_k, v_k); when the selection sums to the
 target it satisfies every constraint.
 
-`CSPInstance` owns the one int64 constraint table that `evaluate` and
-the gap graph's pair rule read; packing values into int64 caps ell at
-MAX_ELL = 31, and building a CSP above it raises ValueError.
+`CSPInstance` owns the one constraint table that `evaluate` and the gap
+graph's pair rule read, in the dtype `encoding.f_codes` picks (int64, or
+Python ints for wide values); every value array takes that dtype.
 
 Fractions of satisfied constraints are exact `fractions.Fraction`
 values; denominators are the literal family sizes (|F|^{2kh} for C1,
@@ -37,7 +37,6 @@ import numpy as np
 
 from .cliquered import SelectionCertificate, VectorSumInstance, verify_selection
 from .encoding import (
-    MAX_ELL,
     EncodingScheme,
     as_digits,
     derandomize_projections,
@@ -48,13 +47,11 @@ from .errors import BudgetExceededError
 from .field import FVector
 
 
-# Values in F^ell are packed into int64 by `encoding.f_codes`; -1 marks padding and "no check".
-
-
 class CSPInstance:
     """Bundled vector-sum instance + encoding scheme with the constraint table.
 
-    The C2/C3 right-hand sides are tabulated once, as int64 (`encoding.f_codes`):
+    The C2/C3 right-hand sides are tabulated once, as packed integers in
+    the dtype `encoding.f_codes` picks:
 
       allowed       -1-padded sorted rows of allowed C2 value differences
                     f(alpha, v), v in V_i; row i * num_alphas + alpha
@@ -82,11 +79,6 @@ class CSPInstance:
             raise ValueError(f"k = {k} but instance has {inst.num_sets} sets")
         if h != scheme.h or ell != scheme.ell:
             raise ValueError("h/ell disagree with the scheme")
-        if ell > MAX_ELL:
-            raise ValueError(
-                f"ell = {ell} is over the value-width limit MAX_ELL = {MAX_ELL} "
-                "(values are packed into int64)"
-            )
         self.inst = inst
         self.scheme = scheme
         self.k = k
@@ -99,7 +91,7 @@ class CSPInstance:
         codes = f_codes(self.mats, as_digits(vectors, inst.dim))  # one call; target last
         ends = np.cumsum([len(s) for s in inst.sets])
         rows = [np.unique(row) for per_set in np.split(codes, ends, axis=1)[:-1] for row in per_set]
-        self.allowed = np.full((len(rows), max(1, *map(len, rows))), -1, dtype=np.int64)
+        self.allowed = np.full((len(rows), max(1, *map(len, rows))), -1, dtype=codes.dtype)
         for j, row in enumerate(rows):
             self.allowed[j, : len(row)] = row
         self.target_codes = codes[:, -1]
@@ -196,7 +188,7 @@ def honest_assignment(csp: CSPInstance, sel: SelectionCertificate) -> Assignment
     if len(sel.indices) != csp.k:
         raise ValueError("selection length differs from k")
     t = np.arange(csp.num_vars)
-    values = np.zeros(csp.num_vars, dtype=np.int64)
+    values = np.zeros(csp.num_vars, dtype=csp.allowed.dtype)
     for i, idx in enumerate(sel.indices):
         s = csp.inst.sets[i]
         if not 0 <= idx < len(s):
@@ -306,7 +298,7 @@ def evaluate(
     """
     _check_assignment(csp, a)
     n, num_alphas = csp.num_vars, csp.num_alphas
-    vals = np.array(a.values, dtype=np.int64)
+    vals = np.array(a.values, dtype=csp.allowed.dtype)
     exact = mode == "exhaustive"
     if exact:
         if n * n > budget:
@@ -408,14 +400,14 @@ def linearity_decode(
     cands = (np.arange(n_cands_per_slot)[:, None] >> 2 * np.arange(cdim)) & 3
     lut = f_codes(matrix_stack(derandomize_projections(cdim, h)), cands).T
 
-    predicted = np.zeros((1, len(col_idx)), dtype=np.int64)
+    predicted = np.zeros((1, len(col_idx)), dtype=lut.dtype)
     for i in range(k):
         contrib = lut[:, csp.slot(col_idx, i)]  # (n_cands_per_slot, n_cols)
         predicted = (predicted[:, None, :] ^ contrib[None, :, :]).reshape(
             -1, len(col_idx)
         )
     # candidate row index encodes (c_1, ..., c_k) with c_1 as the major digit
-    vals = np.array(a.values, dtype=np.int64)[col_idx]
+    vals = np.array(a.values, dtype=lut.dtype)[col_idx]
     agreements = (predicted == vals).sum(axis=1)
     best = int(agreements.max())
     tied = np.flatnonzero(agreements == best)

@@ -49,8 +49,8 @@ from .rng import SplitMix64
 _MUL_NP = np.array(MUL, dtype=np.uint8)
 _INV_NP = np.array([0, 1, 3, 2], dtype=np.uint8)
 
-# f-values in F^ell pack two bits per coordinate into int64 (`f_codes`);
-# 2 * 31 = 62 bits keeps every value and every XOR of two values non-negative.
+# Where `f_codes` switches dtype: up to MAX_ELL coordinates, 2 * 31 = 62 bits
+# keep every f-value and every XOR of two in a non-negative int64.
 MAX_ELL = 31
 
 

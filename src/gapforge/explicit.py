@@ -85,10 +85,11 @@ class ExplicitGraph:
                 v += 1
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
-        mask = 0
-        for v in vs:
-            mask |= 1 << v
+        """Pairwise adjacency of a vertex set (repeats ignored); ValueError outside 0..n-1."""
+        vs = set(vertices)
+        if not all(0 <= v < self.n for v in vs):
+            raise ValueError("vertex out of range")
+        mask = sum(1 << v for v in vs)
         return all((self.adj[v] | (1 << v)) & mask == mask for v in vs)
 
     def __eq__(self, other) -> bool:

@@ -29,13 +29,13 @@ set {p+q, p, q} is XOR-closed, so a triple with two variables on one
 side already lives entirely on that side, and the remaining degenerate
 triples collapse to the zero-tuple rule.
 
-`GapGraph` reads the binary checks per difference from the CSP's int64
-constraint table and applies the pair rule in one vectorized kernel;
-adjacency, clique checks, the planted family check, the explicit export
-and the implicit clique search are all conjunctions of that kernel over
-assignment pairs.  A vertex that is not sound on its own (internally
-inconsistent, or failing a check between its own variables) is adjacent
-to nothing."""
+`GapGraph` reads the binary checks per difference from the CSP's
+constraint table (values keep its dtype) and applies the pair rule in
+one vectorized kernel; adjacency, clique checks, the planted family
+check, the explicit export and the implicit clique search are all
+conjunctions of that kernel over assignment pairs.  A vertex that is
+not sound on its own (internally inconsistent, or failing a check
+between its own variables) is adjacent to nothing."""
 
 from __future__ import annotations
 
@@ -159,11 +159,11 @@ class GapGraph:
         return ok & ((var_a != 0) | (val_a == 0)) & ((var_b != 0) | (val_b == 0))
 
     def _vertex_arrays(self, vertices: Sequence[Vertex]) -> tuple[np.ndarray, np.ndarray]:
-        """(len, 3) variable and value arrays, one row per vertex; an A
-        vertex repeats its single assignment, which changes no check."""
+        """(len, 3) int64 variable and table-dtype value arrays, one row per
+        vertex; an A vertex repeats its single assignment, which changes no check."""
         rows = [self.assignments(v) * (1 if v[0] == "B" else 3) for v in vertices]
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), 3, 2)
-        return arr[..., 0], arr[..., 1]
+        arr = np.array(rows, dtype=self.csp.allowed.dtype).reshape(len(rows), 3, 2)
+        return arr[..., 0].astype(np.int64, copy=False), arr[..., 1]
 
     def _sound(self, var: np.ndarray, val: np.ndarray) -> np.ndarray:
         """Per row of _vertex_arrays: is the vertex's own union sound?"""
@@ -230,7 +230,7 @@ class GapGraph:
         has millions of members."""
         if not verify_selection(self.csp.inst, sel):
             return False
-        hv = np.array(honest_assignment(self.csp, sel).values, dtype=np.int64)
+        hv = np.array(honest_assignment(self.csp, sel).values, dtype=self.csp.allowed.dtype)
         return self._first_bad_pair(hv, np.ones(len(hv), dtype=bool)) is None
 
     def is_clique(self, vertices: Iterable[Vertex]) -> CliqueCheck:
@@ -256,7 +256,7 @@ class GapGraph:
         assigned_vars, first = np.unique(var, return_index=True)
         owner = np.full(self.num_tuples, -1)
         owner[assigned_vars] = first // 3
-        value = np.zeros(self.num_tuples, dtype=np.int64)
+        value = np.zeros(self.num_tuples, dtype=val.dtype)
         value[assigned_vars] = val[first]
         conflict = np.flatnonzero(~self._pairs_ok(var, val, var, value[var]))
         if conflict.size:

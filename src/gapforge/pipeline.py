@@ -68,6 +68,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be positive")
+        if any(v is not None and v < 1 for v in (self.h, self.ell, self.replication)):
+            raise ValueError("h, ell and replication must be positive")
+        if self.probe_restarts < 0:
+            raise ValueError("probe_restarts must be nonnegative")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie strictly between 0 and 1")
         if self.derandomize and self.ell is not None:

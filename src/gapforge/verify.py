@@ -258,13 +258,15 @@ def clique_local_search(
     The report depends only on (graph, restarts, seed, initial_clique).
     A warm start must be a clique of distinct vertices of g.
     """
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
     adj = g.adj
     n = g.n
     best: list[int] = []
     nodes = 0
     if initial_clique is not None:
         init = list(initial_clique)
-        _check_warm(init, lambda w: all(0 <= v < n for v in w) and g.is_clique(w))
+        _check_warm(init, g.is_clique)
         best = _extend_maximal(adj, init)
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
@@ -308,8 +310,8 @@ def _implicit_search(
         clique = list(warm)
         closed = warm_closed
         size = warm_var.size
-        member_var = np.concatenate([warm_var.ravel(), np.empty(var.size, dtype=np.int64)])
-        member_val = np.concatenate([warm_val.ravel(), np.empty(val.size, dtype=np.int64)])
+        member_var = np.concatenate([warm_var.ravel(), np.empty(var.size, dtype=var.dtype)])
+        member_val = np.concatenate([warm_val.ravel(), np.empty(val.size, dtype=val.dtype)])
         for j, v in enumerate(sample):
             if clique:
                 if closed or not sound[j] or v in warm_set:

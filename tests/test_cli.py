@@ -359,15 +359,43 @@ def test_short_dimacs_line_exits_one(tmp_path, capsys, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_pipeline_ell_over_width_limit_exits_one(tmp_path, capsys):
+def test_pipeline_ell_over_int64_width_completes(tmp_path, capsys):
     path = tmp_path / "k2.col"
     with open(path, "w") as fp:
         write_dimacs(ExplicitGraph.from_edges(2, [(0, 1)]), fp)
     rc = main(["pipeline", "--input", str(path), "--k", "1", "--h", "1",
                "--ell", "40", "--replication", "1"])
+    assert rc == 0
+    report = kv(capsys.readouterr().out)
+    assert report["ell"] == "40"
+    assert report["planted_clique_ok"] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", "--k", "1", "--dry-run", "--h", "0"],
+        ["pipeline", "--k", "1", "--dry-run", "--h", "-1"],
+        ["pipeline", "--k", "1", "--dry-run", "--ell", "0"],
+        ["pipeline", "--k", "1", "--dry-run", "--ell", "-3"],
+        ["pipeline", "--k", "1", "--dry-run", "--replication", "0"],
+        ["pipeline", "--k", "1", "--h", "1", "--ell", "1", "--replication", "1",
+         "--probe-mode", "search", "--probe-restarts", "-5"],
+        ["clique", "--search", "--restarts", "-5"],
+    ],
+    ids=["h-0", "h-neg", "ell-0", "ell-neg", "replication-0", "probe-restarts-neg",
+         "clique-restarts-neg"],
+)
+def test_out_of_range_parameter_exits_one(tmp_path, capsys, argv):
+    path = tmp_path / "k2.col"
+    with open(path, "w") as fp:
+        write_dimacs(ExplicitGraph.from_edges(2, [(0, 1)]), fp)
+    args = ["--input", str(path)] if argv[0] == "pipeline" else [str(path)]
+    rc = main(argv[:1] + args + argv[1:])
+    captured = capsys.readouterr()
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -106,12 +106,13 @@ def test_build_rejects_mismatches():
         build_csp(inst, scheme2, 2, 1, 1)
 
 
-def test_build_rejects_ell_over_width_limit():
-    # values are packed into int64: ell = 32 is one over the width limit
+def test_build_accepts_ell_over_int64_width():
+    # ell = 32 is one over the int64 width: the table holds Python ints
     inst = VectorSumInstance([[FVector.from_text("10")]], FVector.from_text("10"))
     scheme = sample_scheme(0, h=1, m=2, ell=32)
-    with pytest.raises(ValueError, match="MAX_ELL = 31"):
-        build_csp(inst, scheme, 1, 1, 32)
+    csp = build_csp(inst, scheme, 1, 1, 32)
+    assert csp.allowed.dtype == object
+    assert evaluate(csp, honest_assignment(csp, SelectionCertificate((0,)))).all_satisfied
 
 
 def test_honest_assignment_zero_tuple_is_zero():
@@ -339,7 +340,7 @@ def reference_evaluate(csp, a, mode="exhaustive", count=10_000, seed=0):
     """Exhaustive mode checks one alpha at a time with np.isin; sampled mode
     walks the samples in Python."""
     n = csp.num_vars
-    vals = np.array(a.values, dtype=np.int64)
+    vals = np.array(a.values, dtype=np.int64 if csp.ell <= MAX_ELL else object)
     allowed = [[csp.allowed_diffs(i, ap) for ap in range(csp.num_alphas)] for i in range(csp.k)]
     if mode == "exhaustive":
         idx = np.arange(n)
@@ -400,7 +401,8 @@ def reference_corpus():
     satisfies everything); every third instance has an empty set and only
     the random assignment.  Last, a CSP at ell = MAX_ELL with a linear
     assignment whose values sit near 2^62 and a copy with one tuple
-    corrupted."""
+    corrupted, and one at ell = 40, over the int64 width, with the same two
+    assignments near 2^80, its honest assignment and a random one."""
     rng = np.random.default_rng(2024)
     for case, (k, h) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (6, 1)]):
         for ell in (1, 2, 3):
@@ -448,6 +450,22 @@ def reference_corpus():
                 linear[t] ^= image
     linear = Assignment(2, 1, ell, linear)
     yield csp, [linear, linear.replace(5, FVector(ell, (1 << 62) - 1))]
+    ell = 40
+    scheme = sample_scheme(int(rng.integers(0, 1 << 30)), h=1, m=2, ell=ell)
+    csp = build_csp(inst, scheme, 2, 1, ell)
+    sel = SelectionCertificate((0, 0))
+    honest = honest_assignment(csp, sel)
+    assert honest == reference_honest_assignment(csp, sel)
+    assert max(honest.values) >> 63  # the values need more than int64
+    wide = [int(x) << 18 | int(y) for x, y in rng.integers(1 << 61, 1 << 62, (csp.num_vars, 2))]
+    linear = [0] * csp.num_vars
+    for t in range(csp.num_vars):
+        for j in range(csp.num_vars.bit_length() - 1):
+            if t >> j & 1:
+                linear[t] ^= wide[j]
+    linear = Assignment(2, 1, ell, linear)
+    yield csp, [honest, Assignment(2, 1, ell, wide), linear,
+                linear.replace(5, FVector(ell, (1 << 80) - 1))]
 
 
 def test_evaluate_and_honest_match_reference():
@@ -468,7 +486,7 @@ def test_nonlinear_part_vanishes_on_basis_and_on_linear_assignments():
     for csp, assignments in reference_corpus():
         basis = [1 << j for j in range(csp.num_vars.bit_length() - 1)]
         for a in assignments:
-            e = _nonlinear_part(np.array(a.values, dtype=np.int64))
+            e = _nonlinear_part(np.array(a.values, dtype=csp.allowed.dtype))
             assert not e[basis].any() and e[0] == a.values[0]
             linear = evaluate(csp, a).c1_fraction == 1
             assert linear == (not e.any())

@@ -59,3 +59,12 @@ def test_write_then_read_round_trips(data):
     again = StringIO()
     write_dimacs(back, again)
     assert again.getvalue() == out.getvalue()
+
+
+def test_is_clique_reads_a_set_and_rejects_out_of_range_vertices():
+    g = ExplicitGraph.from_edges(3, [(0, 1)])
+    assert g.is_clique([2, 2]) and g.is_clique([0, 1, 0]) and g.is_clique([])
+    assert not g.is_clique([0, 2])
+    for bad in ([7], [-1], [0, 3]):
+        with pytest.raises(ValueError):
+            g.is_clique(bad)

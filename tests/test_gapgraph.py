@@ -170,6 +170,26 @@ def test_adjacent_matches_naive_everywhere_at_tiny_scale():
         outcomes.add(want)
     assert outcomes == {True, False}
 
+    # at ell = 40 the values are wider than int64: planted vertices, and
+    # copies with one value XORed with a random nonzero value
+    g = k2_gap(ell=40)
+    cons = materialized_constraints(g.csp)
+    planted = g.planted_clique(brute_force_vector_sum(g.csp.inst))
+    rng = np.random.default_rng(6)
+    perturbed = []
+    for i in rng.integers(0, len(planted), 200):
+        v = list(planted[i])
+        v[-1 - int(rng.integers(0, 2 if v[0] == "B" else 1))] ^= int(rng.integers(1, 1 << 62)) << 18
+        perturbed.append(tuple(v))
+    pairs = [(planted[i], planted[j]) for i, j in rng.integers(0, len(planted), (300, 2))]
+    pairs += [(planted[i], perturbed[j]) for i, j in rng.integers(0, 200, (300, 2))]
+    outcomes = set()
+    for u, w in pairs:
+        want = naive_adjacent(g, cons, u, w)
+        assert g.adjacent(u, w) == want, (u, w)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
 
 def test_planted_clique_size_and_structure():
     g = tiny_gap(target_text="10")
@@ -205,6 +225,15 @@ def test_planted_ok_agrees_with_materialized_check():
     g2 = k2_gap()
     sel2 = brute_force_vector_sum(g2.csp.inst)
     assert g2.planted_clique_ok(sel2) == g2.is_clique(g2.planted_clique(sel2)).ok
+
+    # ell = 40: values wider than int64
+    wide = k2_gap(ell=40)
+    sel = brute_force_vector_sum(wide.csp.inst)
+    assert wide.planted_clique_ok(sel)
+    assert wide.is_clique(wide.planted_clique(sel)).ok
+    unsat = SelectionCertificate((1, 1))  # 010 + 110 misses the target 101
+    assert not wide.planted_clique_ok(unsat)
+    assert not wide.is_clique(wide.planted_clique(unsat, allow_unsatisfying=True)).ok
 
 
 def test_planted_requires_satisfying_selection():

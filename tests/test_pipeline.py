@@ -249,9 +249,18 @@ def test_derandomized_k2_planted_check_on_k4():
     assert "planted_clique_ok=1" in b.report_text
 
 
-def test_ell_over_width_limit_raises_value_error():
-    with pytest.raises(ValueError, match="MAX_ELL = 31"):
-        run_pipeline(complete_graph(2), PipelineConfig(k=1, h=1, ell=40, replication=1))
+def test_ell_over_int64_width_completes():
+    # values wider than int64 are packed into Python ints, so ell has no cap
+    bundle = run_pipeline(complete_graph(2), PipelineConfig(k=1, h=1, ell=40, replication=1))
+    assert "ell=40\n" in bundle.report_text
+    assert "planted_clique_ok=1\n" in bundle.report_text
+    # the derandomizer picks ell = 42 for k = 3 on K4
+    cfg = PipelineConfig(k=3, h=1, replication=1, derandomize=True)
+    bundle = run_pipeline(complete_graph(4), cfg)
+    assert bundle.csp.ell == 42
+    for line in ("ell=42", "completeness_all_satisfied=1", "planted_clique_ok=1",
+                 "soundness_verdict=reached"):
+        assert line + "\n" in bundle.report_text
 
 
 def test_ell_at_width_limit_completes():
