@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from io import StringIO
 
 from .amplify import export_power, strong_power
 from .cliquered import brute_force_vector_sum, read_mcol, read_vsi
@@ -166,14 +167,11 @@ def _make_csp(args):
 
 def _cmd_csp(args) -> int:
     csp = _make_csp(args)
-    n = csp.num_vars
     if args.build:
+        c1, c2, c3 = csp.family_sizes()
         _print_kv(
-            ("k", csp.k), ("h", csp.h), ("ell", csp.ell),
-            ("num_vars", n),
-            ("c1_constraints", n * n),
-            ("c2_constraints", csp.k * n * csp.num_alphas),
-            ("c3_constraints", n * csp.num_alphas),
+            ("k", csp.k), ("h", csp.h), ("ell", csp.ell), ("num_vars", csp.num_vars),
+            ("c1_constraints", c1), ("c2_constraints", c2), ("c3_constraints", c3),
         )
         return 0
     path = args.evaluate or args.decode
@@ -200,10 +198,7 @@ def _cmd_csp(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    inst = _load_instance(args.instance)
-    scheme = _load_scheme(args.scheme)
-    csp = build_csp(inst, scheme, inst.num_sets, scheme.h, scheme.ell)
-    gap = build_gap_graph(csp, args.replication)
+    gap = build_gap_graph(_make_csp(args), args.replication)
     _print_kv(
         ("vertices_b", gap.num_b_vertices),
         ("vertices_a", gap.num_a_vertices),
@@ -219,7 +214,7 @@ def _cmd_graph(args) -> int:
             write_sidecar(verts, gap, fp)
         _print_kv(("written", args.export), ("map", map_path))
     if args.plant:
-        sel = brute_force_vector_sum(inst)
+        sel = brute_force_vector_sum(gap.csp.inst)
         if sel is None:
             _print_kv(("satisfiable", "no"))
         else:
@@ -267,8 +262,6 @@ def _cmd_pipeline(args) -> int:
         (line for line in head.splitlines() if line.strip() and not line.startswith("c ")),
         "",
     )
-    from io import StringIO
-
     if first.startswith("p mcol"):
         graph = read_mcol(StringIO(head))
     else:

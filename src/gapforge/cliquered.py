@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import IO, Hashable, Iterable, Sequence
 
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .field import FVector
 
 Vertex = Hashable
@@ -274,44 +274,39 @@ def clique_to_selection(g: MulticolorGraph, clique: Sequence[Vertex]) -> Selecti
     return SelectionCertificate(tuple(indices))
 
 
-def brute_force_multicolor_clique(
-    g: MulticolorGraph, budget: int = 10_000_000
-) -> list | None:
+# combinations either brute-force search may enumerate
+BRUTE_FORCE_BUDGET = 10_000_000
+
+
+def brute_force_multicolor_clique(g: MulticolorGraph) -> list | None:
     """Exhaustive search for a multicolor clique; None if there is none.
 
-    Raises BudgetExceededError when the class-size product exceeds budget.
+    Raises BudgetExceededError when the class-size product exceeds
+    BRUTE_FORCE_BUDGET.
     """
     classes = [g.color_class(i) for i in range(1, g.k + 1)]
     total = 1
     for c in classes:
         total *= len(c)
-        if total > budget:
-            raise BudgetExceededError(
-                f"class-size product exceeds budget {budget}",
-                needed=total,
-                budget=budget,
-            )
+        check_budget(
+            total, BRUTE_FORCE_BUDGET, f"class-size product exceeds budget {BRUTE_FORCE_BUDGET}"
+        )
     for combo in itertools.product(*classes):
         if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
             return list(combo)
     return None
 
 
-def brute_force_vector_sum(
-    inst: VectorSumInstance, budget: int = 10_000_000
-) -> SelectionCertificate | None:
+def brute_force_vector_sum(inst: VectorSumInstance) -> SelectionCertificate | None:
     """Exhaustive search over one-per-set selections; None if unsolvable."""
     if inst.empty_sets():
         return None
     total = 1
     for s in inst.sets:
         total *= len(s)
-        if total > budget:
-            raise BudgetExceededError(
-                f"selection-space size exceeds budget {budget}",
-                needed=total,
-                budget=budget,
-            )
+        check_budget(
+            total, BRUTE_FORCE_BUDGET, f"selection-space size exceeds budget {BRUTE_FORCE_BUDGET}"
+        )
     packed = [[v.bits for v in s] for s in inst.sets]
     tbits = inst.target.bits
     for combo in itertools.product(*(range(len(s)) for s in inst.sets)):

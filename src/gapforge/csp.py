@@ -43,8 +43,13 @@ from .encoding import (
     f_codes,
     matrix_stack,
 )
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .field import FVector
+
+# work one exhaustive evaluate may do: C2/C3 checks plus C1 count steps
+EVALUATE_BUDGET = 50_000_000
+# candidates-by-tuples table entries linearity_decode may score
+DECODE_BUDGET = 1 << 26
 
 
 class CSPInstance:
@@ -103,6 +108,12 @@ class CSPInstance:
         diagonal = (nonzero == k) & (slots == slots[0]).all(axis=0)
         self.c3_code = np.where(diagonal, self.target_codes[slots[0]], -1)
         self.checked = np.flatnonzero((self.c2_row >= 0) | (self.c3_code >= 0))
+
+    def family_sizes(self) -> tuple[int, int, int]:
+        """Constraint counts of C1, C2 (all k slots) and C3, alpha = 0
+        included: n^2, k n 4^h and n 4^h, n the tuple count."""
+        n = self.num_vars
+        return n * n, self.k * n * self.num_alphas, n * self.num_alphas
 
     def c2_ok(self, row, diff):
         """Elementwise over broadcast arrays: is diff in allowed row `row`?
@@ -244,16 +255,14 @@ def _nonlinear_part(vals: np.ndarray) -> np.ndarray:
     return vals ^ lin
 
 
-def _c1_violations(vals: np.ndarray) -> int:
+def _c1_violations(e: np.ndarray, support: np.ndarray) -> int:
     """Ordered pairs (s, t) with x_s ^ x_t ^ x_{s^t} != 0, in at most
-    2 |S| n steps, S the support of the nonlinear part e.
+    2 |S| n steps, from the nonlinear part e and its support S.
 
     Rows s in S are counted over every t.  For s outside S a violation
     needs t in S or s^t in S; t -> s^t swaps the two cases and keeps the
     outcome, so the row counts 2 #{t in S violated} - #{t in S with
     s^t in S violated}."""
-    e = _nonlinear_part(vals)
-    support = np.flatnonzero(e)
     if not len(support):
         return 0
     n = len(e)
@@ -279,7 +288,6 @@ def evaluate(
     mode: str = "exhaustive",
     count: int = 10_000,
     seed: int = 0,
-    budget: int = 50_000_000,
 ) -> SatReport:
     """Fractions of satisfied constraints per family.
 
@@ -288,11 +296,11 @@ def evaluate(
     the assignment differs from its linear part L, the GF(2)-linear map
     that agrees with it on the basis tuples 2^j (S holds tuple 0 when
     x_0 != 0 and never a basis tuple); an honest assignment has S empty
-    and costs O(n).  The budget still guards the literal n^2 C1 family
-    size.  sampled: uniform constraint indices per family, drawn from one
-    seeded generator in the order C1 (s, then t), then (t, alpha) for
-    each slot i, then (t, alpha) for C3; Fractions over the sample count,
-    per-alpha maps left empty.
+    and costs O(n).  EVALUATE_BUDGET guards that work: the (k+1) n |F|^h
+    C2/C3 checks plus the 2 |S| n C1 steps.  sampled: uniform constraint
+    indices per family, drawn from one seeded generator in the order C1
+    (s, then t), then (t, alpha) for each slot i, then (t, alpha) for C3;
+    Fractions over the sample count, per-alpha maps left empty.
     Either way the C2/C3 checks run once per family over (t, alpha)
     index arrays.
     """
@@ -301,12 +309,14 @@ def evaluate(
     vals = np.array(a.values, dtype=csp.allowed.dtype)
     exact = mode == "exhaustive"
     if exact:
-        if n * n > budget:
-            raise BudgetExceededError(
-                f"C1 family has {n * n} constraints", needed=n * n, budget=budget
-            )
+        c1_size, c2_size, c3_size = csp.family_sizes()
+        e = _nonlinear_part(vals)
+        support = np.flatnonzero(e)
+        checks, steps = c2_size + c3_size, 2 * len(support) * n
+        msg = f"exhaustive evaluate needs {checks} C2/C3 checks and {steps} C1 steps"
+        check_budget(checks + steps, EVALUATE_BUDGET, msg)
         idx = np.arange(n)
-        c1 = Fraction(n * n - _c1_violations(vals), n * n)
+        c1 = Fraction(c1_size - _c1_violations(e, support), c1_size)
         # every (t, alpha) once: t down the rows, alpha across the columns
         draws = [(idx[:, None], np.arange(num_alphas))] * (csp.k + 1)
     elif mode == "sampled":
@@ -365,7 +375,6 @@ def linearity_decode(
     mode: str = "exact",
     samples: int = 4096,
     seed: int = 0,
-    budget: int = 1 << 26,
 ) -> DecodeResult:
     """Nearest member of the family { t -> sum_i block_linear(a_i, c_i) }.
 
@@ -388,12 +397,8 @@ def linearity_decode(
         col_idx = rng.integers(0, n_tuples, min(samples, n_tuples))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if n_cands * len(col_idx) > budget:
-        raise BudgetExceededError(
-            f"decode table would have {n_cands * len(col_idx)} entries",
-            needed=n_cands * len(col_idx),
-            budget=budget,
-        )
+    entries = n_cands * len(col_idx)
+    check_budget(entries, DECODE_BUDGET, f"decode table would have {entries} entries")
 
     # per-slot lookup: lut[c, a] = packed block_linear(a, c), the f-values
     # of the block selectors, c over every vector of F^{h*ell}

@@ -42,7 +42,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .field import FMat, FVector, MUL, rank_and_kernel
 from .rng import SplitMix64
 
@@ -199,18 +199,19 @@ def _first_repeat(items):
     return None
 
 
-def check_scheme(
-    scheme: EncodingScheme,
-    test_set: Sequence[FVector],
-    budget: int = 10_000_000,
-) -> SchemeReport:
+# f-table entries check_scheme may evaluate
+CHECK_SCHEME_BUDGET = 10_000_000
+
+
+def check_scheme(scheme: EncodingScheme, test_set: Sequence[FVector]) -> SchemeReport:
     """Decide the three conditions for the scheme against a test set.
 
     Injectivity of g on all of F^m is decided exactly by the rank of the
     stacked ell*h x m matrix (a kernel vector is the witness), not by
     enumerating F^m.  The other two hash the entries of F[a, w, x] = f(a, x + w)
-    (`f_table`, 4^h * |V|^2 of them, guarded by the budget): separation keys on
-    F[a, V[0], v] = f(a, v) + f(a, V[0]), self-correction on F[a, w, x] per w.
+    (`f_table`, 4^h * |V|^2 of them, guarded by CHECK_SCHEME_BUDGET):
+    separation keys on F[a, V[0], v] = f(a, v) + f(a, V[0]), self-correction
+    on F[a, w, x] per w.
 
     The report carries at most one witness: the first failure in the
     order injective, separating, self-correcting.
@@ -223,12 +224,7 @@ def check_scheme(
     if len(set(V)) != len(V):
         raise ValueError("test set has duplicates")
     cost = (4**scheme.h) * len(V) * max(len(V), 1)
-    if cost > budget:
-        raise BudgetExceededError(
-            f"condition checks need about {cost} evaluations",
-            needed=cost,
-            budget=budget,
-        )
+    check_budget(cost, CHECK_SCHEME_BUDGET, f"condition checks need about {cost} evaluations")
 
     rank, kernel = rank_and_kernel([row for A in scheme.mats for row in A.rows])
     cond_inj = rank == scheme.m
@@ -308,16 +304,15 @@ def collision_frequency(
     return Fraction(_agreements(A, b, c, v, u), samples)
 
 
-def collision_frequency_exhaustive(
-    b: FVector, c: FVector, v: FVector, u: FVector, budget: int = 1 << 22
-) -> Fraction:
+# matrices collision_frequency_exhaustive may enumerate
+COLLISION_MATRIX_BUDGET = 1 << 22
+
+
+def collision_frequency_exhaustive(b: FVector, c: FVector, v: FVector, u: FVector) -> Fraction:
     """Exact agreement frequency over every matrix A in F^(h x m)."""
     h, m = b.dim, v.dim
     total = 4 ** (h * m)
-    if total > budget:
-        raise BudgetExceededError(
-            f"would enumerate {total} matrices", needed=total, budget=budget
-        )
+    check_budget(total, COLLISION_MATRIX_BUDGET, f"would enumerate {total} matrices")
     entries = itertools.chain.from_iterable(itertools.product(range(4), repeat=h * m))
     A = np.fromiter(entries, dtype=np.uint8, count=total * h * m).reshape(total, h, m)
     return Fraction(_agreements(A, b, c, v, u), total)
@@ -423,11 +418,12 @@ def _violated(mats: np.ndarray, V: list[FVector]) -> np.ndarray:
     return np.concatenate([separating, self_correcting])
 
 
+# estimated constraints derandomize_scheme may enumerate
+DERANDOMIZE_BUDGET = 10_000_000
+
+
 def derandomize_scheme(
-    test_set: Sequence[FVector],
-    h: int,
-    m: int,
-    budget: int = 10_000_000,
+    test_set: Sequence[FVector], h: int, m: int
 ) -> tuple[EncodingScheme, DerandomizationStats]:
     """Deterministic scheme passing all three conditions for the test set.
 
@@ -456,10 +452,7 @@ def derandomize_scheme(
     q = 4**h - 1
     n = len(V)
     est = q * n * (n - 1) + (q * (n - 1)) ** 2 * n // 2
-    if est > budget:
-        raise BudgetExceededError(
-            f"would enumerate about {est} constraints", needed=est, budget=budget
-        )
+    check_budget(est, DERANDOMIZE_BUDGET, f"would enumerate about {est} constraints")
     n_constraints = q * n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 2 * q * q
 
     mats = derandomize_projections(m, h)

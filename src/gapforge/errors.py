@@ -18,6 +18,12 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def check_budget(needed: int, budget: int, message: str) -> None:
+    """Raise BudgetExceededError(message) when needed is over budget."""
+    if needed > budget:
+        raise BudgetExceededError(message, needed=needed, budget=budget)
+
+
 class StageError(RuntimeError):
     """Pipeline stage failure; wraps the original error with the stage name."""
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .cliquered import SelectionCertificate, verify_selection
 from .csp import CSPInstance, honest_assignment
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
 from .field import FVector
 
@@ -63,14 +63,14 @@ class CliqueCheck:
     violating_pair: tuple[Vertex, Vertex] | None
 
 
-class GapGraph:
-    def __init__(self, csp: CSPInstance, r: int):
-        if r < 1:
-            raise ValueError("replication must be positive")
-        self.csp = csp
+class GapSizes:
+    """Group and vertex counts of the gap graph over k slots of F^h,
+    values in F^ell and r copy groups per tuple, as exact ints."""
+
+    def __init__(self, k: int, h: int, ell: int, r: int):
         self.r = r
-        self.num_tuples = csp.num_vars
-        self.num_values = 4**csp.ell
+        self.num_tuples = 4 ** (k * h)
+        self.num_values = 4**ell
         self.num_b_groups = self.num_tuples**2
         self.num_a_groups = self.num_tuples * r
         self.b_group_size = self.num_values**2
@@ -79,10 +79,16 @@ class GapGraph:
         self.num_a_vertices = self.num_a_groups * self.a_group_size
         self.num_vertices = self.num_b_vertices + self.num_a_vertices
 
-    # -- counting ---------------------------------------------------------
-
     def planted_size(self) -> int:
         return self.num_b_groups + self.num_a_groups
+
+
+class GapGraph(GapSizes):
+    def __init__(self, csp: CSPInstance, r: int):
+        if r < 1:
+            raise ValueError("replication must be positive")
+        super().__init__(csp.k, csp.h, csp.ell, r)
+        self.csp = csp
 
     # -- vertex handling ----------------------------------------------------
 
@@ -279,10 +285,7 @@ class GapGraph:
         all 3 x 3 assignment pairs, and packed into adjacency bitsets.
         """
         n = self.num_vertices
-        if n > budget:
-            raise BudgetExceededError(
-                f"graph has {n} vertices", needed=n, budget=budget
-            )
+        check_budget(n, budget, f"graph has {n} vertices")
         vertices: list[Vertex] = [self.vertex_by_index(i) for i in range(n)]
         var, val = self._vertex_arrays(vertices)
         live = np.flatnonzero(self._sound(var, val))

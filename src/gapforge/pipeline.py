@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from io import StringIO
+from typing import ClassVar
 
 from .cliquered import (
     MulticolorGraph,
@@ -40,16 +41,17 @@ from .encoding import (
     sample_scheme,
     write_scheme,
 )
-from .errors import BudgetExceededError, StageError
+from .errors import BudgetExceededError, StageError, check_budget
 from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, write_dimacs
-from .gapgraph import GapGraph, build_gap_graph, write_clique_set, write_sidecar
+from .gapgraph import GapGraph, build_gap_graph, GapSizes, write_clique_set, write_sidecar
 from .rng import derive_seed
 from .verify import EXACT_VERTEX_BUDGET, SoundnessProbe, soundness_probe
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for one pipeline run; None means the source default."""
+    """Knobs for one pipeline run; None means the source default.  The
+    budgets are class constants, not fields."""
 
     k: int
     h: int | None = None
@@ -59,11 +61,12 @@ class PipelineConfig:
     seed: int = 0
     derandomize: bool = False
     dry_run: bool = False
-    gadget_budget: int = 1_000_000
-    csp_var_budget: int = 1 << 14
-    planted_budget: int = 200_000
     probe_mode: str = "auto"
     probe_restarts: int = 200
+    # largest gadget dimension, tuple count, and planted.clq written
+    gadget_budget: ClassVar[int] = 1_000_000
+    csp_var_budget: ClassVar[int] = 1 << 14
+    planted_budget: ClassVar[int] = 200_000
 
     def __post_init__(self):
         if self.k < 1:
@@ -134,11 +137,7 @@ def _resolved(cfg: PipelineConfig, k_prime: int, n_vectors: int, m: int):
 
 
 def _size_lines(k_prime: int, h: int, ell: int, r: int, m: int, n_vectors: int):
-    num_tuples = 4 ** (k_prime * h)
-    b_groups = num_tuples**2
-    b_vertices = b_groups * 4 ** (2 * ell)
-    a_vertices = num_tuples * r * 4**ell
-    planted = b_groups + num_tuples * r
+    sizes = GapSizes(k_prime, h, ell, r)
     return [
         ("k_prime", k_prime),
         ("m", m),
@@ -146,11 +145,11 @@ def _size_lines(k_prime: int, h: int, ell: int, r: int, m: int, n_vectors: int):
         ("h", h),
         ("ell", ell),
         ("replication", r),
-        ("num_tuples", num_tuples),
-        ("vertices_b", b_vertices),
-        ("vertices_a", a_vertices),
-        ("vertices_total", b_vertices + a_vertices),
-        ("planted_size", planted),
+        ("num_tuples", sizes.num_tuples),
+        ("vertices_b", sizes.num_b_vertices),
+        ("vertices_a", sizes.num_a_vertices),
+        ("vertices_total", sizes.num_vertices),
+        ("planted_size", sizes.planted_size()),
     ]
 
 
@@ -205,12 +204,10 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
         lines.append(("scheme_separating", int(scheme_report.cond_separating)))
         lines.append(("scheme_self_correcting", int(scheme_report.cond_self_correcting)))
 
-    csp = _run_stage("csp", lambda: _make_csp(inst, scheme, k_prime, h, ell, cfg))
+    csp = _run_stage("csp", lambda: _make_csp(inst, scheme, k_prime, h, ell, r, cfg))
     gap = build_gap_graph(csp, r)
 
-    sel = _run_stage(
-        "selection", lambda: brute_force_vector_sum(inst, budget=cfg.gadget_budget)
-    )
+    sel = _run_stage("selection", lambda: brute_force_vector_sum(inst))
     lines.append(("satisfiable", "yes" if sel is not None else "no"))
 
     completeness = None
@@ -287,12 +284,7 @@ def _run_stage(name: str, thunk):
 
 def _reduce(mcg: MulticolorGraph, cfg: PipelineConfig) -> VectorSumInstance:
     inst = reduce_clique(mcg)
-    if inst.dim > cfg.gadget_budget:
-        raise BudgetExceededError(
-            f"gadget dimension {inst.dim} over budget",
-            needed=inst.dim,
-            budget=cfg.gadget_budget,
-        )
+    check_budget(inst.dim, cfg.gadget_budget, f"gadget dimension {inst.dim} over budget")
     return inst
 
 
@@ -309,14 +301,9 @@ def _make_scheme(inst: VectorSumInstance, cfg: PipelineConfig, h: int, ell: int)
     return scheme, report
 
 
-def _make_csp(inst, scheme, k_prime: int, h: int, ell: int, cfg: PipelineConfig):
-    num_vars = 4 ** (k_prime * h)
-    if num_vars > cfg.csp_var_budget:
-        raise BudgetExceededError(
-            f"{num_vars} tuple variables over budget",
-            needed=num_vars,
-            budget=cfg.csp_var_budget,
-        )
+def _make_csp(inst, scheme, k_prime: int, h: int, ell: int, r: int, cfg: PipelineConfig):
+    num_vars = GapSizes(k_prime, h, ell, r).num_tuples
+    check_budget(num_vars, cfg.csp_var_budget, f"{num_vars} tuple variables over budget")
     return build_csp(inst, scheme, k_prime, h, ell)
 
 
@@ -339,16 +326,16 @@ def _probe(gap, sel, cfg: PipelineConfig, exported) -> SoundnessProbe | None:
 
 
 def _csp_meta(csp: CSPInstance, r: int) -> str:
-    n = csp.num_vars
+    c1, c2, c3 = csp.family_sizes()
     lines = [
         ("k", csp.k),
         ("h", csp.h),
         ("ell", csp.ell),
-        ("num_vars", n),
+        ("num_vars", csp.num_vars),
         ("num_alphas", csp.num_alphas),
-        ("c1_constraints", n * n),
-        ("c2_constraints", csp.k * n * csp.num_alphas),
-        ("c3_constraints", n * csp.num_alphas),
+        ("c1_constraints", c1),
+        ("c2_constraints", c2),
+        ("c3_constraints", c3),
         ("replication", r),
         ("set_sizes", ",".join(str(len(s)) for s in csp.inst.sets)),
     ]

@@ -42,6 +42,9 @@ EXACT_VERTEX_BUDGET = 1_000
 EXACT_NODE_BUDGET = 20_000_000
 # vertices drawn per restart when a gap graph is searched implicitly
 IMPLICIT_SAMPLE_SIZE = 512
+# 2-improvement swaps per local-search restart, and outsiders scanned per slot
+TWO_IMPROVE_ROUNDS = 8
+TWO_IMPROVE_SCAN_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -200,17 +203,16 @@ def max_clique_exact(
     return CliqueReport(best, tuple(best_witness), upper, exact, nodes, 0)
 
 
-def _two_improve(
-    adj: list[int], clique: list[int], rounds: int = 8, scan_cap: int = 128
-) -> list[int]:
+def _two_improve(adj: list[int], clique: list[int]) -> list[int]:
     # swap one member for two outsiders each adjacent to the rest and to
     # each other; keeps the set a clique and grows it by one.  Slots are
     # tried in clique order, and the outsiders missing only that slot's
-    # member are scanned for an adjacent pair only up to the scan_cap
-    # lowest-index ones (heuristic, so completeness is not owed)
+    # member are scanned for an adjacent pair only up to the
+    # TWO_IMPROVE_SCAN_CAP lowest-index ones, for at most TWO_IMPROVE_ROUNDS
+    # swaps (heuristic, so completeness is not owed)
     full = (1 << len(adj)) - 1
     clique = list(clique)
-    for _ in range(rounds):
+    for _ in range(TWO_IMPROVE_ROUNDS):
         # before[i] / after[i]: vertices adjacent to every member before
         # slot i / after slot i
         before = [full]
@@ -222,7 +224,7 @@ def _two_improve(
         after.reverse()
         for slot, m in enumerate(clique):
             group = before[slot] & after[slot + 1] & ~adj[m] & ~(1 << m)
-            scan = list(islice(_bits_iter(group), scan_cap))
+            scan = list(islice(_bits_iter(group), TWO_IMPROVE_SCAN_CAP))
             capped = sum(1 << a for a in scan)
             # the first scanned vertex with a neighbour among the scanned
             # has only later ones there: an earlier one would have come first

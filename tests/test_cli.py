@@ -11,10 +11,11 @@ import pytest
 
 import gapforge
 from gapforge.cli import main
-from gapforge.cliquered import read_vsi, reduce_clique, write_mcol, write_vsi
+from gapforge.cliquered import VectorSumInstance, read_vsi, reduce_clique, write_mcol, write_vsi
 from gapforge.csp import build_csp, honest_assignment, write_assignment
 from gapforge.encoding import read_scheme
 from gapforge.explicit import ExplicitGraph, read_dimacs, write_dimacs
+from gapforge.field import FVector
 from gapforge.pipeline import plain_to_multicolor
 
 
@@ -149,6 +150,26 @@ def test_csp_evaluate_honest_assignment(tmp_path, yes_instance, scheme_file, cap
     assert report["mode"] == "exhaustive"
     assert report["all_satisfied"] == "1"
     assert "samples" not in report
+
+
+def test_csp_evaluate_seven_sets_is_within_budget(tmp_path, capsys):
+    # 16,384 tuples: the literal C1 family (4^14) is far over the evaluate
+    # budget, but the honest assignment is linear, so C1 costs one pass
+    units = [FVector.from_text("0" * i + "1" + "0" * (6 - i)) for i in range(7)]
+    instance = tmp_path / "seven.vsi"
+    with open(instance, "w") as fp:
+        write_vsi(VectorSumInstance([[u] for u in units], FVector.from_text("1" * 7)), fp)
+    scheme = tmp_path / "seven.txt"
+    assert main(["scheme", "--sample", "--h", "1", "--ell", "2", "--seed", "4",
+                 "--instance", str(instance), "--out", str(scheme)]) == 0
+    capsys.readouterr()
+    honest = _honest_file(tmp_path, instance, scheme)
+    rc = main(["csp", "--evaluate", str(honest), "--instance", str(instance),
+               "--scheme", str(scheme)])
+    assert rc == 0
+    report = kv(capsys.readouterr().out)
+    assert report["mode"] == "exhaustive"
+    assert report["all_satisfied"] == "1"
 
 
 def test_csp_evaluate_sampled_reports_sampling(tmp_path, yes_instance, scheme_file, capsys):

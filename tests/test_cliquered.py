@@ -151,10 +151,11 @@ def test_equivalence_random_k3():
         assert equivalence_holds(g)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     g = random_multicolor(np.random.default_rng(5), 2, 8, 0.9)
+    monkeypatch.setattr("gapforge.cliquered.BRUTE_FORCE_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
-        brute_force_vector_sum(reduce_clique(g), budget=2)
+        brute_force_vector_sum(reduce_clique(g))
 
 
 def test_instance_validation():

@@ -215,11 +215,28 @@ def test_evaluate_sampled_is_close_and_reported():
     assert abs(sampled.c3_fraction - exact.c3_fraction) < Fraction(1, 20)
 
 
-def test_evaluate_budget_guard():
+def seven_set_csp():
+    """Seven one-vector sets (the unit vectors of F^7, target their sum),
+    h = 1, ell = 2: 4^7 = 16,384 tuples, so the literal C1 family has
+    4^14 constraints, while the C2/C3 tables need 8 * 4^7 * 4 checks."""
+    units = [FVector.from_text("0" * i + "1" + "0" * (6 - i)) for i in range(7)]
+    inst = VectorSumInstance([[u] for u in units], FVector.from_text("1" * 7))
+    return build_csp(inst, sample_scheme(4, h=1, m=7, ell=2), k=7, h=1, ell=2)
+
+
+def test_evaluate_is_guarded_by_its_work_not_the_c1_family_size():
+    csp = seven_set_csp()
+    rep = evaluate(csp, honest_assignment(csp, SelectionCertificate((0,) * 7)))
+    assert rep.exact
+    assert rep.all_satisfied
+
+
+def test_evaluate_budget_guard(monkeypatch):
     csp = tiny_csp()
     a = Assignment.zero(1, 1, 1)
+    monkeypatch.setattr("gapforge.csp.EVALUATE_BUDGET", 8)
     with pytest.raises(BudgetExceededError):
-        evaluate(csp, a, budget=8)
+        evaluate(csp, a)
 
 
 @pytest.mark.parametrize("h, ell", [(1, 1), (1, 3), (2, 1), (2, 2)])
@@ -256,10 +273,11 @@ def test_decode_zero_assignment():
     assert all(c.is_zero() for c in res.components)
 
 
-def test_decode_budget_guard():
+def test_decode_budget_guard(monkeypatch):
     csp = two_set_csp(ell=2)
+    monkeypatch.setattr("gapforge.csp.DECODE_BUDGET", 4)
     with pytest.raises(BudgetExceededError):
-        linearity_decode(csp, Assignment.zero(2, 1, 2), budget=4)
+        linearity_decode(csp, Assignment.zero(2, 1, 2))
 
 
 def test_decode_sampled_mode():

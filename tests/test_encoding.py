@@ -231,11 +231,12 @@ def test_random_schemes_pass_at_recommended_width():
     assert passes >= trials * 0.6
 
 
-def test_check_scheme_budget():
+def test_check_scheme_budget(monkeypatch):
     s = sample_scheme(0, h=3, m=2, ell=2)
     V = [FVector.from_text("10"), FVector.from_text("01")]
+    monkeypatch.setattr("gapforge.encoding.CHECK_SCHEME_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        check_scheme(s, V, budget=10)
+        check_scheme(s, V)
 
 
 def test_rank_deficiency_of_random_schemes_is_rare():

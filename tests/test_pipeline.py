@@ -162,12 +162,14 @@ def test_default_parameter_formulas():
     assert f"ell={ell}" in b.report_text
 
 
-def test_stage_errors_carry_stage_names():
-    with pytest.raises(StageError) as e:
-        run_pipeline(complete_graph(2), desk_cfg(csp_var_budget=2))
+def test_stage_errors_carry_stage_names(monkeypatch):
+    with monkeypatch.context() as m, pytest.raises(StageError) as e:
+        m.setattr(PipelineConfig, "csp_var_budget", 2)
+        run_pipeline(complete_graph(2), desk_cfg())
     assert e.value.stage == "csp"
-    with pytest.raises(StageError) as e:
-        run_pipeline(complete_graph(2), desk_cfg(gadget_budget=1))
+    with monkeypatch.context() as m, pytest.raises(StageError) as e:
+        m.setattr(PipelineConfig, "gadget_budget", 1)
+        run_pipeline(complete_graph(2), desk_cfg())
     assert e.value.stage == "reduce"
     with pytest.raises(StageError) as e:
         run_pipeline(
@@ -175,6 +177,14 @@ def test_stage_errors_carry_stage_names():
             desk_cfg(k=2, probe_mode="exact"),
         )
     assert e.value.stage == "probe"
+
+
+def test_completeness_guard_refuses_the_c2_c3_tables():
+    # k=1, h=7: 4^7 tuples and 4^7 alphas, so the C2/C3 tables need
+    # 2 * 4^14 checks, over the evaluate budget
+    with pytest.raises(StageError) as e:
+        run_pipeline(complete_graph(2), desk_cfg(h=7))
+    assert e.value.stage == "completeness"
 
 
 def test_config_validation():

@@ -1,10 +1,13 @@
-"""The benchmark tracer's patch targets exist in the package, and its
-counters read what the package does.
+"""The benchmark tracer's patch targets exist in the package, its
+counters read what the package does, and every workload passes its own
+gates at the tiny size.
 
 `perfbench/spans.py` wraps gapforge functions by (module, attribute
 path); a target deleted or renamed in src would make
 `perfbench/run.py --trace 1` fail at install time.  Every target must
-resolve the way `Tracer._patch` looks it up.
+resolve the way `Tracer._patch` looks it up.  `perfbench/workloads.py`
+calls gapforge by name and reads its config and results, so a src
+change that breaks one of those names fails here.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import gapforge
@@ -24,18 +28,19 @@ from gapforge.gapgraph import build_gap_graph
 from gapforge.pipeline import PipelineConfig, run_pipeline
 from gapforge.verify import soundness_probe
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_targets_resolve():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     targets = [(mod, path) for mod, path, *_ in spans.SPANS + spans.COUNTERS]
     assert targets
     for module, path in targets:
@@ -59,7 +64,7 @@ def test_tracer_counts_one_export_per_run_and_implicit_samples():
     big = build_gap_graph(build_csp(inst, sample_scheme(5, h=1, m=2, ell=2), 2, 1, 2), 1)
     assert big.num_vertices == 65_792
 
-    tracer = load_spans().Tracer()
+    tracer = load_perfbench("spans").Tracer()
     tracer.install()
     try:
         with tracer.op(0, "k1-pipeline"):
@@ -74,3 +79,13 @@ def test_tracer_counts_one_export_per_run_and_implicit_samples():
     assert tracer.counts["gapgraph.export_vertices"] == 272
     assert tracer.counts["verify.implicit_restarts"] == 1
     assert tracer.counts["verify.implicit_samples"] == 512
+
+
+def test_tiny_workloads_pass_their_gates(tmp_path):
+    wl = load_perfbench("workloads")
+    for workload in wl.WORKLOADS:
+        for i, op in enumerate(wl.BUILDERS[workload](0, "tiny")):
+            out_dir = tmp_path / workload / str(i)
+            out_dir.mkdir(parents=True)
+            out = op.run(str(out_dir))
+            assert wl.gate(op, out, None) == [], f"{workload} {op.name}"
