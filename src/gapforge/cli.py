@@ -18,7 +18,7 @@ from .amplify import export_power, strong_power
 from .cliquered import brute_force_vector_sum, read_mcol, read_vsi
 from .csp import build_csp, evaluate, linearity_decode, read_assignment
 from .encoding import check_scheme, derandomize_scheme, read_scheme, sample_scheme, write_scheme
-from .errors import BudgetExceededError, StageError
+from .errors import BudgetExceededError, StageError, check_budget
 from .explicit import EXPORT_VERTEX_BUDGET, read_dimacs, write_dimacs
 from .gapgraph import build_gap_graph, write_clique_set, write_sidecar
 from .pipeline import PipelineConfig, run_pipeline
@@ -219,6 +219,8 @@ def _cmd_graph(args) -> int:
             _print_kv(("satisfiable", "no"))
         else:
             _print_kv(("satisfiable", "yes"))
+            size, budget = gap.planted_size(), PipelineConfig.planted_budget
+            check_budget(size, budget, f"planted clique has {size} vertices, budget {budget}")
             with open(args.plant, "w") as fp:
                 write_clique_set(gap.planted_clique(sel), gap, fp)
             _print_kv(("planted", args.plant))

@@ -30,12 +30,15 @@ side already lives entirely on that side, and the remaining degenerate
 triples collapse to the zero-tuple rule.
 
 `GapGraph` reads the binary checks per difference from the CSP's
-constraint table (values keep its dtype) and applies the pair rule in
-one vectorized kernel; adjacency, clique checks, the planted family
-check, the explicit export and the implicit clique search are all
-conjunctions of that kernel over assignment pairs.  A vertex that is
-not sound on its own (internally inconsistent, or failing a check
-between its own variables) is adjacent to nothing."""
+constraint table (values keep its dtype) and writes the pair rule once,
+as one vectorized kernel, `_pairs_ok`.  Adjacency, clique checks, the
+planted family check and the implicit clique search apply it to
+assignment pairs.  Apart from the zero-tuple terms, the rule reads only
+the variable and value differences, so the explicit export tabulates it
+once over all (variable difference, value difference) codes and builds
+every row from that table.  A vertex that is not sound on its own
+(internally inconsistent, or failing a check between its own variables)
+is adjacent to nothing."""
 
 from __future__ import annotations
 
@@ -51,10 +54,6 @@ from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
 from .field import FVector
 
 Vertex = tuple
-
-# assignment pairs per pair-rule call in export_explicit; bounds the
-# size of its temporaries
-_STRIP_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -280,30 +279,32 @@ class GapGraph(GapSizes):
     ) -> tuple[ExplicitGraph, list[Vertex]]:
         """Materialize vertices (canonical order) and the full adjacency.
 
-        Self-unsound vertices are isolated.  The rest are checked against
-        each other in strips of rows, each a single pair-rule call over
-        all 3 x 3 assignment pairs, and packed into adjacency bitsets.
+        Each assignment packs into one code, var << 2 ell | val, so two
+        codes XOR to their (variable difference, value difference).  The
+        pair rule is tabulated once over all such codes; the table leaves
+        out only the zero-tuple terms, which every sound vertex passes.
+        Each distinct code c of a sound vertex gets a mask, the bitset of
+        sound vertices whose three codes all pass the table against c.  A
+        sound vertex's row is the AND of its three codes' masks, without
+        itself; self-unsound vertices are isolated.
         """
         n = self.num_vertices
         check_budget(n, budget, f"graph has {n} vertices")
         vertices: list[Vertex] = [self.vertex_by_index(i) for i in range(n)]
         var, val = self._vertex_arrays(vertices)
         live = np.flatnonzero(self._sound(var, val))
-        cols = (var[live][None, None, :, :], val[live][None, None, :, :])
+        shift = 2 * self.csp.ell
+        every = np.arange(self.num_tuples * self.num_values)
+        table = self._pairs_ok(every >> shift, every & (self.num_values - 1), 0, 0)
+        codes = (var[live] << shift) | val[live]
+        distinct, which = np.unique(codes, return_inverse=True)
+        masks = np.zeros((len(distinct), n), dtype=bool)
+        masks[:, live] = table[distinct[:, None, None] ^ codes].all(axis=2)
+        packed = np.packbits(masks, axis=1, bitorder="little")
+        bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
         graph = ExplicitGraph(n)
-        nbytes = (n + 7) // 8
-        step = max(1, _STRIP_PAIRS // (9 * max(1, len(live))))
-        for start in range(0, len(live), step):
-            rows = live[start : start + step]
-            block = self._pairs_ok(
-                var[rows][:, :, None, None], val[rows][:, :, None, None], *cols
-            ).all(axis=(1, 3))
-            block[np.arange(len(rows)), np.arange(start, start + len(rows))] = False
-            strip = np.zeros((len(rows), n), dtype=bool)
-            strip[:, live] = block
-            packed = np.packbits(strip, axis=1, bitorder="little")
-            for local, v in enumerate(rows.tolist()):
-                graph.adj[v] = int.from_bytes(packed[local].tobytes()[:nbytes], "little")
+        for v, (a, b, c) in zip(live.tolist(), which.reshape(codes.shape).tolist()):
+            graph.adj[v] = bits[a] & bits[b] & bits[c] & ~(1 << v)
         return graph, vertices
 
 

@@ -16,7 +16,7 @@ from gapforge.csp import build_csp, honest_assignment, write_assignment
 from gapforge.encoding import read_scheme
 from gapforge.explicit import ExplicitGraph, read_dimacs, write_dimacs
 from gapforge.field import FVector
-from gapforge.pipeline import plain_to_multicolor
+from gapforge.pipeline import PipelineConfig, plain_to_multicolor
 
 
 def kv(captured: str) -> dict:
@@ -152,9 +152,10 @@ def test_csp_evaluate_honest_assignment(tmp_path, yes_instance, scheme_file, cap
     assert "samples" not in report
 
 
-def test_csp_evaluate_seven_sets_is_within_budget(tmp_path, capsys):
-    # 16,384 tuples: the literal C1 family (4^14) is far over the evaluate
-    # budget, but the honest assignment is linear, so C1 costs one pass
+@pytest.fixture
+def seven_sets(tmp_path, capsys):
+    """Instance and scheme files of the solvable 7-set, h=1, ell=2 instance:
+    16,384 tuples, planted size 4^14 + 4^7 at one copy group."""
     units = [FVector.from_text("0" * i + "1" + "0" * (6 - i)) for i in range(7)]
     instance = tmp_path / "seven.vsi"
     with open(instance, "w") as fp:
@@ -163,6 +164,13 @@ def test_csp_evaluate_seven_sets_is_within_budget(tmp_path, capsys):
     assert main(["scheme", "--sample", "--h", "1", "--ell", "2", "--seed", "4",
                  "--instance", str(instance), "--out", str(scheme)]) == 0
     capsys.readouterr()
+    return instance, scheme
+
+
+def test_csp_evaluate_seven_sets_is_within_budget(tmp_path, seven_sets, capsys):
+    # 16,384 tuples: the literal C1 family (4^14) is far over the evaluate
+    # budget, but the honest assignment is linear, so C1 costs one pass
+    instance, scheme = seven_sets
     honest = _honest_file(tmp_path, instance, scheme)
     rc = main(["csp", "--evaluate", str(honest), "--instance", str(instance),
                "--scheme", str(scheme)])
@@ -240,6 +248,23 @@ def test_graph_plant_unsatisfiable(tmp_path, capsys):
     assert rc == 0
     report = kv(capsys.readouterr().out)
     assert report["satisfiable"] == "no"
+    assert not planted.exists()
+
+
+def test_graph_plant_over_planted_budget_exits_one(tmp_path, seven_sets):
+    # the planted clique has 4^14 + 4^7 vertices, far over the pipeline's
+    # planted budget; building it would hold 268M vertex tuples, so it
+    # runs in a child under the address-space limit
+    instance, scheme = seven_sets
+    planted = tmp_path / "pl.clq"
+    argv = ["graph", "--instance", str(instance), "--scheme", str(scheme),
+            "--replication", "1", "--plant", str(planted)]
+    proc = _run_cli_under_memory_limit(argv)
+    assert proc.returncode == 1
+    assert kv(proc.stdout)["planted_size"] == str(4**14 + 4**7)
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert str(4**14 + 4**7) in proc.stderr
+    assert f"budget {PipelineConfig.planted_budget}" in proc.stderr
     assert not planted.exists()
 
 
@@ -451,6 +476,15 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
 
+def _run_cli_under_memory_limit(argv):
+    """`gapforge argv` in a child process with a 1.5 GB address space."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gapforge.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "gapforge.cli", *argv], capture_output=True, text=True,
+        env=env, preexec_fn=_limit_address_space, timeout=300,
+    )
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -466,10 +500,6 @@ def test_out_of_memory_exits_one(tmp_path, scheme_file, argv, text):
     path = tmp_path / "huge.txt"
     path.write_text(text)
     argv = argv + [str(path)] + (["--scheme", str(scheme_file)] if argv[0] == "csp" else [])
-    env = {**os.environ, "PYTHONPATH": str(Path(gapforge.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gapforge.cli", *argv], capture_output=True, text=True,
-        env=env, preexec_fn=_limit_address_space, timeout=300,
-    )
+    proc = _run_cli_under_memory_limit(argv)
     assert proc.returncode == 1
     assert proc.stderr == "error: out of memory\n"

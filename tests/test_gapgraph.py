@@ -25,14 +25,18 @@ from gapforge.cliquered import (
 from gapforge.csp import build_csp, honest_assignment
 from gapforge.encoding import EncodingScheme, encode_f, sample_scheme
 from gapforge.errors import BudgetExceededError
+from gapforge.explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
 from gapforge.field import FMat, FVector
 from gapforge.gapgraph import (
     GapGraph,
+    GapSizes,
     build_gap_graph,
     read_sidecar,
     write_clique_set,
     write_sidecar,
 )
+from gapforge.pipeline import PipelineConfig, run_pipeline
+from test_acceptance import _separated_no_instance, solvable_instance, vec01, vec01_set
 
 
 def tiny_gap(target_text: str = "10", row=(1, 2), r: int = 1) -> GapGraph:
@@ -323,6 +327,82 @@ def test_export_budget():
     assert g.num_vertices == 4096 + 16 * 256 * 4
     with pytest.raises(BudgetExceededError):
         g.export_explicit(budget=20_000)
+
+
+def strip_export(g: GapGraph):
+    """The export as it was before the code table: the pair rule on all
+    3 x 3 assignment pairs of every pair of live vertices, in strips of
+    at most 2^18 pairs, packed into bitset rows."""
+    n = g.num_vertices
+    vertices = [g.vertex_by_index(i) for i in range(n)]
+    var, val = g._vertex_arrays(vertices)
+    live = np.flatnonzero(g._sound(var, val))
+    cols = (var[live][None, None, :, :], val[live][None, None, :, :])
+    graph = ExplicitGraph(n)
+    nbytes = (n + 7) // 8
+    step = max(1, (1 << 18) // (9 * max(1, len(live))))
+    for start in range(0, len(live), step):
+        rows = live[start : start + step]
+        block = g._pairs_ok(
+            var[rows][:, :, None, None], val[rows][:, :, None, None], *cols
+        ).all(axis=(1, 3))
+        block[np.arange(len(rows)), np.arange(start, start + len(rows))] = False
+        strip = np.zeros((len(rows), n), dtype=bool)
+        strip[:, live] = block
+        packed = np.packbits(strip, axis=1, bitorder="little")
+        for local, v in enumerate(rows.tolist()):
+            graph.adj[v] = int.from_bytes(packed[local].tobytes()[:nbytes], "little")
+    return graph, vertices
+
+
+def criterion_8_gaps():
+    """The fourteen NO graphs of acceptance criterion 8: twelve with 272
+    vertices and two with 4160."""
+    rng = np.random.default_rng(37)
+    no = [_separated_no_instance(rng, 1, 3, 1000 * idx) for idx in range(12)]
+    no += [_separated_no_instance(rng, 2, 3, 50_000 * (idx + 1)) for idx in range(2)]
+    return [build_gap_graph(csp, 1) for csp in no]
+
+
+def grid_gaps():
+    """Seeded YES and NO gap graphs over r in {1, 2, 4}, ell in {1, 2, 3}
+    and kh in {1, 2, 3} (every split of kh into k sets of h slots),
+    where the graph is within the export budget."""
+    rng = np.random.default_rng(2024)
+    for r, ell, kh in itertools.product((1, 2, 4), (1, 2, 3), (1, 2, 3)):
+        for k in (d for d in range(1, kh + 1) if kh % d == 0):
+            h = kh // k
+            if GapSizes(k, h, ell, r).num_vertices > EXPORT_VERTEX_BUDGET:
+                continue
+            if rng.integers(2):
+                inst, _ = solvable_instance(rng, k, 3)
+            else:
+                inst = VectorSumInstance([vec01_set(rng, 3, 2) for _ in range(k)], vec01(rng, 3))
+            scheme = sample_scheme(int(rng.integers(1 << 30)), h, 3, ell)
+            yield (r, ell, k, h), build_gap_graph(build_csp(inst, scheme, k, h, ell), r)
+
+
+def yes_bundle_gap() -> GapGraph:
+    """The k = 1, h = 2 YES graph of the yes-bundle benchmark's shape."""
+    c5 = ExplicitGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    cfg = PipelineConfig(k=1, h=2, ell=1, replication=1, seed=10, probe_mode="skip")
+    return run_pipeline(c5, cfg).gap
+
+
+def test_export_equals_strip_export_reference():
+    no = criterion_8_gaps()
+    assert [g.num_vertices for g in no] == [272] * 12 + [4160] * 2
+    cases = [(f"criterion-8-{i}", g) for i, g in enumerate(no)]
+    cases.append(("yes-bundle", yes_bundle_gap()))
+    grid = list(grid_gaps())
+    assert {cfg[1:] for cfg, _ in grid} == {(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)}
+    cases += grid
+    for name, g in cases:
+        graph, verts = g.export_explicit()
+        want_graph, want_verts = strip_export(g)
+        assert verts == want_verts, name
+        assert graph == want_graph, name
+        assert graph.num_edges() > 0, name
 
 
 def test_planted_on_k2_instance():
