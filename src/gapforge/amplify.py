@@ -43,33 +43,6 @@ class ProductGraph:
     def num_vertices(self) -> int:
         return self.base.n**self.t
 
-    def index_of(self, tup) -> int:
-        if len(tup) != self.t:
-            raise ValueError(f"need a {self.t}-tuple")
-        idx = 0
-        for c in tup:
-            if not 0 <= c < self.base.n:
-                raise ValueError("coordinate out of range")
-            idx = idx * self.base.n + c
-        return idx
-
-    def tuple_of(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.num_vertices:
-            raise ValueError("index out of range")
-        out = []
-        for _ in range(self.t):
-            idx, c = divmod(idx, self.base.n)
-            out.append(c)
-        return tuple(reversed(out))
-
-    def adjacent(self, u, w) -> bool:
-        u, w = tuple(u), tuple(w)
-        if len(u) != self.t or len(w) != self.t:
-            raise ValueError(f"need {self.t}-tuples")
-        if u == w:
-            return False
-        return all(a == b or self.base.adjacent(a, b) for a, b in zip(u, w))
-
 
 def strong_power(g: ExplicitGraph, t: int) -> ProductGraph:
     return ProductGraph(g, t)

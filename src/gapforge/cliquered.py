@@ -65,9 +65,6 @@ class MulticolorGraph:
     def color_class(self, i: int) -> list:
         return sorted(v for v, c in self.colors.items() if c == i)
 
-    def has_edge(self, u, v) -> bool:
-        return frozenset((u, v)) in self.edges
-
     def cross_edges(self, i: int, j: int) -> list[tuple]:
         """Edges with one endpoint of color i and one of color j (i < j),
         returned as (color-i vertex, color-j vertex) pairs, sorted."""
@@ -101,10 +98,9 @@ class VectorSumInstance:
     A solution picks one vector from each set so the GF(4) sum equals the
     target.  Sets may be empty (the instance is then trivially
     unsolvable); `empty_sets()` lists them.  Distinct vectors in the set
-    union are never scalar multiples of one another; for 0/1 vectors this
-    follows from distinctness (c*v has a coordinate outside {0,1} for
-    c in {w, w+1} and nonzero v), and `validate_no_scalar_multiples`
-    checks it directly.
+    union are never scalar multiples of one another: for 0/1 vectors this
+    follows from distinctness, since c*v has a coordinate outside {0,1}
+    for c in {w, w+1} and nonzero v.
     """
 
     def __init__(self, sets: Sequence[Sequence[FVector]], target: FVector):
@@ -139,15 +135,6 @@ class VectorSumInstance:
 
     def empty_sets(self) -> list[int]:
         return [i for i, s in enumerate(self.sets) if not s]
-
-    def validate_no_scalar_multiples(self) -> None:
-        union = self.union()
-        for a, b in itertools.combinations(union, 2):
-            for c in (1, 2, 3):
-                if a.scalar_mul(c) == b:
-                    raise ValueError(
-                        f"{b.to_text()} = {c} * {a.to_text()} violates pairwise independence"
-                    )
 
     def __eq__(self, other) -> bool:
         return (
@@ -243,58 +230,8 @@ def reduce_clique(g: MulticolorGraph) -> VectorSumInstance:
     return VectorSumInstance(sets, FVector(m, target_bits))
 
 
-def selection_to_clique(g: MulticolorGraph, sel: SelectionCertificate) -> list:
-    """Vertices named by the first k entries of a selection for reduce_clique(g)."""
-    if g.k == 1:
-        return [g.color_class(1)[0]]
-    return [g.color_class(i + 1)[sel.indices[i]] for i in range(g.k)]
-
-
-def clique_to_selection(g: MulticolorGraph, clique: Sequence[Vertex]) -> SelectionCertificate:
-    """Selection for reduce_clique(g) that picks the given multicolor clique.
-
-    Expects one vertex per color class; raises if a needed cross edge is
-    missing (the input was not a clique).
-    """
-    by_color = {}
-    for v in clique:
-        by_color[g.colors[v]] = v
-    if sorted(by_color) != list(range(1, g.k + 1)):
-        raise ValueError("clique must contain exactly one vertex of every color")
-    if g.k == 1:
-        return SelectionCertificate((0,))
-    indices = [g.color_class(i).index(by_color[i]) for i in range(1, g.k + 1)]
-    for j in range(2, g.k + 1):
-        for i in range(1, j):
-            pair = (by_color[i], by_color[j])
-            cross = g.cross_edges(i, j)
-            if pair not in cross:
-                raise ValueError(f"missing edge between colors {i} and {j}")
-            indices.append(cross.index(pair))
-    return SelectionCertificate(tuple(indices))
-
-
-# combinations either brute-force search may enumerate
+# selections brute_force_vector_sum may enumerate
 BRUTE_FORCE_BUDGET = 10_000_000
-
-
-def brute_force_multicolor_clique(g: MulticolorGraph) -> list | None:
-    """Exhaustive search for a multicolor clique; None if there is none.
-
-    Raises BudgetExceededError when the class-size product exceeds
-    BRUTE_FORCE_BUDGET.
-    """
-    classes = [g.color_class(i) for i in range(1, g.k + 1)]
-    total = 1
-    for c in classes:
-        total *= len(c)
-        check_budget(
-            total, BRUTE_FORCE_BUDGET, f"class-size product exceeds budget {BRUTE_FORCE_BUDGET}"
-        )
-    for combo in itertools.product(*classes):
-        if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
-            return list(combo)
-    return None
 
 
 def brute_force_vector_sum(inst: VectorSumInstance) -> SelectionCertificate | None:

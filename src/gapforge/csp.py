@@ -139,15 +139,6 @@ class CSPInstance:
         slot, since a < 4^h never carries into the next slot."""
         return a_packed * ((self.num_vars - 1) // (self.num_alphas - 1))
 
-    def allowed_diffs(self, i: int, a_packed: int) -> frozenset[int]:
-        """Packed values f(a, v) for v in V_i (the C2-i right-hand sides)."""
-        row = self.allowed[i * self.num_alphas + a_packed]
-        return frozenset(row[row >= 0].tolist())
-
-    def target_code(self, a_packed: int) -> int:
-        """Packed f(a, target) (the C3 right-hand side)."""
-        return int(self.target_codes[a_packed])
-
 
 def build_csp(
     inst: VectorSumInstance, scheme: EncodingScheme, k: int, h: int, ell: int
@@ -376,7 +367,9 @@ def linearity_decode(
     samples: int = 4096,
     seed: int = 0,
 ) -> DecodeResult:
-    """Nearest member of the family { t -> sum_i block_linear(a_i, c_i) }.
+    """Nearest member of the family { t -> sum_i a_i . c_i }, where a . c
+    in F^ell contracts each h-digit block j of c against a:
+    (a . c)_j = sum_i a[i] c[j*h + i].
 
     Exact mode scores every candidate (c_1, ..., c_k) in (F^{h*ell})^k
     against every tuple; sampled mode scores against a seeded tuple
@@ -400,7 +393,7 @@ def linearity_decode(
     entries = n_cands * len(col_idx)
     check_budget(entries, DECODE_BUDGET, f"decode table would have {entries} entries")
 
-    # per-slot lookup: lut[c, a] = packed block_linear(a, c), the f-values
+    # per-slot lookup: lut[c, a] = packed a . c, the f-values
     # of the block selectors, c over every vector of F^{h*ell}
     cands = (np.arange(n_cands_per_slot)[:, None] >> 2 * np.arange(cdim)) & 3
     lut = f_codes(matrix_stack(derandomize_projections(cdim, h)), cands).T

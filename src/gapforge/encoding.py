@@ -6,7 +6,7 @@ encoders over a vector v in F^m:
     g(v)      = (A_1 v, ..., A_ell v)          in F^(ell*h)
     f(a, v)   = (a^T A_1 v, ..., a^T A_ell v)  in F^ell,   a in F^h
 
-so f(a, v) = block_linear(a, g(v)) coordinate for coordinate.
+so coordinate i of f(a, v) contracts block i of g(v) against a.
 
 Against a finite test set V (with sum target t adjoined) a scheme is
 good when three conditions hold:
@@ -16,10 +16,10 @@ good when three conditions hold:
   (self-corr)   f(a, v + w) != f(a', u + w) for all w in V, distinct
                 v, u in V \\ {w}, and nonzero a, a'.
 
-One numpy kernel, `f_values` (`encode_f` is its scalar form), gives the
-f-values of any matrix stack to the collision frequencies, the CSP's table
-and, as F[a, w, x] = f(a, x + w) for a != 0, w, x in V (`f_table`), to
-the two f-value conditions and the derandomizer.
+One numpy kernel, `f_values`, gives the f-values of any matrix stack to
+the CSP's table, the decoder's table and, as F[a, w, x] = f(a, x + w) for
+a != 0, w, x in V (`f_table`), to the two f-value conditions and the
+derandomizer.  `encode_g` is g for one vector.
 
 Random schemes satisfy all three with constant probability once
 ell >= 2 log2 |V| + 2h; `derandomize_scheme` constructs one
@@ -30,14 +30,12 @@ For a single random matrix A and fixed (b, v) != scalar-aligned (c, u),
 the events b^T A v = c^T A u hit exactly a 1/4 fraction of matrices:
 b^T A v equals the dot product of A flattened with outer(b, v)
 flattened, so the difference of the two forms is a nonzero linear
-functional of A's entries.  `collision_frequency` measures this.
+functional of A's entries.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO, Sequence
 
 import numpy as np
@@ -146,16 +144,6 @@ def encode_g(scheme: EncodingScheme, v: FVector) -> FVector:
     return FVector(scheme.ell * scheme.h, bits)
 
 
-def encode_f(scheme: EncodingScheme, a: FVector, v: FVector) -> FVector:
-    """(a^T A_1 v, ..., a^T A_ell v), dimension ell."""
-    if a.dim != scheme.h:
-        raise ValueError(f"contraction vector dimension {a.dim} != h = {scheme.h}")
-    bits = 0
-    for i, A in enumerate(scheme.mats):
-        bits |= a.dot(A.matvec(v)) << (2 * i)
-    return FVector(scheme.ell, bits)
-
-
 def nonzero_vectors(dim: int):
     for packed in range(1, 4**dim):
         yield FVector(dim, packed)
@@ -181,10 +169,6 @@ class SchemeReport:
     cond_separating: bool
     cond_self_correcting: bool
     witness: ConditionWitness | None
-
-    @property
-    def all_pass(self) -> bool:
-        return self.cond_injective and self.cond_separating and self.cond_self_correcting
 
 
 def _first_repeat(items):
@@ -259,65 +243,6 @@ def check_scheme(scheme: EncodingScheme, test_set: Sequence[FVector]) -> SchemeR
     return SchemeReport(cond_inj, cond_sep, cond_self, witness)
 
 
-# -- rank-one agreement frequency ----------------------------------------
-
-
-def _validate_collision_args(b: FVector, c: FVector, v: FVector, u: FVector) -> None:
-    if b.is_zero() or c.is_zero():
-        raise ValueError("b and c must be nonzero")
-    for s in (1, 2, 3):
-        if v == u.scalar_mul(s):
-            raise ValueError("v must not be a scalar multiple of u")
-
-
-def _agreements(mats: np.ndarray, b: FVector, c: FVector, v: FVector, u: FVector) -> int:
-    """#{i : b^T mats[i] v == c^T mats[i] u} over an (N, h, m) stack."""
-    if b.dim != c.dim or v.dim != u.dim:
-        raise ValueError("shape mismatch between the two bilinear forms")
-    T = f_values(mats, as_digits([v, u], v.dim))
-    return int(np.count_nonzero(T[b.bits, 0] == T[c.bits, 1]))
-
-
-def collision_frequency(
-    b: FVector,
-    c: FVector,
-    v: FVector,
-    u: FVector,
-    samples: int,
-    seed: int,
-    require_valid: bool = True,
-) -> Fraction:
-    """Monte Carlo frequency of b^T A v == c^T A u over uniform A.
-
-    For admissible inputs (b, c nonzero; v not a scalar multiple of u)
-    the true value is exactly 1/4.  With require_valid=False degenerate
-    inputs are measured as-is (e.g. b == c, v == u gives frequency 1).
-    Sampling uses numpy's seeded generator; the samples form one matrix
-    stack whose forms come from `f_values`.
-    """
-    if require_valid:
-        _validate_collision_args(b, c, v, u)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    A = rng.integers(0, 4, size=(samples, b.dim, v.dim), dtype=np.uint8)
-    return Fraction(_agreements(A, b, c, v, u), samples)
-
-
-# matrices collision_frequency_exhaustive may enumerate
-COLLISION_MATRIX_BUDGET = 1 << 22
-
-
-def collision_frequency_exhaustive(b: FVector, c: FVector, v: FVector, u: FVector) -> Fraction:
-    """Exact agreement frequency over every matrix A in F^(h x m)."""
-    h, m = b.dim, v.dim
-    total = 4 ** (h * m)
-    check_budget(total, COLLISION_MATRIX_BUDGET, f"would enumerate {total} matrices")
-    entries = itertools.chain.from_iterable(itertools.product(range(4), repeat=h * m))
-    A = np.fromiter(entries, dtype=np.uint8, count=total * h * m).reshape(total, h, m)
-    return Fraction(_agreements(A, b, c, v, u), total)
-
-
 # -- derandomization ------------------------------------------------------
 
 
@@ -377,10 +302,6 @@ def conditional_expectation_vector(constraints: np.ndarray) -> FVector:
         if choice:
             partial ^= _MUL_NP[choice, col]
     return FVector.from_digits(digits)
-
-
-def zero_dot_count(a: FVector, constraints: Sequence[FVector]) -> int:
-    return sum(1 for c in constraints if a.dot(c) == 0)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import IO, Iterable
 
-import numpy as np
-
 # largest graph any stage materializes (gap-graph export, strong power)
 EXPORT_VERTEX_BUDGET = 20_000
 
@@ -30,35 +28,6 @@ class ExplicitGraph:
             g.add_edge(u, v)
         return g
 
-    @classmethod
-    def from_bool_matrix(cls, mat: np.ndarray) -> "ExplicitGraph":
-        """Adjacency from a boolean matrix; kept edges need both directions."""
-        n = mat.shape[0]
-        if mat.shape != (n, n):
-            raise ValueError("matrix must be square")
-        g = cls(n)
-        if n == 0:
-            return g
-        m = np.asarray(mat, dtype=bool)
-        m = m & m.T
-        np.fill_diagonal(m, False)
-        packed = np.packbits(m, axis=1, bitorder="little")
-        for u in range(n):
-            g.adj[u] = int.from_bytes(packed[u].tobytes(), "little")
-        return g
-
-    def to_bool_matrix(self) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros((0, 0), dtype=bool)
-        nbytes = (self.n + 7) // 8
-        raw = b"".join(r.to_bytes(nbytes, "little") for r in self.adj)
-        m = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(self.n, nbytes),
-            axis=1,
-            bitorder="little",
-        )
-        return m[:, : self.n].astype(bool)
-
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError("self loops not allowed")
@@ -66,9 +35,6 @@ class ExplicitGraph:
             raise ValueError("vertex out of range")
         self.adj[u] |= 1 << v
         self.adj[v] |= 1 << u
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
 
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2

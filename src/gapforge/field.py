@@ -17,15 +17,12 @@ for x with planes (a, b) and scalar w the product has planes (b, a^b),
 and for scalar w+1 = w^2 it has planes (a^b, a).  Elementwise products
 of x = (a, b) and y = (c, d) have low plane (a&c)^(b&d) and high plane
 (a&d)^(b&c)^(b&d); a dot product XOR-folds those planes, which is a
-parity popcount per plane.
-
-Distances are exact `fractions.Fraction` values; nothing in this module
-touches floating point.
+parity popcount per plane.  Nothing in this module touches floating
+point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 _DIGITS = "0123"
@@ -47,15 +44,6 @@ MUL = tuple(tuple(_poly_mul_mod(a, b) for b in range(4)) for a in range(4))
 INV = (None, 1, 3, 2)
 
 assert all(MUL[a][INV[a]] == 1 for a in range(1, 4))
-
-
-def add(a: int, b: int) -> int:
-    """Sum of two field elements (characteristic 2, so XOR)."""
-    return a ^ b
-
-
-def mul(a: int, b: int) -> int:
-    return MUL[a][b]
 
 
 def inv(a: int) -> int:
@@ -194,50 +182,11 @@ class FVector:
         hi = (a & d) ^ (b & c) ^ (b & d)
         return ((hi.bit_count() & 1) << 1) | (lo.bit_count() & 1)
 
-    def concat(self, other: "FVector") -> "FVector":
-        return FVector(self.dim + other.dim, self.bits | (other.bits << (2 * self.dim)))
-
     def slice(self, start: int, stop: int) -> "FVector":
         if not 0 <= start <= stop <= self.dim:
             raise ValueError("slice bounds out of range")
         width = stop - start
         return FVector(width, (self.bits >> (2 * start)) & ((1 << (2 * width)) - 1))
-
-    def hamming_differences(self, other: "FVector") -> int:
-        self._check_dim(other)
-        z = self.bits ^ other.bits
-        return ((z | (z >> 1)) & _lo_mask(self.dim)).bit_count()
-
-
-def dist(v: FVector, u: FVector) -> Fraction:
-    """Normalized Hamming distance as an exact fraction."""
-    if v.dim == 0:
-        raise ValueError("distance undefined for dimension 0")
-    return Fraction(v.hamming_differences(u), v.dim)
-
-
-def block_linear(a: FVector, v: FVector) -> FVector:
-    """Contract blocks of v against a.
-
-    For a of dimension d and v of dimension d*n, coordinate j of the
-    result is sum_i a[i] * v[j*d + i].  With d = 1 this is plain scalar
-    multiplication of v by a[0]; it is linear in both arguments and
-    block_linear(a, g) recovers a^T applied blockwise.
-    """
-    d = a.dim
-    if d == 0:
-        raise ValueError("contraction vector must have positive dimension")
-    if v.dim % d != 0:
-        raise ValueError(f"dimension {v.dim} not a multiple of block size {d}")
-    n = v.dim // d
-    out = 0
-    abits = a.bits
-    vbits = v.bits
-    blockmask = (1 << (2 * d)) - 1
-    for j in range(n):
-        block = FVector(d, (vbits >> (2 * d * j)) & blockmask)
-        out |= FVector(d, abits).dot(block) << (2 * j)
-    return FVector(n, out)
 
 
 class FMat:
@@ -258,13 +207,6 @@ class FMat:
 
     def __setattr__(self, name, value):
         raise AttributeError("FMat is immutable")
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]]) -> "FMat":
-        return cls([FVector.from_digits(row) for row in entries])
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
     def matvec(self, v: FVector) -> FVector:
         if v.dim != self.m:

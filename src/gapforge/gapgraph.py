@@ -203,16 +203,14 @@ class GapGraph(GapSizes):
 
     # -- cliques -----------------------------------------------------------
 
-    def planted_clique(
-        self, sel: SelectionCertificate, allow_unsatisfying: bool = False
-    ) -> list[Vertex]:
+    def planted_clique(self, sel: SelectionCertificate) -> list[Vertex]:
         """One vertex per group matching the honest assignment of sel.
 
         Size is num_b_groups + num_a_groups; with a satisfying selection
         is_clique accepts it (with r = |F|^{kh} that is twice the number
         of B groups).
         """
-        if not allow_unsatisfying and not verify_selection(self.csp.inst, sel):
+        if not verify_selection(self.csp.inst, sel):
             raise ValueError("selection does not satisfy the instance")
         hv = honest_assignment(self.csp, sel).values
         out: list[Vertex] = []

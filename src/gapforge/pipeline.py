@@ -125,7 +125,7 @@ def default_k_prime(k: int) -> int:
     return k + k * (k - 1) // 2
 
 
-def _resolved(cfg: PipelineConfig, k_prime: int, n_vectors: int, m: int):
+def _resolved(cfg: PipelineConfig, k_prime: int, n_vectors: int):
     h = cfg.h if cfg.h is not None else k_prime * k_prime
     ell = (
         cfg.ell
@@ -172,7 +172,7 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
     assert inst.num_sets == k_prime
     m = inst.dim
     n_vectors = sum(len(s) for s in inst.sets)
-    h, ell, r = _resolved(cfg, k_prime, n_vectors, m)
+    h, ell, r = _resolved(cfg, k_prime, n_vectors)
 
     lines: list[tuple[str, object]] = [
         ("k", cfg.k),

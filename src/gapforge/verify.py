@@ -239,26 +239,10 @@ def _two_improve(adj: list[int], clique: list[int]) -> list[int]:
     return clique
 
 
-def _extend_maximal(adj: list[int], clique: list[int]) -> list[int]:
-    # add the lowest-index common neighbour until there is none
-    cand = (1 << len(adj)) - 1
-    for v in clique:
-        cand &= adj[v]
-    out = list(clique)
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        out.append(v)
-        cand &= adj[v]
-    return out
-
-
-def clique_local_search(
-    g: ExplicitGraph, restarts: int = 100, seed: int = 0, initial_clique=None
-) -> CliqueReport:
+def clique_local_search(g: ExplicitGraph, restarts: int = 100, seed: int = 0) -> CliqueReport:
     """Restarted randomized greedy clique search; exact=False always.
 
-    The report depends only on (graph, restarts, seed, initial_clique).
-    A warm start must be a clique of distinct vertices of g.
+    The report depends only on (graph, restarts, seed).
     """
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
@@ -266,10 +250,6 @@ def clique_local_search(
     n = g.n
     best: list[int] = []
     nodes = 0
-    if initial_clique is not None:
-        init = list(initial_clique)
-        _check_warm(init, g.is_clique)
-        best = _extend_maximal(adj, init)
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
         clique = _greedy_by_priority(adj, rng.permutation(n).tolist()) if n else []
@@ -280,28 +260,27 @@ def clique_local_search(
     return CliqueReport(len(best), tuple(sorted(best)), None, False, nodes, restarts)
 
 
-def _check_warm(warm: list, is_clique) -> None:
-    # a repeated vertex passes the set-based clique checks but counts twice
-    if len(set(warm)) != len(warm) or not is_clique(warm):
-        raise ValueError("warm start is not a clique of distinct vertices")
-
-
 def _implicit_search(
     g: GapGraph, restarts: int, seed: int, initial_clique, sample_size: int
 ) -> CliqueReport:
     # a sampled vertex joins when it is adjacent to every member: one
     # pair-rule call against the members' assignments, kept in arrays
     # that grow as vertices join
+    n = g.num_vertices
+    if restarts and n > 1 << 63:
+        # rng.integers draws int64 vertex indices
+        raise ValueError(f"gap graph has {n} vertices, over the implicit search's limit of 2^63")
     warm: list[Vertex] = []
     if initial_clique is not None:
         warm = [g.validate_vertex(v) for v in initial_clique]
-        _check_warm(warm, lambda w: g.is_clique(w).ok)
+        # a repeated vertex passes the set-based clique check but counts twice
+        if len(set(warm)) != len(warm) or not g.is_clique(warm).ok:
+            raise ValueError("warm start is not a clique of distinct vertices")
     warm_set = set(warm)
     warm_var, warm_val = g._vertex_arrays(warm)
     warm_closed = not g._sound(warm_var, warm_val).all()
     best = list(warm)
     nodes = 0
-    n = g.num_vertices
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
         idxs = np.unique(rng.integers(0, n, size=sample_size))

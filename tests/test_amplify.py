@@ -13,18 +13,27 @@ from gapforge.csp import build_csp
 from gapforge.encoding import EncodingScheme
 from gapforge.errors import BudgetExceededError
 from gapforge.explicit import ExplicitGraph
-from gapforge.field import FMat, FVector
+from gapforge.field import FVector
 from gapforge.gapgraph import build_gap_graph
 from gapforge.verify import max_clique_exact
+from reference import (
+    adjacent,
+    from_bool_matrix,
+    from_entries,
+    index_of,
+    power_adjacent,
+    to_bool_matrix,
+    tuple_of,
+)
 
 
 def random_graph(rng, n: int, p: float) -> ExplicitGraph:
     m = np.triu(rng.random((n, n)) < p, 1)
-    return ExplicitGraph.from_bool_matrix(m | m.T)
+    return from_bool_matrix(m | m.T)
 
 
 def complete_graph(n: int) -> ExplicitGraph:
-    return ExplicitGraph.from_bool_matrix(~np.eye(n, dtype=bool))
+    return from_bool_matrix(~np.eye(n, dtype=bool))
 
 
 def cycle_graph(n: int) -> ExplicitGraph:
@@ -66,15 +75,15 @@ def test_power_requires_positive_t():
 def test_index_tuple_roundtrip():
     p = strong_power(cycle_graph(4), 3)
     for idx in range(p.num_vertices):
-        assert p.index_of(p.tuple_of(idx)) == idx
+        assert index_of(p, tuple_of(p, idx)) == idx
 
 
 def test_adjacency_definition():
     p = strong_power(cycle_graph(4), 2)
-    assert p.adjacent((0, 0), (0, 1))  # equal, adjacent
-    assert p.adjacent((0, 1), (1, 2))  # adjacent, adjacent
-    assert not p.adjacent((0, 0), (0, 0))
-    assert not p.adjacent((0, 0), (0, 2))  # 0 and 2 nonadjacent in C4
+    assert power_adjacent(p, (0, 0), (0, 1))  # equal, adjacent
+    assert power_adjacent(p, (0, 1), (1, 2))  # adjacent, adjacent
+    assert not power_adjacent(p, (0, 0), (0, 0))
+    assert not power_adjacent(p, (0, 0), (0, 2))  # 0 and 2 nonadjacent in C4
 
 
 def test_export_matches_predicate():
@@ -85,8 +94,8 @@ def test_export_matches_predicate():
     count = 0
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            ok = p.adjacent(p.tuple_of(i), p.tuple_of(j))
-            assert ok == g.adjacent(i, j)
+            ok = power_adjacent(p, tuple_of(p, i), tuple_of(p, j))
+            assert ok == adjacent(g, i, j)
             count += ok
     assert count == g.num_edges()
 
@@ -112,14 +121,14 @@ def test_budget():
 def dense_export_power(p: ProductGraph) -> ExplicitGraph:
     """Dense reference: the Kronecker power of the closed adjacency
     matrix (edges plus loops), with the diagonal stripped."""
-    closed = p.base.to_bool_matrix().astype(np.uint8)
+    closed = to_bool_matrix(p.base).astype(np.uint8)
     np.fill_diagonal(closed, 1)
     mat = closed
     for _ in range(p.t - 1):
         mat = np.kron(mat, closed)
     out = mat.astype(bool)
     np.fill_diagonal(out, False)
-    return ExplicitGraph.from_bool_matrix(out)
+    return from_bool_matrix(out)
 
 
 def test_export_matches_dense_kronecker_reference():
@@ -163,13 +172,13 @@ def test_square_peak_memory_stays_near_result_size():
 
 def tiny_gap(target_text: str):
     inst = VectorSumInstance([[FVector.from_text("10")]], FVector.from_text(target_text))
-    scheme = EncodingScheme(1, 2, 1, (FMat.from_entries([(1, 2)]),), "explicit")
+    scheme = EncodingScheme(1, 2, 1, (from_entries([(1, 2)]),), "explicit")
     return build_gap_graph(build_csp(inst, scheme, 1, 1, 1), 1)
 
 
 def induced(g: ExplicitGraph, keep: list[int]) -> ExplicitGraph:
-    m = g.to_bool_matrix()
-    return ExplicitGraph.from_bool_matrix(m[np.ix_(keep, keep)])
+    m = to_bool_matrix(g)
+    return from_bool_matrix(m[np.ix_(keep, keep)])
 
 
 def test_gap_composition_on_gap_graph_exports():

@@ -17,6 +17,7 @@ from gapforge.encoding import read_scheme
 from gapforge.explicit import ExplicitGraph, read_dimacs, write_dimacs
 from gapforge.field import FVector
 from gapforge.pipeline import PipelineConfig, plain_to_multicolor
+from reference import adjacent
 
 
 def kv(captured: str) -> dict:
@@ -297,7 +298,7 @@ def test_clique_search_witness_is_a_clique(c5_file, capsys):
         g = read_dimacs(fp)
     members = [int(t) - 1 for t in report["witness"].split(",")]
     assert len(members) == int(report["lower_bound"]) == 2
-    assert all(g.adjacent(u, v) for u in members for v in members if u != v)
+    assert all(adjacent(g, u, v) for u in members for v in members if u != v)
 
 
 def test_amplify_writes_strong_square(tmp_path, c5_file, capsys):
@@ -415,6 +416,20 @@ def test_pipeline_ell_over_int64_width_completes(tmp_path, capsys):
     report = kv(capsys.readouterr().out)
     assert report["ell"] == "40"
     assert report["planted_clique_ok"] == "1"
+
+
+def test_pipeline_search_above_2_63_vertices_exits_one(tmp_path, capsys):
+    # k=2 on 3 isolated vertices is a NO instance, so the probe searches
+    # the gap graph implicitly; at ell=13 it has more than 2^63 vertices
+    path = tmp_path / "three.col"
+    with open(path, "w") as fp:
+        write_dimacs(ExplicitGraph(3), fp)
+    rc = main(["pipeline", "--input", str(path), "--k", "2", "--h", "1",
+               "--ell", "13", "--replication", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "vertices" in err[0] and "2^63" in err[0]
 
 
 @pytest.mark.parametrize(

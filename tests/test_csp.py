@@ -33,15 +33,16 @@ from gapforge.csp import (
     read_assignment,
     write_assignment,
 )
-from gapforge.encoding import MAX_ELL, EncodingScheme, encode_f, encode_g, sample_scheme
+from gapforge.encoding import MAX_ELL, EncodingScheme, encode_g, sample_scheme
 from gapforge.errors import BudgetExceededError
-from gapforge.field import FMat, FVector
+from gapforge.field import FVector
+from reference import allowed_diffs, encode_f, from_entries, target_code
 
 
 def tiny_csp(target_text: str = "10", row=(1, 2)):
     """k=1, h=1, ell=1 instance: V_1 = {(1,0)}, configurable target."""
     inst = VectorSumInstance([[FVector.from_text("10")]], FVector.from_text(target_text))
-    scheme = EncodingScheme(1, 2, 1, (FMat.from_entries([row]),), "explicit")
+    scheme = EncodingScheme(1, 2, 1, (from_entries([row]),), "explicit")
     return build_csp(inst, scheme, k=1, h=1, ell=1)
 
 
@@ -359,7 +360,7 @@ def reference_evaluate(csp, a, mode="exhaustive", count=10_000, seed=0):
     walks the samples in Python."""
     n = csp.num_vars
     vals = np.array(a.values, dtype=np.int64 if csp.ell <= MAX_ELL else object)
-    allowed = [[csp.allowed_diffs(i, ap) for ap in range(csp.num_alphas)] for i in range(csp.k)]
+    allowed = [[allowed_diffs(csp, i, ap) for ap in range(csp.num_alphas)] for i in range(csp.k)]
     if mode == "exhaustive":
         idx = np.arange(n)
         c1_hits = 0
@@ -378,7 +379,7 @@ def reference_evaluate(csp, a, mode="exhaustive", count=10_000, seed=0):
         c3_map, c3_hits = {}, 0
         for ap in range(csp.num_alphas):
             diffs = vals[idx ^ csp.diagonal(ap)] ^ vals
-            hits = int(np.count_nonzero(diffs == csp.target_code(ap)))
+            hits = int(np.count_nonzero(diffs == target_code(csp, ap)))
             c3_hits += hits
             if ap != 0:
                 c3_map[ap] = Fraction(hits, n)
@@ -403,7 +404,7 @@ def reference_evaluate(csp, a, mode="exhaustive", count=10_000, seed=0):
     a_s = rng.integers(0, csp.num_alphas, count)
     c3_hits = 0
     for t, ap in zip(t_s.tolist(), a_s.tolist()):
-        c3_hits += (a.values[t ^ csp.diagonal(ap)] ^ a.values[t]) == csp.target_code(ap)
+        c3_hits += (a.values[t ^ csp.diagonal(ap)] ^ a.values[t]) == target_code(csp, ap)
     return SatReport(
         Fraction(c1_hits, count), tuple(c2_per_i), Fraction(c3_hits, count), False,
         samples=count, seed=seed,

@@ -23,10 +23,10 @@ from gapforge.cliquered import (
     brute_force_vector_sum,
 )
 from gapforge.csp import build_csp, honest_assignment
-from gapforge.encoding import EncodingScheme, encode_f, sample_scheme
+from gapforge.encoding import EncodingScheme, sample_scheme
 from gapforge.errors import BudgetExceededError
 from gapforge.explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
-from gapforge.field import FMat, FVector
+from gapforge.field import FVector
 from gapforge.gapgraph import (
     GapGraph,
     GapSizes,
@@ -36,12 +36,13 @@ from gapforge.gapgraph import (
     write_sidecar,
 )
 from gapforge.pipeline import PipelineConfig, run_pipeline
+from reference import adjacent, allowed_diffs, from_entries, planted_family, target_code
 from test_acceptance import _separated_no_instance, solvable_instance, vec01, vec01_set
 
 
 def tiny_gap(target_text: str = "10", row=(1, 2), r: int = 1) -> GapGraph:
     inst = VectorSumInstance([[FVector.from_text("10")]], FVector.from_text(target_text))
-    scheme = EncodingScheme(1, 2, 1, (FMat.from_entries([row]),), "explicit")
+    scheme = EncodingScheme(1, 2, 1, (from_entries([row]),), "explicit")
     return build_gap_graph(build_csp(inst, scheme, 1, 1, 1), r)
 
 
@@ -75,7 +76,7 @@ def materialized_constraints(csp):
                 shifted = t ^ csp.place(ap, i)
 
                 def c2_check(val, t=t, shifted=shifted, i=i, ap=ap):
-                    return val[shifted] ^ val[t] in csp.allowed_diffs(i, ap)
+                    return val[shifted] ^ val[t] in allowed_diffs(csp, i, ap)
 
                 cons.append((frozenset({t, shifted}), c2_check))
     for t in range(n):
@@ -83,7 +84,7 @@ def materialized_constraints(csp):
             shifted = t ^ csp.diagonal(ap)
 
             def c3_check(val, t=t, shifted=shifted, ap=ap):
-                return val[shifted] ^ val[t] == csp.target_code(ap)
+                return val[shifted] ^ val[t] == target_code(csp, ap)
 
             cons.append((frozenset({t, shifted}), c3_check))
     return cons
@@ -220,11 +221,12 @@ def test_planted_ok_agrees_with_materialized_check():
     sel = brute_force_vector_sum(yes.csp.inst)
     assert yes.planted_clique_ok(sel)
     assert yes.is_clique(yes.planted_clique(sel)).ok
+    assert planted_family(yes, sel) == yes.planted_clique(sel)
 
     no = tiny_gap("01")
     bad = SelectionCertificate((0,))
     assert not no.planted_clique_ok(bad)
-    assert not no.is_clique(no.planted_clique(bad, allow_unsatisfying=True)).ok
+    assert not no.is_clique(planted_family(no, bad)).ok
 
     g2 = k2_gap()
     sel2 = brute_force_vector_sum(g2.csp.inst)
@@ -235,9 +237,10 @@ def test_planted_ok_agrees_with_materialized_check():
     sel = brute_force_vector_sum(wide.csp.inst)
     assert wide.planted_clique_ok(sel)
     assert wide.is_clique(wide.planted_clique(sel)).ok
+    assert planted_family(wide, sel) == wide.planted_clique(sel)
     unsat = SelectionCertificate((1, 1))  # 010 + 110 misses the target 101
     assert not wide.planted_clique_ok(unsat)
-    assert not wide.is_clique(wide.planted_clique(unsat, allow_unsatisfying=True)).ok
+    assert not wide.is_clique(planted_family(wide, unsat)).ok
 
 
 def test_planted_requires_satisfying_selection():
@@ -245,7 +248,7 @@ def test_planted_requires_satisfying_selection():
     bad = SelectionCertificate((0,))
     with pytest.raises(ValueError):
         g.planted_clique(bad)
-    flagged = g.planted_clique(bad, allow_unsatisfying=True)
+    flagged = planted_family(g, bad)
     assert len(flagged) == 20
     assert not g.is_clique(flagged).ok
 
@@ -304,7 +307,7 @@ def test_export_matches_predicate():
     disagreements = 0
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
-            if graph.adjacent(i, j) != g.adjacent(verts[i], verts[j]):
+            if adjacent(graph, i, j) != g.adjacent(verts[i], verts[j]):
                 disagreements += 1
     assert disagreements == 0
 
@@ -319,7 +322,7 @@ def test_export_edge_count_recount():
         i, j = int(rng.integers(0, graph.n)), int(rng.integers(0, graph.n))
         if i == j:
             continue
-        assert graph.adjacent(i, j) == g.adjacent(verts[i], verts[j])
+        assert adjacent(graph, i, j) == g.adjacent(verts[i], verts[j])
 
 
 def test_export_budget():

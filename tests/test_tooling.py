@@ -7,11 +7,14 @@ path); a target deleted or renamed in src would make
 `perfbench/run.py --trace 1` fail at install time.  Every target must
 resolve the way `Tracer._patch` looks it up.  `perfbench/workloads.py`
 calls gapforge by name and reads its config and results, so a src
-change that breaks one of those names fails here.
+change that breaks one of those names fails here.  The other way round,
+every def in src needs a caller in src or in perfbench code, so src
+holds what the CLI, the pipeline and the benchmark run.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -29,6 +32,16 @@ from gapforge.pipeline import PipelineConfig, run_pipeline
 from gapforge.verify import soundness_probe
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(gapforge.__file__).resolve().parent
+
+# Defs that no src code and no perfbench code calls, kept on purpose.
+KEPT_UNCALLED = {
+    "field.outer": "perfbench/spans.py counts its calls (field.outer_calls)",
+    "gapgraph.GapGraph.adjacent": "perfbench/spans.py counts its calls (gapgraph.adjacent_calls)",
+    "gapgraph.GapGraph.self_ok": "perfbench/spans.py counts its calls (gapgraph.self_ok_calls)",
+    "cliquered.write_mcol": "writes the .mcol multicolor graph format the CLI reads",
+    "csp.write_assignment": "writes the assignment file `gapforge csp --evaluate` reads",
+}
 
 
 def load_perfbench(name: str):
@@ -89,3 +102,53 @@ def test_tiny_workloads_pass_their_gates(tmp_path):
             out_dir.mkdir(parents=True)
             out = op.run(str(out_dir))
             assert wl.gate(op, out, None) == [], f"{workload} {op.name}"
+
+
+def _names_used(node, skip=None) -> set[str]:
+    """Identifiers a syntax tree reads: names, attributes and imported
+    names, outside the subtree `skip`."""
+    used = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.add(n.name)
+        stack.extend(ast.iter_child_nodes(n))
+    return used
+
+
+def test_src_defs_have_a_caller():
+    # scalar reference forms that only tests call live in tests/reference.py;
+    # a method counts as called when any src code reads an attribute of its name
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    bench = set()
+    for p in PERFBENCH.glob("*.py"):
+        bench |= _names_used(ast.parse(p.read_text()))
+    defs = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{mod}.{node.name}", mod, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{mod}.{node.name}.{m.name}", mod, m)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                ]
+    known = {key for key, _, _ in defs}
+    assert set(KEPT_UNCALLED) <= known, set(KEPT_UNCALLED) - known
+    uncalled = []
+    for key, mod, node in defs:
+        name = node.name
+        dunder = name.startswith("__") and name.endswith("__")
+        if dunder or key in KEPT_UNCALLED or name in bench:
+            continue
+        if not any(name in _names_used(t, node if m == mod else None) for m, t in trees.items()):
+            uncalled.append(key)
+    assert not uncalled, f"defs with no caller in src or perfbench: {uncalled}"

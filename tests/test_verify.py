@@ -12,7 +12,7 @@ import pytest
 from gapforge.cliquered import VectorSumInstance, brute_force_vector_sum
 from gapforge.csp import build_csp
 from gapforge.encoding import EncodingScheme, sample_scheme
-from gapforge.field import FMat, FVector
+from gapforge.field import FVector
 from gapforge import verify
 from gapforge.gapgraph import build_gap_graph
 from gapforge.verify import (
@@ -22,6 +22,7 @@ from gapforge.verify import (
     soundness_probe,
 )
 from gapforge.explicit import ExplicitGraph
+from reference import adjacent, from_bool_matrix, from_entries, to_bool_matrix
 
 
 def oracle_omega(g: ExplicitGraph) -> int:
@@ -41,11 +42,11 @@ def oracle_omega(g: ExplicitGraph) -> int:
 
 def random_graph(rng, n: int, p: float) -> ExplicitGraph:
     m = np.triu(rng.random((n, n)) < p, 1)
-    return ExplicitGraph.from_bool_matrix(m | m.T)
+    return from_bool_matrix(m | m.T)
 
 
 def complete_graph(n: int) -> ExplicitGraph:
-    return ExplicitGraph.from_bool_matrix(~np.eye(n, dtype=bool))
+    return from_bool_matrix(~np.eye(n, dtype=bool))
 
 
 def cycle_graph(n: int) -> ExplicitGraph:
@@ -57,7 +58,7 @@ def cycle_graph(n: int) -> ExplicitGraph:
 
 def tiny_gap(target_text: str):
     inst = VectorSumInstance([[FVector.from_text("10")]], FVector.from_text(target_text))
-    scheme = EncodingScheme(1, 2, 1, (FMat.from_entries([(1, 2)]),), "explicit")
+    scheme = EncodingScheme(1, 2, 1, (from_entries([(1, 2)]),), "explicit")
     return build_gap_graph(build_csp(inst, scheme, 1, 1, 1), 1)
 
 
@@ -170,14 +171,11 @@ def test_warm_start_must_be_clique():
 def test_warm_start_repeated_or_out_of_range_vertex_rejected():
     # a set-based clique check accepts a repeated vertex, which would then
     # count once per repetition in the reported lower bound
-    g = ExplicitGraph.from_edges(3, [(0, 1)])
-    for bad in ([2, 2, 2], [7], [-1], [0, 3]):
-        with pytest.raises(ValueError):
-            clique_local_search(g, restarts=0, seed=1, initial_clique=bad)
     gap = tiny_gap("10")
     v = gap.planted_clique(brute_force_vector_sum(gap.csp.inst))[0]
-    with pytest.raises(ValueError):
-        verify._implicit_search(gap, 0, 0, [v] * 5, 80)
+    for bad in ([v] * 5, [("A", gap.num_tuples, 1, 0)], [("B", 0, 0, -1, 0)]):
+        with pytest.raises(ValueError):
+            verify._implicit_search(gap, 0, 0, bad, 80)
 
 
 def test_implicit_search_path():
@@ -187,6 +185,22 @@ def test_implicit_search_path():
     assert a == b
     assert g.is_clique(list(a.witness)).ok
     assert a.upper_bound is None
+
+
+def test_implicit_search_above_2_63_vertices_raises_value_error():
+    # three one-vector sets, h=1, ell=13: 64^2 B groups of 4^26 vertices each
+    sets = [[FVector.from_text(t)] for t in ("10", "01", "11")]
+    inst = VectorSumInstance(sets, FVector.from_text("00"))
+    g = build_gap_graph(build_csp(inst, sample_scheme(5, h=1, m=2, ell=13), 3, 1, 13), 1)
+    assert g.num_vertices > 2**63
+    for probe in (
+        lambda: verify._implicit_search(g, 1, 0, None, 8),
+        lambda: soundness_probe(g, mode="search", restarts=1, seed=0),
+    ):
+        with pytest.raises(ValueError, match=rf"{g.num_vertices} vertices.*2\^63"):
+            probe()
+    # with no restart nothing is drawn, so nothing is refused
+    assert verify._implicit_search(g, 0, 0, None, 8).restarts == 0
 
 
 def k2_gap():
@@ -322,27 +336,10 @@ def reference_two_improve(adjbool, clique, rounds=8, scan_cap=128):
     return clique
 
 
-def reference_extend_maximal(adjbool, clique):
-    cand = np.ones(adjbool.shape[0], dtype=bool)
-    for v in clique:
-        cand &= adjbool[v]
-    for v in clique:
-        cand[v] = False
-    out = list(clique)
-    while cand.any():
-        v = int(np.argmax(cand))
-        out.append(v)
-        cand &= adjbool[v]
-        cand[v] = False
-    return out
-
-
-def reference_local_search(g, restarts, seed, initial_clique=None):
+def reference_local_search(g, restarts, seed):
     """Explicit-graph local search on an n x n boolean matrix."""
-    adjbool = g.to_bool_matrix()
+    adjbool = to_bool_matrix(g)
     best, nodes = [], 0
-    if initial_clique is not None:
-        best = reference_extend_maximal(adjbool, list(initial_clique))
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
         clique = reference_greedy_by_priority(adjbool, rng.permutation(g.n)) if g.n else []
@@ -375,7 +372,7 @@ def reference_bounds_report(g, order):
     for along in (order[::-1], range(g.n)):
         clique = []
         for v in along:
-            if all(g.adjacent(v, u) for u in clique):
+            if all(adjacent(g, v, u) for u in clique):
                 clique.append(v)
         seeds.append(clique)
     seed = max(seeds, key=len)
@@ -402,10 +399,7 @@ def corpus(seed, count):
 
 def exported_gap_graphs():
     for g in (tiny_gap("10"), k2_gap()):
-        graph, verts = g.export_explicit()
-        index_of = {v: i for i, v in enumerate(verts)}
-        planted = g.planted_clique(brute_force_vector_sum(g.csp.inst))
-        yield graph, [index_of[v] for v in planted]
+        yield g.export_explicit()[0]
 
 
 def two_improve_limit_graphs():
@@ -424,22 +418,19 @@ def two_improve_limit_graphs():
 
 def test_local_search_matches_boolean_matrix_reference():
     for rng, g in corpus(28, 120):
-        warm = reference_greedy_by_priority(g.to_bool_matrix(), rng.permutation(g.n))
         seed = int(rng.integers(100))
-        for init in (None, [], warm[: int(rng.integers(1, len(warm) + 1))]):
-            got = clique_local_search(g, restarts=4, seed=seed, initial_clique=init)
-            assert got == reference_local_search(g, 4, seed, init)
-    for graph, planted in exported_gap_graphs():
-        for init in (None, planted[:1], planted[::3]):
-            got = clique_local_search(graph, restarts=30, seed=5, initial_clique=init)
-            assert got == reference_local_search(graph, 30, 5, init)
+        got = clique_local_search(g, restarts=4, seed=seed)
+        assert got == reference_local_search(g, 4, seed)
+    for graph in exported_gap_graphs():
+        got = clique_local_search(graph, restarts=30, seed=5)
+        assert got == reference_local_search(graph, 30, 5)
     for graph in two_improve_limit_graphs():
         got = clique_local_search(graph, restarts=100, seed=6)
         assert got == reference_local_search(graph, 100, 6)
 
 
 def test_degeneracy_order_matches_quadratic_reference():
-    graphs = [g for _, g in corpus(29, 120)] + [graph for graph, _ in exported_gap_graphs()]
+    graphs = [g for _, g in corpus(29, 120)] + list(exported_gap_graphs())
     for g in graphs:
         order = reference_degeneracy_order(g.adj, g.n)
         assert verify._degeneracy_order(g.adj, g.n) == order
