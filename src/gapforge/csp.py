@@ -35,7 +35,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .cliquered import SelectionCertificate, VectorSumInstance, verify_selection
+from .cliquered import SelectionCertificate, VectorSumInstance
 from .encoding import (
     EncodingScheme,
     as_digits,
@@ -163,19 +163,8 @@ class Assignment:
             raise ValueError("packed value out of range for ell")
         self.values = values
 
-    @classmethod
-    def zero(cls, k: int, h: int, ell: int) -> "Assignment":
-        return cls(k, h, ell, [0] * 4 ** (k * h))
-
     def value(self, packed_tuple: int) -> FVector:
         return FVector(self.ell, self.values[packed_tuple])
-
-    def replace(self, packed_tuple: int, value: FVector) -> "Assignment":
-        if value.dim != self.ell:
-            raise ValueError("value dimension mismatch")
-        vals = list(self.values)
-        vals[packed_tuple] = value.bits
-        return Assignment(self.k, self.h, self.ell, vals)
 
     def __eq__(self, other) -> bool:
         return (

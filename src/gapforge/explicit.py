@@ -40,15 +40,9 @@ class ExplicitGraph:
         return sum(r.bit_count() for r in self.adj) // 2
 
     def edges(self) -> Iterable[tuple[int, int]]:
-        for u in range(self.n):
-            r = self.adj[u] >> (u + 1)
-            v = u + 1
-            while r:
-                shift = (r & -r).bit_length() - 1
-                v += shift
-                yield (u, v)
-                r >>= shift + 1
-                v += 1
+        for u, row in enumerate(self.adj):
+            for v in _bits_iter(row >> (u + 1)):
+                yield (u, u + 1 + v)
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         """Pairwise adjacency of a vertex set (repeats ignored); ValueError outside 0..n-1."""

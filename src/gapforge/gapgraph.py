@@ -43,7 +43,7 @@ is adjacent to nothing."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -174,6 +174,23 @@ class GapGraph(GapSizes):
         """Per row of _vertex_arrays: is the vertex's own union sound?"""
         ok = self._pairs_ok(var[:, :, None], val[:, :, None], var[:, None, :], val[:, None, :])
         return ok.all(axis=(1, 2))
+
+    def _rows(self, var: np.ndarray, val: np.ndarray) -> Callable[[int], int]:
+        """Row lookup over the vertices of _vertex_arrays rows: position i
+        maps to the bitset of the positions adjacent to it, computed when
+        asked.  Both vertices must be sound and pass the pair rule on all
+        3x3 assignment pairs; bit i is clear."""
+        sound = self._sound(var, val)
+
+        def row(i: int) -> int:
+            if not sound[i]:
+                return 0
+            ok = self._pairs_ok(var[i, :, None, None], val[i, :, None, None], var, val)
+            ok = ok.all(axis=(0, 2)) & sound
+            ok[i] = False
+            return int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
+
+        return row
 
     def self_ok(self, v: Vertex) -> bool:
         return bool(self._sound(*self._vertex_arrays([v]))[0])

@@ -16,19 +16,25 @@ order (Matula-Beck, kept in a bucket queue), which keeps the first
 levels of the tree narrow on the dense structured graphs this package
 produces.
 
-Local search is restarted greedy insertion by a random vertex priority
-followed by bounded 2-improvement (swap one clique member for two
-compatible outsiders).  Every restart draws its own generator from
-(seed, restart index), so reports are reproducible and restarts could
-run in any order without changing the outcome.  Both oracles take
-explicit graphs only; the soundness probe is the one entry point on gap
-graphs.  It runs them on its caller's export or its own, and searches a
-gap graph too large to export implicitly, on a vertex sample per restart."""
+One greedy, `_greedy_by_priority`, grows every clique these oracles
+start from: it takes the candidate of least priority (least index
+without one) and intersects the candidates with its row.  Local search
+is that greedy by a random vertex priority followed by bounded
+2-improvement (swap one clique member for two compatible outsiders).
+Every restart draws its own generator from (seed, restart index), so
+reports are reproducible and restarts could run in any order without
+changing the outcome.  Both oracles take explicit graphs only; the
+soundness probe is the one entry point on gap graphs.  It runs them on
+its caller's export or its own, and searches a gap graph too large to
+export implicitly: each restart runs the same greedy, least index
+first, over a vertex sample, on gap-graph rows built only for the
+vertices it takes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -111,17 +117,21 @@ def _color_classes(adj: list[int], pool: int) -> tuple[list[int], list[int]]:
     return order, bound
 
 
-def _greedy_by_priority(adj: list[int], prio: list[int]) -> list[int]:
-    # repeatedly take the candidate of least priority; prio is a
-    # permutation of range(n) indexed by vertex, so the first pick, over
-    # all vertices, is the one of priority 0
-    v = prio.index(0)
+def _greedy_by_priority(row: Callable[[int], int], prio: list[int] | None = None) -> list[int]:
+    # repeatedly take the candidate of least priority, or of least index
+    # without one; prio is a permutation of range(n) indexed by vertex, so
+    # the first pick, over all vertices, is the one of priority 0 (vertex
+    # 0 without one).  row(v) is v's bitset row, read for members only
+    v = 0 if prio is None else prio.index(0)
     clique = [v]
-    cand = adj[v]
+    cand = row(v)
     while cand:
-        v = min(_bits_iter(cand), key=prio.__getitem__)
+        if prio is None:
+            v = (cand & -cand).bit_length() - 1
+        else:
+            v = min(_bits_iter(cand), key=prio.__getitem__)
         clique.append(v)
-        cand &= adj[v]
+        cand &= row(v)
     return clique
 
 
@@ -150,7 +160,7 @@ def max_clique_exact(
     rank = [0] * n
     for i, v in enumerate(reversed(order)):
         rank[v] = i
-    seed = max((_greedy_by_priority(adj, p) for p in (rank, list(range(n)))), key=len)
+    seed = max((_greedy_by_priority(adj.__getitem__, p) for p in (rank, None)), key=len)
     upper = _color_classes(adj, (1 << n) - 1)[1][-1]
     if n > vertex_budget:
         return CliqueReport(len(seed), tuple(sorted(seed)), upper, False, 0, 0)
@@ -252,7 +262,7 @@ def clique_local_search(g: ExplicitGraph, restarts: int = 100, seed: int = 0) ->
     nodes = 0
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
-        clique = _greedy_by_priority(adj, rng.permutation(n).tolist()) if n else []
+        clique = _greedy_by_priority(adj.__getitem__, rng.permutation(n).tolist()) if n else []
         clique = _two_improve(adj, clique)
         nodes += len(clique)
         if len(clique) > len(best):
@@ -263,9 +273,12 @@ def clique_local_search(g: ExplicitGraph, restarts: int = 100, seed: int = 0) ->
 def _implicit_search(
     g: GapGraph, restarts: int, seed: int, initial_clique, sample_size: int
 ) -> CliqueReport:
-    # a sampled vertex joins when it is adjacent to every member: one
-    # pair-rule call against the members' assignments, kept in arrays
-    # that grow as vertices join
+    # each restart runs the shared greedy, least index first, on rows built
+    # on demand over the warm start followed by its sample: the validated
+    # warm start is a clique, so it is taken whole, and a sampled vertex
+    # joins when it is adjacent to every member before it.  A vertex
+    # unsound on its own has an empty row, so it is only ever taken first,
+    # and then alone
     n = g.num_vertices
     if restarts and n > 1 << 63:
         # rng.integers draws int64 vertex indices
@@ -277,38 +290,18 @@ def _implicit_search(
         if len(set(warm)) != len(warm) or not g.is_clique(warm).ok:
             raise ValueError("warm start is not a clique of distinct vertices")
     warm_set = set(warm)
-    warm_var, warm_val = g._vertex_arrays(warm)
-    warm_closed = not g._sound(warm_var, warm_val).all()
     best = list(warm)
     nodes = 0
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
         idxs = np.unique(rng.integers(0, n, size=sample_size))
         rng.shuffle(idxs)
-        sample = [g.vertex_by_index(int(idx)) for idx in idxs]
-        var, val = g._vertex_arrays(sample)
-        sound = g._sound(var, val)
-        clique = list(warm)
-        closed = warm_closed
-        size = warm_var.size
-        member_var = np.concatenate([warm_var.ravel(), np.empty(var.size, dtype=var.dtype)])
-        member_val = np.concatenate([warm_val.ravel(), np.empty(val.size, dtype=val.dtype)])
-        for j, v in enumerate(sample):
-            if clique:
-                if closed or not sound[j] or v in warm_set:
-                    continue
-                ok = g._pairs_ok(
-                    var[j, :, None], val[j, :, None], member_var[:size], member_val[:size]
-                )
-                if not ok.all():
-                    continue
-            # a member unsound on its own is adjacent to nothing, but an
-            # empty clique takes its first vertex regardless
-            closed = not sound[j]
-            clique.append(v)
-            nodes += 1
-            member_var[size : size + 3], member_val[size : size + 3] = var[j], val[j]
-            size += 3
+        sample = map(g.vertex_by_index, idxs.tolist())
+        verts = warm + [v for v in sample if v not in warm_set]
+        if not verts:
+            continue
+        clique = [verts[i] for i in _greedy_by_priority(g._rows(*g._vertex_arrays(verts)))]
+        nodes += len(clique) - len(warm)
         if len(clique) > len(best):
             best = clique
     return CliqueReport(len(best), tuple(sorted(best)), None, False, nodes, restarts)
@@ -360,8 +353,9 @@ def soundness_probe(
         if not g.is_clique(list(rep.witness)).ok:
             raise AssertionError("search produced an invalid witness")
         return SoundnessProbe("reached", target, rep, rep.witness)
-    if rep.exact or (rep.upper_bound is not None and rep.upper_bound < target):
-        return SoundnessProbe("below", target, rep, None)
-    if mode == "search":
-        return SoundnessProbe("below", target, rep, None)
-    return SoundnessProbe("inconclusive", target, rep, None)
+    below = (
+        rep.exact
+        or mode == "search"
+        or (rep.upper_bound is not None and rep.upper_bound < target)
+    )
+    return SoundnessProbe("below" if below else "inconclusive", target, rep, None)

@@ -61,6 +61,10 @@ csp
   allowed_diffs, target_code
                       one C2 / C3 right-hand side of `CSPInstance`'s
                       table, for the constraint-by-constraint references.
+  zero_assignment, replace_value
+                      the all-zero `Assignment` and one with a single
+                      tuple's value overwritten, for hand-built corrupted
+                      assignments.
 
 gapgraph
   planted_family      `GapGraph.planted_clique`'s family built for any
@@ -81,7 +85,7 @@ from gapforge.cliquered import (
     SelectionCertificate,
     VectorSumInstance,
 )
-from gapforge.csp import CSPInstance, honest_assignment
+from gapforge.csp import Assignment, CSPInstance, honest_assignment
 from gapforge.encoding import EncodingScheme, SchemeReport, as_digits, f_values
 from gapforge.errors import check_budget
 from gapforge.explicit import ExplicitGraph
@@ -371,6 +375,18 @@ def allowed_diffs(csp: CSPInstance, i: int, a_packed: int) -> frozenset[int]:
 def target_code(csp: CSPInstance, a_packed: int) -> int:
     """Packed f(a, target) (the C3 right-hand side)."""
     return int(csp.target_codes[a_packed])
+
+
+def zero_assignment(k: int, h: int, ell: int) -> Assignment:
+    return Assignment(k, h, ell, [0] * 4 ** (k * h))
+
+
+def replace_value(a: Assignment, packed_tuple: int, value: FVector) -> Assignment:
+    if value.dim != a.ell:
+        raise ValueError("value dimension mismatch")
+    vals = list(a.values)
+    vals[packed_tuple] = value.bits
+    return Assignment(a.k, a.h, a.ell, vals)
 
 
 # -- gapgraph ----------------------------------------------------------------

@@ -44,6 +44,7 @@ from reference import (
     collision_frequency,
     collision_frequency_exhaustive,
     mul,
+    replace_value,
     zero_dot_count,
 )
 
@@ -411,7 +412,7 @@ def test_criterion_9_decode_agreement(capsys):
                         continue
                     a = honest
                     for t, e in pattern:
-                        a = a.replace(t, FVector(ell, int(vals[t])))
+                        a = replace_value(a, t, FVector(ell, int(vals[t])))
                     if survivors_decoded % 37 == 0:
                         assert evaluate(csp, a).c1_fraction == c1
                     res = linearity_decode(csp, a)

@@ -36,7 +36,14 @@ from gapforge.csp import (
 from gapforge.encoding import MAX_ELL, EncodingScheme, encode_g, sample_scheme
 from gapforge.errors import BudgetExceededError
 from gapforge.field import FVector
-from reference import allowed_diffs, encode_f, from_entries, target_code
+from reference import (
+    allowed_diffs,
+    encode_f,
+    from_entries,
+    replace_value,
+    target_code,
+    zero_assignment,
+)
 
 
 def tiny_csp(target_text: str = "10", row=(1, 2)):
@@ -165,7 +172,7 @@ def test_honest_on_triangle_reduction_all_ones():
 
 def test_zero_assignment_fractions():
     csp = tiny_csp(target_text="01")
-    a = Assignment.zero(1, 1, 1)
+    a = zero_assignment(1, 1, 1)
     rep = evaluate(csp, a)
     assert rep.c1_fraction == 1
     # C3 holds exactly when f(alpha, t) = 0
@@ -183,7 +190,7 @@ def test_evaluate_matches_recount_on_corrupted_honest():
     a = honest_assignment(csp, sel)
     for t in range(csp.num_vars):
         if rng.random() < 0.2:
-            a = a.replace(t, FVector(1, int(rng.integers(0, 4))))
+            a = replace_value(a, t, FVector(1, int(rng.integers(0, 4))))
     rep = evaluate(csp, a)
     c1, c2, c3 = recount_fractions(csp, a)
     assert rep.c1_fraction == c1
@@ -207,7 +214,7 @@ def test_per_alpha_maps():
 
 def test_evaluate_sampled_is_close_and_reported():
     csp = two_set_csp(ell=1, seed=9)
-    a = Assignment.zero(2, 1, 1)
+    a = zero_assignment(2, 1, 1)
     exact = evaluate(csp, a)
     sampled = evaluate(csp, a, mode="sampled", count=4000, seed=1)
     assert not sampled.exact
@@ -234,7 +241,7 @@ def test_evaluate_is_guarded_by_its_work_not_the_c1_family_size():
 
 def test_evaluate_budget_guard(monkeypatch):
     csp = tiny_csp()
-    a = Assignment.zero(1, 1, 1)
+    a = zero_assignment(1, 1, 1)
     monkeypatch.setattr("gapforge.csp.EVALUATE_BUDGET", 8)
     with pytest.raises(BudgetExceededError):
         evaluate(csp, a)
@@ -260,7 +267,7 @@ def test_decode_corrupted_honest_still_recovers():
     sel = brute_force_vector_sum(csp.inst)
     a = honest_assignment(csp, sel)
     original = a.value(5)
-    a = a.replace(5, FVector(1, original.bits ^ 2))
+    a = replace_value(a, 5, FVector(1, original.bits ^ 2))
     res = linearity_decode(csp, a)
     assert res.agreement == Fraction(15, 16)
     chosen = [csp.inst.sets[i][sel.indices[i]] for i in range(csp.k)]
@@ -269,7 +276,7 @@ def test_decode_corrupted_honest_still_recovers():
 
 def test_decode_zero_assignment():
     csp = two_set_csp(ell=1, seed=9)
-    res = linearity_decode(csp, Assignment.zero(2, 1, 1))
+    res = linearity_decode(csp, zero_assignment(2, 1, 1))
     assert res.agreement == 1
     assert all(c.is_zero() for c in res.components)
 
@@ -278,7 +285,7 @@ def test_decode_budget_guard(monkeypatch):
     csp = two_set_csp(ell=2)
     monkeypatch.setattr("gapforge.csp.DECODE_BUDGET", 4)
     with pytest.raises(BudgetExceededError):
-        linearity_decode(csp, Assignment.zero(2, 1, 2))
+        linearity_decode(csp, zero_assignment(2, 1, 2))
 
 
 def test_decode_sampled_mode():
@@ -454,7 +461,7 @@ def reference_corpus():
                 delta = FVector(ell, int(rng.integers(1, top)))
                 basis = 1 << int(rng.integers(0, n.bit_length() - 1))
                 for t in (n - 1, basis, 0):
-                    assignments.append(honest.replace(t, honest.value(t) + delta))
+                    assignments.append(replace_value(honest, t, honest.value(t) + delta))
             yield csp, assignments
     ell = MAX_ELL
     scheme = sample_scheme(int(rng.integers(0, 1 << 30)), h=1, m=2, ell=ell)
@@ -468,7 +475,7 @@ def reference_corpus():
             if t >> j & 1:
                 linear[t] ^= image
     linear = Assignment(2, 1, ell, linear)
-    yield csp, [linear, linear.replace(5, FVector(ell, (1 << 62) - 1))]
+    yield csp, [linear, replace_value(linear, 5, FVector(ell, (1 << 62) - 1))]
     ell = 40
     scheme = sample_scheme(int(rng.integers(0, 1 << 30)), h=1, m=2, ell=ell)
     csp = build_csp(inst, scheme, 2, 1, ell)
@@ -484,7 +491,7 @@ def reference_corpus():
                 linear[t] ^= wide[j]
     linear = Assignment(2, 1, ell, linear)
     yield csp, [honest, Assignment(2, 1, ell, wide), linear,
-                linear.replace(5, FVector(ell, (1 << 80) - 1))]
+                replace_value(linear, 5, FVector(ell, (1 << 80) - 1))]
 
 
 def test_evaluate_and_honest_match_reference():

@@ -22,7 +22,7 @@ from gapforge.cliquered import (
     VectorSumInstance,
     brute_force_vector_sum,
 )
-from gapforge.csp import build_csp, honest_assignment
+from gapforge.csp import build_csp
 from gapforge.encoding import EncodingScheme, sample_scheme
 from gapforge.errors import BudgetExceededError
 from gapforge.explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
@@ -323,6 +323,33 @@ def test_export_edge_count_recount():
         if i == j:
             continue
         assert adjacent(graph, i, j) == g.adjacent(verts[i], verts[j])
+
+
+def test_rows_on_demand_match_export_and_adjacent():
+    # whole tiny graph, then a seeded k=2 subset with planted vertices in
+    # it: row i restricted to the listed vertices is the exported row
+    g = tiny_gap()
+    graph, verts = g.export_explicit()
+    row = g._rows(*g._vertex_arrays(verts))
+    assert [row(i) for i in range(graph.n)] == graph.adj
+    g = k2_gap()
+    graph, verts = g.export_explicit()
+    index = {v: i for i, v in enumerate(verts)}
+    planted = g.planted_clique(brute_force_vector_sum(g.csp.inst))
+    pick = np.random.default_rng(12).choice(graph.n, 200, replace=False).tolist()
+    pick += [index[v] for v in planted[::40] if index[v] not in pick]
+    row = g._rows(*g._vertex_arrays([verts[i] for i in pick]))
+    for a, i in enumerate(pick):
+        assert row(a) == sum(1 << b for b, j in enumerate(pick) if adjacent(graph, i, j))
+    # values wider than int64: planted vertices with one value perturbed
+    g = k2_gap(ell=40)
+    planted = g.planted_clique(brute_force_vector_sum(g.csp.inst))[::20]
+    wide = [v[:-1] + (v[-1] ^ 1 << 70,) for v in planted[::2]]
+    vs = planted + wide
+    row = g._rows(*g._vertex_arrays(vs))
+    bits = [[row(a) >> b & 1 for b in range(len(vs))] for a in range(len(vs))]
+    assert bits == [[int(g.adjacent(u, w)) for w in vs] for u in vs]
+    assert any(map(any, bits)) and not all(map(all, bits))
 
 
 def test_export_budget():

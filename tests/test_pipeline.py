@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import os
 
 import numpy as np

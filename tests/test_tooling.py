@@ -9,7 +9,8 @@ resolve the way `Tracer._patch` looks it up.  `perfbench/workloads.py`
 calls gapforge by name and reads its config and results, so a src
 change that breaks one of those names fails here.  The other way round,
 every def in src needs a caller in src or in perfbench code, so src
-holds what the CLI, the pipeline and the benchmark run.
+holds what the CLI, the pipeline and the benchmark run, and every
+module-level import in src and tests is read by its module.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from gapforge.verify import soundness_probe
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(gapforge.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # Defs that no src code and no perfbench code calls, kept on purpose.
 KEPT_UNCALLED = {
@@ -104,51 +106,75 @@ def test_tiny_workloads_pass_their_gates(tmp_path):
             assert wl.gate(op, out, None) == [], f"{workload} {op.name}"
 
 
-def _names_used(node, skip=None) -> set[str]:
-    """Identifiers a syntax tree reads: names, attributes and imported
-    names, outside the subtree `skip`."""
-    used = set()
+def _names_used(node, skip=None) -> tuple[set[str], set[str]]:
+    """Identifiers a syntax tree reads outside the subtree `skip`: names
+    (imported names included), and attribute names."""
+    names, attrs = set(), set()
     stack = [node]
     while stack:
         n = stack.pop()
         if n is skip:
             continue
         if isinstance(n, ast.Name):
-            used.add(n.id)
+            names.add(n.id)
         elif isinstance(n, ast.Attribute):
-            used.add(n.attr)
+            attrs.add(n.attr)
         elif isinstance(n, ast.alias):
-            used.add(n.name)
+            names.add(n.name)
         stack.extend(ast.iter_child_nodes(n))
-    return used
+    return names, attrs
 
 
 def test_src_defs_have_a_caller():
     # scalar reference forms that only tests call live in tests/reference.py;
-    # a method counts as called when any src code reads an attribute of its name
+    # a function or class counts as called when any src code reads its name,
+    # a method only when src code reads an attribute of its name
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    bench = set()
+    bench_names, bench_attrs = set(), set()
     for p in PERFBENCH.glob("*.py"):
-        bench |= _names_used(ast.parse(p.read_text()))
+        names, attrs = _names_used(ast.parse(p.read_text()))
+        bench_names |= names
+        bench_attrs |= attrs
     defs = []
     for mod, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((f"{mod}.{node.name}", mod, node))
+                defs.append((f"{mod}.{node.name}", mod, node, False))
             if isinstance(node, ast.ClassDef):
                 defs += [
-                    (f"{mod}.{node.name}.{m.name}", mod, m)
+                    (f"{mod}.{node.name}.{m.name}", mod, m, True)
                     for m in node.body
                     if isinstance(m, ast.FunctionDef)
                 ]
-    known = {key for key, _, _ in defs}
+    known = {key for key, *_ in defs}
     assert set(KEPT_UNCALLED) <= known, set(KEPT_UNCALLED) - known
     uncalled = []
-    for key, mod, node in defs:
+    for key, mod, node, method in defs:
         name = node.name
         dunder = name.startswith("__") and name.endswith("__")
-        if dunder or key in KEPT_UNCALLED or name in bench:
+        if dunder or key in KEPT_UNCALLED:
             continue
-        if not any(name in _names_used(t, node if m == mod else None) for m, t in trees.items()):
+        reads = [_names_used(t, node if m == mod else None) for m, t in trees.items()]
+        reads.append((bench_names, bench_attrs))
+        if not any(name in attrs or (not method and name in names) for names, attrs in reads):
             uncalled.append(key)
     assert not uncalled, f"defs with no caller in src or perfbench: {uncalled}"
+
+
+def test_module_level_imports_are_read():
+    # a module-level import binds one name; no code of the module reading
+    # it means the import is dead
+    unread = []
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if (alias.asname or alias.name.partition(".")[0]) not in read:
+                        unread.append(f"{path.name}: {alias.name}")
+    assert not unread, f"imports no code reads: {unread}"

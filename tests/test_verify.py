@@ -243,11 +243,13 @@ def test_implicit_search_matches_scalar_reference():
             if 0 not in dict(g.assignments(v)) and not g.self_ok(v)
         )
         warms = (None, planted[:1], planted[::7], [unsound])
-        for seed in range(3):
-            for warm in warms:
-                got = verify._implicit_search(g, 6, seed, warm, sample_size)
-                want = reference_implicit_search(g, 6, seed, warm or [], sample_size)
-                assert got == want
+        # an empty sample leaves each restart the warm start alone, or nothing
+        for size in (sample_size, 0):
+            for seed in range(3):
+                for warm in warms:
+                    got = verify._implicit_search(g, 6, seed, warm, size)
+                    want = reference_implicit_search(g, 6, seed, warm or [], size)
+                    assert got == want
 
 
 def test_probe_yes_instance_reached():
