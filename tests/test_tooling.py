@@ -147,6 +147,7 @@ def test_src_defs_have_a_caller():
                     if isinstance(m, ast.FunctionDef)
                 ]
     known = {key for key, *_ in defs}
+    whole = {m: _names_used(t) for m, t in trees.items()}
     assert set(KEPT_UNCALLED) <= known, set(KEPT_UNCALLED) - known
     uncalled = []
     for key, mod, node, method in defs:
@@ -154,8 +155,8 @@ def test_src_defs_have_a_caller():
         dunder = name.startswith("__") and name.endswith("__")
         if dunder or key in KEPT_UNCALLED:
             continue
-        reads = [_names_used(t, node if m == mod else None) for m, t in trees.items()]
-        reads.append((bench_names, bench_attrs))
+        reads = [whole[m] for m in trees if m != mod]
+        reads += [_names_used(trees[mod], node), (bench_names, bench_attrs)]
         if not any(name in attrs or (not method and name in names) for names, attrs in reads):
             uncalled.append(key)
     assert not uncalled, f"defs with no caller in src or perfbench: {uncalled}"
