@@ -31,6 +31,8 @@ from .errors import check_budget
 from .field import FVector
 
 Vertex = Hashable
+# largest gadget dimension m reduce_clique builds vectors over
+GADGET_BUDGET = 1_000_000
 
 
 def pair_index(i: int, j: int) -> int:
@@ -188,7 +190,7 @@ def reduce_clique(g: MulticolorGraph) -> VectorSumInstance:
 
     At k = 1 there are no grid blocks to hold sigma codes, so all vertex
     gadgets coincide; the set collapses to that single vector, which is
-    faithful (any vertex is a 1-clique).
+    faithful (any vertex is a 1-clique).  m is checked against GADGET_BUDGET first.
     """
     k = g.k
     verts = g.vertices()
@@ -196,6 +198,7 @@ def reduce_clique(g: MulticolorGraph) -> VectorSumInstance:
     L = max(1, (n - 1).bit_length())  # ceil(log2(n)) for n >= 2
     npairs = k * (k - 1) // 2
     m = k + npairs + k * k * L
+    check_budget(m, GADGET_BUDGET, f"gadget dimension {m} over budget")
     sigma = _sigma_codes(verts, L)
     grid_base = k + npairs
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from decimal import Decimal
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
@@ -46,10 +47,19 @@ from .encoding import (
 from .errors import check_budget
 from .field import FVector
 
+# largest tuple count 4^(kh) a CSP may tabulate
+TUPLE_BUDGET = 1 << 14
 # work one exhaustive evaluate may do: C2/C3 checks plus C1 count steps
 EVALUATE_BUDGET = 50_000_000
 # candidates-by-tuples table entries linearity_decode may score
 DECODE_BUDGET = 1 << 26
+
+
+def num_tuples(k: int, h: int) -> int:
+    """The tuple count 4^(kh) within TUPLE_BUDGET; Decimal writes it past 4300 digits."""
+    n = 4 ** (k * h)
+    check_budget(n, TUPLE_BUDGET, f"{Decimal(n)} tuple variables over budget")
+    return n
 
 
 class CSPInstance:
@@ -89,7 +99,7 @@ class CSPInstance:
         self.k = k
         self.h = h
         self.ell = ell
-        self.num_vars = 4 ** (k * h)
+        self.num_vars = num_tuples(k, h)
         self.num_alphas = num_alphas = 4**h
         self.mats = matrix_stack(scheme.mats)
         vectors = [v for s in inst.sets for v in s] + [inst.target]
@@ -428,7 +438,7 @@ def write_assignment(csp: CSPInstance, a: Assignment, fp: IO[str]) -> None:
 
 
 def read_assignment(fp: IO[str], k: int, h: int, ell: int) -> Assignment:
-    values = [None] * 4 ** (k * h)
+    values = [None] * num_tuples(k, h)
     for line in fp:
         tok = line.split()
         if not tok or tok[0] == "#":

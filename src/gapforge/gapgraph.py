@@ -54,6 +54,8 @@ from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
 from .field import FVector
 
 Vertex = tuple
+# largest family planted_clique builds
+PLANTED_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -225,8 +227,10 @@ class GapGraph(GapSizes):
 
         Size is num_b_groups + num_a_groups; with a satisfying selection
         is_clique accepts it (with r = |F|^{kh} that is twice the number
-        of B groups).
+        of B groups).  The size is checked against PLANTED_BUDGET first.
         """
+        n = self.planted_size()
+        check_budget(n, PLANTED_BUDGET, f"planted clique has {n} vertices, budget {PLANTED_BUDGET}")
         if not verify_selection(self.csp.inst, sel):
             raise ValueError("selection does not satisfy the instance")
         hv = honest_assignment(self.csp, sel).values

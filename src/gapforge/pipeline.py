@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dc_field
+from decimal import Decimal
 from fractions import Fraction
 from io import StringIO
 from typing import ClassVar
@@ -32,7 +33,7 @@ from .cliquered import (
     reduce_clique,
     write_vsi,
 )
-from .csp import CSPInstance, SatReport, build_csp, evaluate, honest_assignment
+from .csp import CSPInstance, SatReport, build_csp, evaluate, honest_assignment, num_tuples
 from .encoding import (
     EncodingScheme,
     SchemeReport,
@@ -41,17 +42,19 @@ from .encoding import (
     sample_scheme,
     write_scheme,
 )
-from .errors import BudgetExceededError, StageError, check_budget
+from .errors import BudgetExceededError, StageError
 from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, write_dimacs
-from .gapgraph import GapGraph, build_gap_graph, GapSizes, write_clique_set, write_sidecar
+from .gapgraph import (
+    PLANTED_BUDGET, GapGraph, GapSizes, build_gap_graph, write_clique_set, write_sidecar,
+)
 from .rng import derive_seed
 from .verify import EXACT_VERTEX_BUDGET, SoundnessProbe, soundness_probe
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for one pipeline run; None means the source default.  The
-    budgets are class constants, not fields."""
+    """Knobs for one pipeline run; None means the source default.
+    planted_budget is the benchmark's name for gapgraph.PLANTED_BUDGET."""
 
     k: int
     h: int | None = None
@@ -63,10 +66,7 @@ class PipelineConfig:
     dry_run: bool = False
     probe_mode: str = "auto"
     probe_restarts: int = 200
-    # largest gadget dimension, tuple count, and planted.clq written
-    gadget_budget: ClassVar[int] = 1_000_000
-    csp_var_budget: ClassVar[int] = 1 << 14
-    planted_budget: ClassVar[int] = 200_000
+    planted_budget: ClassVar[int] = PLANTED_BUDGET
 
     def __post_init__(self):
         if self.k < 1:
@@ -168,7 +168,7 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
         mcg = plain_to_multicolor(graph, cfg.k)
     k_prime = default_k_prime(cfg.k)
 
-    inst = _run_stage("reduce", lambda: _reduce(mcg, cfg))
+    inst = _run_stage("reduce", lambda: reduce_clique(mcg))
     assert inst.num_sets == k_prime
     m = inst.dim
     n_vectors = sum(len(s) for s in inst.sets)
@@ -184,7 +184,7 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
     if cfg.dry_run:
         lines += _size_lines(k_prime, h, ell, r, m, n_vectors)
         lines.append(("dry_run", 1))
-        text = _render(lines)
+        text = render_kv(lines)
         files = {}
         if out_dir is not None:
             files["report.txt"] = _write(out_dir, "report.txt", text)
@@ -193,6 +193,8 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
             None, None, None, text, files,
         )
 
+    # the tuple count needs only (k', h): check it before sampling a scheme
+    _run_stage("csp", lambda: num_tuples(k_prime, h))
     scheme, scheme_report = _run_stage(
         "scheme", lambda: _make_scheme(inst, cfg, h, ell)
     )
@@ -204,7 +206,7 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
         lines.append(("scheme_separating", int(scheme_report.cond_separating)))
         lines.append(("scheme_self_correcting", int(scheme_report.cond_self_correcting)))
 
-    csp = _run_stage("csp", lambda: _make_csp(inst, scheme, k_prime, h, ell, r, cfg))
+    csp = build_csp(inst, scheme, k_prime, h, ell)
     gap = build_gap_graph(csp, r)
 
     sel = _run_stage("selection", lambda: brute_force_vector_sum(inst))
@@ -250,7 +252,7 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
     else:
         lines.append(("soundness_verdict", "skipped"))
 
-    text = _render(lines)
+    text = render_kv(lines)
     files = {}
     if out_dir is not None:
         files["instance.vsi"] = _write_with(out_dir, "instance.vsi", write_vsi, inst)
@@ -282,29 +284,15 @@ def _run_stage(name: str, thunk):
         raise StageError(name, e) from e
 
 
-def _reduce(mcg: MulticolorGraph, cfg: PipelineConfig) -> VectorSumInstance:
-    inst = reduce_clique(mcg)
-    check_budget(inst.dim, cfg.gadget_budget, f"gadget dimension {inst.dim} over budget")
-    return inst
-
-
 def _make_scheme(inst: VectorSumInstance, cfg: PipelineConfig, h: int, ell: int):
     union = inst.union()
     if cfg.derandomize:
-        if not union:
-            raise ValueError("cannot derandomize with no gadget vectors")
         scheme, _stats = derandomize_scheme(union, h, inst.dim)
     else:
         scheme = sample_scheme(derive_seed(cfg.seed, "scheme"), h, inst.dim, ell)
     # an all-empty instance leaves nothing to test the scheme against
     report = check_scheme(scheme, union) if union else None
     return scheme, report
-
-
-def _make_csp(inst, scheme, k_prime: int, h: int, ell: int, r: int, cfg: PipelineConfig):
-    num_vars = GapSizes(k_prime, h, ell, r).num_tuples
-    check_budget(num_vars, cfg.csp_var_budget, f"{num_vars} tuple variables over budget")
-    return build_csp(inst, scheme, k_prime, h, ell)
 
 
 def _probe(gap, sel, cfg: PipelineConfig, exported) -> SoundnessProbe | None:
@@ -339,11 +327,12 @@ def _csp_meta(csp: CSPInstance, r: int) -> str:
         ("replication", r),
         ("set_sizes", ",".join(str(len(s)) for s in csp.inst.sets)),
     ]
-    return _render(lines)
+    return render_kv(lines)
 
 
-def _render(lines) -> str:
-    return "".join(f"{key}={value}\n" for key, value in lines)
+def render_kv(lines) -> str:
+    """key=value lines; Decimal writes an int exactly past str()'s 4300 digits."""
+    return "".join(f"{key}={str(Decimal(v)) if type(v) is int else v}\n" for key, v in lines)
 
 
 def _write(out_dir: str, name: str, text: str) -> str:

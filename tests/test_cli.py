@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from gapforge.csp import build_csp, honest_assignment, write_assignment
 from gapforge.encoding import read_scheme
 from gapforge.explicit import ExplicitGraph, read_dimacs, write_dimacs
 from gapforge.field import FVector
+from gapforge.gapgraph import GapSizes
 from gapforge.pipeline import PipelineConfig, plain_to_multicolor
 from reference import adjacent
 
@@ -269,6 +271,25 @@ def test_graph_plant_over_planted_budget_exits_one(tmp_path, seven_sets):
     assert not planted.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["csp", "--build"], ["graph", "--replication", "1"]], ids=["csp", "graph"]
+)
+def test_seven_sets_over_tuple_budget_exit_one(tmp_path, seven_sets, capsys, argv):
+    # an h=2 scheme gives 4^14 tuples; the CSP refuses them before it asks
+    # numpy for any table, so the child ends with the budget line
+    instance, _ = seven_sets
+    scheme = tmp_path / "seven_h2.txt"
+    assert main(["scheme", "--sample", "--h", "2", "--ell", "1", "--m", "7",
+                 "--out", str(scheme)]) == 0
+    capsys.readouterr()
+    proc = _run_cli_under_memory_limit(
+        argv + ["--instance", str(instance), "--scheme", str(scheme)]
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {4**14} tuple variables over budget\n"
+
+
 @pytest.fixture
 def c5_file(tmp_path):
     path = tmp_path / "c5.dimacs"
@@ -349,6 +370,21 @@ def test_pipeline_dry_run_prints_sizes_only(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_pipeline_dry_run_at_k5_prints_exact_sizes(tmp_path, capsys):
+    # k' = 15, h = 225: vertices_b = 4^7678 has 4,623 decimal digits,
+    # past the 4,300 that str() writes for an int
+    path = tmp_path / "k3.col"
+    with open(path, "w") as fp:
+        write_dimacs(ExplicitGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), fp)
+    rc = main(["pipeline", "--input", str(path), "--k", "5", "--dry-run"])
+    assert rc == 0
+    report = kv(capsys.readouterr().out)
+    assert report["k_prime"] == "15" and report["h"] == "225"
+    sizes = GapSizes(15, 225, int(report["ell"]), 4 ** (15 * 225))
+    assert Decimal(report["vertices_b"]) == sizes.num_b_vertices == 4**7678
+    assert Decimal(report["vertices_total"]) == sizes.num_vertices
+
+
 def test_pipeline_full_run_writes_bundle(tmp_path, capsys):
     path = tmp_path / "k3.col"
     with open(path, "w") as fp:
@@ -376,6 +412,18 @@ def test_pipeline_accepts_mcol_input(tmp_path, capsys):
     report = kv(capsys.readouterr().out)
     assert report["k_prime"] == "3"
     assert report["planted_clique_ok"] == "1"
+
+
+def test_pipeline_reads_mcol_with_a_leading_comment(tmp_path, capsys):
+    # read_mcol skips `#` lines, so the format is named by the `p` line
+    mcg = plain_to_multicolor(ExplicitGraph.from_edges(2, [(0, 1)]), 2)
+    path = tmp_path / "g.mcol"
+    with open(path, "w") as fp:
+        fp.write("# two colors\n")
+        write_mcol(mcg, fp)
+    rc = main(["pipeline", "--input", str(path), "--k", "2", "--dry-run"])
+    assert rc == 0
+    assert kv(capsys.readouterr().out)["k_prime"] == "3"
 
 
 def test_pipeline_derandomize_with_ell_exits_one(tmp_path, capsys):

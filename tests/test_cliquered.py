@@ -160,6 +160,10 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setattr("gapforge.cliquered.BRUTE_FORCE_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
         brute_force_vector_sum(reduce_clique(g))
+    m = reduce_clique(g).dim
+    monkeypatch.setattr("gapforge.cliquered.GADGET_BUDGET", m - 1)
+    with pytest.raises(BudgetExceededError, match=f"gadget dimension {m} over budget"):
+        reduce_clique(g)
 
 
 def test_instance_validation():

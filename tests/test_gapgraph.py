@@ -28,6 +28,7 @@ from gapforge.errors import BudgetExceededError
 from gapforge.explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
 from gapforge.field import FVector
 from gapforge.gapgraph import (
+    PLANTED_BUDGET,
     GapGraph,
     GapSizes,
     build_gap_graph,
@@ -251,6 +252,17 @@ def test_planted_requires_satisfying_selection():
     flagged = planted_family(g, bad)
     assert len(flagged) == 20
     assert not g.is_clique(flagged).ok
+
+
+def test_planted_clique_stops_above_its_budget():
+    # 4 tuples: 16 B groups and 4r A groups
+    r = (PLANTED_BUDGET - 16) // 4
+    sel = SelectionCertificate((0,))
+    assert len(tiny_gap(r=r).planted_clique(sel)) == PLANTED_BUDGET
+    over = tiny_gap(r=r + 1)
+    n = over.planted_size()
+    with pytest.raises(BudgetExceededError, match=f"planted clique has {n} vertices"):
+        over.planted_clique(sel)
 
 
 def test_is_clique_flags_intra_group_addition():

@@ -164,11 +164,11 @@ def test_default_parameter_formulas():
 
 def test_stage_errors_carry_stage_names(monkeypatch):
     with monkeypatch.context() as m, pytest.raises(StageError) as e:
-        m.setattr(PipelineConfig, "csp_var_budget", 2)
+        m.setattr("gapforge.csp.TUPLE_BUDGET", 2)
         run_pipeline(complete_graph(2), desk_cfg())
     assert e.value.stage == "csp"
     with monkeypatch.context() as m, pytest.raises(StageError) as e:
-        m.setattr(PipelineConfig, "gadget_budget", 1)
+        m.setattr("gapforge.cliquered.GADGET_BUDGET", 1)
         run_pipeline(complete_graph(2), desk_cfg())
     assert e.value.stage == "reduce"
     with pytest.raises(StageError) as e:
@@ -177,6 +177,18 @@ def test_stage_errors_carry_stage_names(monkeypatch):
             desk_cfg(k=2, probe_mode="exact"),
         )
     assert e.value.stage == "probe"
+
+
+def test_default_k4_run_stops_at_the_tuple_count_before_sampling():
+    # k' = 10, h = 100: 4^1000 tuples, refused before any scheme is drawn
+    with pytest.raises(StageError, match="tuple variables over budget") as e:
+        run_pipeline(complete_graph(3), PipelineConfig(k=4))
+    assert e.value.stage == "csp"
+
+
+def test_derandomize_without_gadget_vectors_is_refused_by_the_derandomizer():
+    with pytest.raises(ValueError, match="test set must be nonempty"):
+        run_pipeline(ExplicitGraph(0), desk_cfg(derandomize=True, ell=None))
 
 
 def test_completeness_guard_refuses_the_c2_c3_tables():

@@ -162,6 +162,19 @@ def test_src_defs_have_a_caller():
     assert not uncalled, f"defs with no caller in src or perfbench: {uncalled}"
 
 
+def test_stages_own_their_budgets():
+    # each stage checks its own budget before it builds anything; the
+    # pipeline and the CLI only decide what to run and what to write
+    found = []
+    for name in ("pipeline.py", "cli.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            checks = isinstance(node, ast.Call) and ast.unparse(node.func).endswith("check_budget")
+            raises = isinstance(node, ast.Raise) and "BudgetExceededError" in ast.unparse(node)
+            if checks or raises:
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"budget checks outside their stage: {found}"
+
+
 def test_module_level_imports_are_read():
     # a module-level import binds one name; no code of the module reading
     # it means the import is dead
