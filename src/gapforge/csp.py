@@ -390,7 +390,7 @@ def linearity_decode(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     entries = n_cands * len(col_idx)
-    check_budget(entries, DECODE_BUDGET, f"decode table would have {entries} entries")
+    check_budget(entries, DECODE_BUDGET, f"decode table would have {Decimal(entries)} entries")
 
     # per-slot lookup: lut[c, a] = packed a . c, the f-values
     # of the block selectors, c over every vector of F^{h*ell}

@@ -43,6 +43,7 @@ is adjacent to nothing."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
@@ -308,7 +309,7 @@ class GapGraph(GapSizes):
         itself; self-unsound vertices are isolated.
         """
         n = self.num_vertices
-        check_budget(n, budget, f"graph has {n} vertices")
+        check_budget(n, budget, f"graph has {Decimal(n)} vertices")
         vertices: list[Vertex] = [self.vertex_by_index(i) for i in range(n)]
         var, val = self._vertex_arrays(vertices)
         live = np.flatnonzero(self._sound(var, val))

@@ -18,9 +18,13 @@ produces.
 
 One greedy, `_greedy_by_priority`, grows every clique these oracles
 start from: it takes the candidate of least priority (least index
-without one) and intersects the candidates with its row.  Local search
-is that greedy by a random vertex priority followed by bounded
-2-improvement (swap one clique member for two compatible outsiders).
+without one) and intersects the candidates with its row.  By a priority
+that is one walk over the first pick's neighbours in priority order, so
+a restart costs time in that neighbourhood, not in the vertex count.
+Local search is that greedy by a random vertex priority followed by
+bounded 2-improvement (swap one clique member for two compatible
+outsiders), which takes the lowest-index outsiders of each slot in bulk
+from the bytes of their bitset.
 Every restart draws its own generator from (seed, restart index), so
 reports are reproducible and restarts could run in any order without
 changing the outcome.  Both oracles take explicit graphs only; the
@@ -33,7 +37,7 @@ vertices it takes."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
+from decimal import Decimal
 from typing import Callable
 
 import numpy as np
@@ -117,21 +121,34 @@ def _color_classes(adj: list[int], pool: int) -> tuple[list[int], list[int]]:
     return order, bound
 
 
-def _greedy_by_priority(row: Callable[[int], int], prio: list[int] | None = None) -> list[int]:
+def _bit_indices(bits: int) -> np.ndarray:
+    # positions of the set bits of a nonnegative int, ascending
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little").view(bool).nonzero()[0]
+
+
+def _greedy_by_priority(row: Callable[[int], int], prio: np.ndarray | None = None) -> list[int]:
     # repeatedly take the candidate of least priority, or of least index
     # without one; prio is a permutation of range(n) indexed by vertex, so
     # the first pick, over all vertices, is the one of priority 0 (vertex
-    # 0 without one).  row(v) is v's bitset row, read for members only
-    v = 0 if prio is None else prio.index(0)
+    # 0 without one).  row(v) is v's bitset row, read for members only.
+    # The candidates only shrink and stay among the first pick's
+    # neighbours, so by priority the greedy is one walk over those
+    # neighbours in priority order that takes each one still a candidate
+    v = 0 if prio is None else int(np.argmin(prio))
     clique = [v]
     cand = row(v)
-    while cand:
-        if prio is None:
+    if prio is None:
+        while cand:
             v = (cand & -cand).bit_length() - 1
-        else:
-            v = min(_bits_iter(cand), key=prio.__getitem__)
-        clique.append(v)
-        cand &= row(v)
+            clique.append(v)
+            cand &= row(v)
+    elif cand:
+        nbrs = _bit_indices(cand)
+        for v in nbrs[np.argsort(np.take(prio, nbrs))].tolist():
+            if cand >> v & 1:
+                clique.append(v)
+                cand &= row(v)
     return clique
 
 
@@ -157,9 +174,8 @@ def max_clique_exact(
     order = _degeneracy_order(adj, n)
     # incumbent: the better of the greedy cliques along the reversed
     # degeneracy order and along vertex index
-    rank = [0] * n
-    for i, v in enumerate(reversed(order)):
-        rank[v] = i
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n - 1, -1, -1)
     seed = max((_greedy_by_priority(adj.__getitem__, p) for p in (rank, None)), key=len)
     upper = _color_classes(adj, (1 << n) - 1)[1][-1]
     if n > vertex_budget:
@@ -234,8 +250,11 @@ def _two_improve(adj: list[int], clique: list[int]) -> list[int]:
         after.reverse()
         for slot, m in enumerate(clique):
             group = before[slot] & after[slot + 1] & ~adj[m] & ~(1 << m)
-            scan = list(islice(_bits_iter(group), TWO_IMPROVE_SCAN_CAP))
-            capped = sum(1 << a for a in scan)
+            if not group & (group - 1):
+                # fewer than two outsiders hold no pair
+                continue
+            scan = _bit_indices(group)[:TWO_IMPROVE_SCAN_CAP].tolist()
+            capped = group & ((2 << scan[-1]) - 1)
             # the first scanned vertex with a neighbour among the scanned
             # has only later ones there: an earlier one would have come first
             a = next((a for a in scan if adj[a] & capped), None)
@@ -262,7 +281,7 @@ def clique_local_search(g: ExplicitGraph, restarts: int = 100, seed: int = 0) ->
     nodes = 0
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
-        clique = _greedy_by_priority(adj.__getitem__, rng.permutation(n).tolist()) if n else []
+        clique = _greedy_by_priority(adj.__getitem__, rng.permutation(n)) if n else []
         clique = _two_improve(adj, clique)
         nodes += len(clique)
         if len(clique) > len(best):
@@ -282,7 +301,9 @@ def _implicit_search(
     n = g.num_vertices
     if restarts and n > 1 << 63:
         # rng.integers draws int64 vertex indices
-        raise ValueError(f"gap graph has {n} vertices, over the implicit search's limit of 2^63")
+        raise ValueError(
+            f"gap graph has {Decimal(n)} vertices, over the implicit search's limit of 2^63"
+        )
     warm: list[Vertex] = []
     if initial_clique is not None:
         warm = [g.validate_vertex(v) for v in initial_clique]

@@ -236,6 +236,24 @@ def test_graph_export_and_plant(tmp_path, yes_instance, scheme_file, capsys):
         assert sum(1 for _ in fp) == 320
 
 
+def test_graph_export_past_4300_digit_vertex_count_exits_one(tmp_path, yes_instance, capsys):
+    # h=1, ell=3600: the gap graph has about 4^7202 vertices, a count str()
+    # refuses to write, so the budget line must write it another way
+    scheme = tmp_path / "s3600.txt"
+    assert main(["scheme", "--sample", "--h", "1", "--ell", "3600", "--seed", "0",
+                 "--instance", str(yes_instance), "--out", str(scheme)]) == 0
+    capsys.readouterr()
+    rc = main(["graph", "--instance", str(yes_instance), "--scheme", str(scheme),
+               "--replication", "1", "--export", str(tmp_path / "g.dimacs")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    vertices = kv(captured.out)["vertices_total"]
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"graph has {vertices} vertices" in lines[0]
+    assert not (tmp_path / "g.dimacs").exists()
+
+
 def test_graph_plant_unsatisfiable(tmp_path, capsys):
     inst = reduce_clique(plain_to_multicolor(ExplicitGraph(2), 2))
     instance = tmp_path / "no.vsi"

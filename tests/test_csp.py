@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +287,16 @@ def test_decode_budget_guard(monkeypatch):
     monkeypatch.setattr("gapforge.csp.DECODE_BUDGET", 4)
     with pytest.raises(BudgetExceededError):
         linearity_decode(csp, zero_assignment(2, 1, 2))
+
+
+def test_decode_budget_message_past_4300_digits():
+    # k=h=1, ell=7200: 4^7200 candidates per tuple, a count str() refuses to write
+    inst = VectorSumInstance([[FVector.from_text("10")]], FVector.from_text("10"))
+    csp = build_csp(inst, sample_scheme(0, h=1, m=2, ell=7200), k=1, h=1, ell=7200)
+    a = honest_assignment(csp, brute_force_vector_sum(inst))
+    entries = Decimal(4**7200 * csp.num_vars)
+    with pytest.raises(BudgetExceededError, match=f"decode table would have {entries} entries"):
+        linearity_decode(csp, a)
 
 
 def test_decode_sampled_mode():

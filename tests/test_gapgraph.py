@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import itertools
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -369,6 +370,14 @@ def test_export_budget():
     assert g.num_vertices == 4096 + 16 * 256 * 4
     with pytest.raises(BudgetExceededError):
         g.export_explicit(budget=20_000)
+
+
+def test_export_budget_message_past_4300_digits():
+    # h=1, ell=3600: about 4^7202 vertices, a count str() refuses to write
+    inst = VectorSumInstance([[FVector.from_text("10")]], FVector.from_text("10"))
+    g = build_gap_graph(build_csp(inst, sample_scheme(0, h=1, m=2, ell=3600), 1, 1, 3600), 1)
+    with pytest.raises(BudgetExceededError, match=f"graph has {Decimal(g.num_vertices)} vertices"):
+        g.export_explicit()
 
 
 def strip_export(g: GapGraph):

@@ -6,6 +6,8 @@ leaves a clique fully adjacent to it), feasible up to n = 14."""
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from gapforge.verify import (
 )
 from gapforge.explicit import ExplicitGraph
 from reference import adjacent, from_bool_matrix, from_entries, to_bool_matrix
+from test_acceptance import _separated_no_instance
 
 
 def oracle_omega(g: ExplicitGraph) -> int:
@@ -201,6 +204,24 @@ def test_implicit_search_above_2_63_vertices_raises_value_error():
             probe()
     # with no restart nothing is drawn, so nothing is refused
     assert verify._implicit_search(g, 0, 0, None, 8).restarts == 0
+
+
+def huge_gap(ell: int):
+    """One-set YES instance through an h=1 scheme: about 4^(2 ell) vertices."""
+    inst = VectorSumInstance([[FVector.from_text("10")]], FVector.from_text("10"))
+    return build_gap_graph(build_csp(inst, sample_scheme(0, h=1, m=2, ell=ell), 1, 1, ell), 1)
+
+
+def test_implicit_search_limit_message_past_4300_digits():
+    # str() refuses ints past 4300 digits; the message must name the count
+    g = huge_gap(3600)
+    assert len(str(Decimal(g.num_vertices))) > 4300
+    for probe in (
+        lambda: verify._implicit_search(g, 1, 0, None, 8),
+        lambda: soundness_probe(g, mode="search", restarts=1, seed=0),
+    ):
+        with pytest.raises(ValueError, match=rf"gap graph has {Decimal(g.num_vertices)} vertices"):
+            probe()
 
 
 def k2_gap():
@@ -429,6 +450,32 @@ def test_local_search_matches_boolean_matrix_reference():
     for graph in two_improve_limit_graphs():
         got = clique_local_search(graph, restarts=100, seed=6)
         assert got == reference_local_search(graph, 100, 6)
+
+
+def test_local_search_matches_reference_on_criterion_8_export():
+    # a separated NO instance at k=2, h=ell=r=1, the shape criterion 8 searches
+    csp = _separated_no_instance(np.random.default_rng(37), 2, 3, 50_000)
+    graph = build_gap_graph(csp, 1).export_explicit()[0]
+    assert graph.n == 4160
+    # an isolated first pick leaves every other vertex in its 2-improvement
+    # group, far past the scan cap
+    assert sum(not row for row in graph.adj) > verify.TWO_IMPROVE_SCAN_CAP
+    for seed in (0, 1, 2):
+        assert clique_local_search(graph, 20, seed) == reference_local_search(graph, 20, seed)
+
+
+def test_greedy_by_priority_matches_reference():
+    graphs = [g for _, g in corpus(30, 120)] + list(exported_gap_graphs())
+    rng = np.random.default_rng(31)
+    for g in graphs:
+        adjbool = to_bool_matrix(g)
+        for _ in range(3):
+            prio = rng.permutation(g.n)
+            got = verify._greedy_by_priority(g.adj.__getitem__, prio.tolist())
+            assert got == reference_greedy_by_priority(adjbool, prio)
+        # without a priority the greedy takes the least index
+        got = verify._greedy_by_priority(g.adj.__getitem__)
+        assert got == reference_greedy_by_priority(adjbool, np.arange(g.n))
 
 
 def test_degeneracy_order_matches_quadratic_reference():
