@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, _bits_iter
+from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, bit_indices
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def export_power(p: ProductGraph, budget: int = EXPORT_VERTEX_BUDGET) -> Explici
     rows = [1]
     for i in range(t):
         stride = n ** (t - 1 - i)
-        spreads = [sum(1 << j * stride for j in _bits_iter(row)) for row in closed]
+        spreads = [sum(1 << j * stride for j in bit_indices(row).tolist()) for row in closed]
         rows = [r * s for r in rows for s in spreads]
     for u in range(total):
         rows[u] ^= 1 << u

@@ -3,15 +3,21 @@
 Row u is a Python int whose bit v is set when {u, v} is an edge.  That
 keeps neighborhood intersections (the inner loop of clique search) at
 one big-int AND per step and makes graphs of a few thousand vertices
-cheap to handle.  DIMACS import/export is 1-indexed.
+cheap to handle.  Rows convert to and from vertex indices only through
+this module's codec, `bit_indices` and `mask_bits`, which go through a
+row's bytes.  DIMACS import/export is 1-indexed.
 """
 
 from __future__ import annotations
 
 from typing import IO, Iterable
 
+import numpy as np
+
 # largest graph any stage materializes (gap-graph export, strong power)
 EXPORT_VERTEX_BUDGET = 20_000
+# bit_indices of an empty row (most exported rows), shared: np.empty costs more than a walk
+_NO_BITS = np.empty(0, dtype=np.intp)
 
 
 class ExplicitGraph:
@@ -41,7 +47,7 @@ class ExplicitGraph:
 
     def edges(self) -> Iterable[tuple[int, int]]:
         for u, row in enumerate(self.adj):
-            for v in _bits_iter(row >> (u + 1)):
+            for v in bit_indices(row >> (u + 1)).tolist():
                 yield (u, u + 1 + v)
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
@@ -60,14 +66,17 @@ class ExplicitGraph:
         )
 
 
-def _bits_iter(bits: int):
-    v = 0
-    while bits:
-        shift = (bits & -bits).bit_length() - 1
-        v += shift
-        yield v
-        bits >>= shift + 1
-        v += 1
+def bit_indices(bits: int) -> np.ndarray:
+    """Positions of the set bits of a nonnegative int, ascending (intp)."""
+    if not bits:
+        return _NO_BITS
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little").view(bool).nonzero()[0]
+
+
+def mask_bits(mask: np.ndarray) -> int:
+    """The int whose bit v is set when mask[v] is, from a 1-d bool array."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def write_dimacs(g: ExplicitGraph, fp: IO[str]) -> None:

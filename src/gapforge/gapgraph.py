@@ -51,7 +51,7 @@ import numpy as np
 from .cliquered import SelectionCertificate, verify_selection
 from .csp import CSPInstance, honest_assignment
 from .errors import check_budget
-from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
+from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, mask_bits
 from .field import FVector
 
 Vertex = tuple
@@ -191,7 +191,7 @@ class GapGraph(GapSizes):
             ok = self._pairs_ok(var[i, :, None, None], val[i, :, None, None], var, val)
             ok = ok.all(axis=(0, 2)) & sound
             ok[i] = False
-            return int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
+            return mask_bits(ok)
 
         return row
 
@@ -320,8 +320,7 @@ class GapGraph(GapSizes):
         distinct, which = np.unique(codes, return_inverse=True)
         masks = np.zeros((len(distinct), n), dtype=bool)
         masks[:, live] = table[distinct[:, None, None] ^ codes].all(axis=2)
-        packed = np.packbits(masks, axis=1, bitorder="little")
-        bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        bits = [mask_bits(m) for m in masks]
         graph = ExplicitGraph(n)
         for v, (a, b, c) in zip(live.tolist(), which.reshape(codes.shape).tolist()):
             graph.adj[v] = bits[a] & bits[b] & bits[c] & ~(1 << v)

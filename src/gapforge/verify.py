@@ -1,10 +1,9 @@
 """Clique oracles: exact search on small explicit graphs, seeded local
 search on larger ones, and the soundness probe over gap graphs.
 
-Every oracle on an explicit graph works on one representation, the
-bitset rows `ExplicitGraph.adj` (row u is an int whose bit v is set when
-{u, v} is an edge), so a neighbourhood intersection is one big-int AND
-(the BBMC design of San Segundo et al.).
+Every oracle on an explicit graph works on the bitset rows of
+`explicit` and lists their bits through its codec, so a neighbourhood
+intersection is one big-int AND (the BBMC design of San Segundo et al.).
 
 The exact solver is a branch and bound in the style of Tomita's MCQ: one
 greedy coloring routine, `_color_classes`, colors the candidates, which
@@ -18,13 +17,12 @@ produces.
 
 One greedy, `_greedy_by_priority`, grows every clique these oracles
 start from: it takes the candidate of least priority (least index
-without one) and intersects the candidates with its row.  By a priority
-that is one walk over the first pick's neighbours in priority order, so
-a restart costs time in that neighbourhood, not in the vertex count.
-Local search is that greedy by a random vertex priority followed by
-bounded 2-improvement (swap one clique member for two compatible
-outsiders), which takes the lowest-index outsiders of each slot in bulk
-from the bytes of their bitset.
+without one) and intersects the candidates with its row.  That is one
+walk over the first pick's neighbours in that order, so a restart costs
+time in that neighbourhood, not in the vertex count.  Local search is
+that greedy by a random vertex priority followed by bounded
+2-improvement (swap one clique member for two compatible outsiders),
+which lists the lowest-index outsiders of each slot in bulk.
 Every restart draws its own generator from (seed, restart index), so
 reports are reproducible and restarts could run in any order without
 changing the outcome.  Both oracles take explicit graphs only; the
@@ -42,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, _bits_iter
+from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, bit_indices
 from .gapgraph import GapGraph, Vertex
 
 
@@ -89,7 +87,7 @@ def _degeneracy_order(adj: list[int], n: int) -> list[int]:
         order.append(v)
         buckets[d] ^= b
         remaining ^= b
-        for u in _bits_iter(adj[v] & remaining):
+        for u in bit_indices(adj[v] & remaining).tolist():
             bit = 1 << u
             buckets[deg[u]] ^= bit
             deg[u] -= 1
@@ -121,34 +119,24 @@ def _color_classes(adj: list[int], pool: int) -> tuple[list[int], list[int]]:
     return order, bound
 
 
-def _bit_indices(bits: int) -> np.ndarray:
-    # positions of the set bits of a nonnegative int, ascending
-    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little").view(bool).nonzero()[0]
-
-
 def _greedy_by_priority(row: Callable[[int], int], prio: np.ndarray | None = None) -> list[int]:
     # repeatedly take the candidate of least priority, or of least index
     # without one; prio is a permutation of range(n) indexed by vertex, so
     # the first pick, over all vertices, is the one of priority 0 (vertex
     # 0 without one).  row(v) is v's bitset row, read for members only.
     # The candidates only shrink and stay among the first pick's
-    # neighbours, so by priority the greedy is one walk over those
-    # neighbours in priority order that takes each one still a candidate
+    # neighbours, so the greedy is one walk over those neighbours in
+    # priority (or index) order that takes each one still a candidate
     v = 0 if prio is None else int(np.argmin(prio))
     clique = [v]
     cand = row(v)
-    if prio is None:
-        while cand:
-            v = (cand & -cand).bit_length() - 1
+    nbrs = bit_indices(cand)
+    if prio is not None:
+        nbrs = nbrs[np.argsort(np.take(prio, nbrs))]
+    for v in nbrs.tolist():
+        if cand >> v & 1:
             clique.append(v)
             cand &= row(v)
-    elif cand:
-        nbrs = _bit_indices(cand)
-        for v in nbrs[np.argsort(np.take(prio, nbrs))].tolist():
-            if cand >> v & 1:
-                clique.append(v)
-                cand &= row(v)
     return clique
 
 
@@ -253,7 +241,7 @@ def _two_improve(adj: list[int], clique: list[int]) -> list[int]:
             if not group & (group - 1):
                 # fewer than two outsiders hold no pair
                 continue
-            scan = _bit_indices(group)[:TWO_IMPROVE_SCAN_CAP].tolist()
+            scan = bit_indices(group)[:TWO_IMPROVE_SCAN_CAP].tolist()
             capped = group & ((2 << scan[-1]) - 1)
             # the first scanned vertex with a neighbour among the scanned
             # has only later ones there: an earlier one would have come first
@@ -298,6 +286,8 @@ def _implicit_search(
     # joins when it is adjacent to every member before it.  A vertex
     # unsound on its own has an empty row, so it is only ever taken first,
     # and then alone
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
     n = g.num_vertices
     if restarts and n > 1 << 63:
         # rng.integers draws int64 vertex indices

@@ -1,14 +1,16 @@
-"""DIMACS parsing: every text either yields a graph or raises ValueError."""
+"""DIMACS parsing: every text either yields a graph or raises ValueError.
+The row codec: bit_indices and mask_bits invert each other."""
 
 from __future__ import annotations
 
 from io import StringIO
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapforge.explicit import ExplicitGraph, read_dimacs, write_dimacs
+from gapforge.explicit import ExplicitGraph, bit_indices, mask_bits, read_dimacs, write_dimacs
 
 
 @pytest.mark.parametrize(
@@ -68,3 +70,34 @@ def test_is_clique_reads_a_set_and_rejects_out_of_range_vertices():
     for bad in ([7], [-1], [0, 3]):
         with pytest.raises(ValueError):
             g.is_clique(bad)
+
+
+# masks of every length, all-False ones and ones ending in a run of False
+# (which leave the top bytes of the packed row empty) included
+_mask = st.one_of(
+    st.lists(st.booleans(), max_size=200),
+    st.integers(0, 300).map(lambda n: [False] * n),
+    st.tuples(st.lists(st.booleans(), max_size=40), st.integers(1, 30)).map(
+        lambda t: t[0] + [True] + [False] * t[1]
+    ),
+).map(lambda m: np.array(m, dtype=bool))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_mask)
+def test_bit_indices_reads_back_mask_bits(mask):
+    bits = mask_bits(mask)
+    got = bit_indices(bits)
+    assert got.dtype == np.intp
+    assert got.tolist() == np.flatnonzero(mask).tolist()
+    assert bits == sum(1 << v for v in np.flatnonzero(mask).tolist())
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 5000).flatmap(lambda w: st.integers(0, (1 << w) - 1)))
+def test_mask_bits_inverts_bit_indices(bits):
+    idx = bit_indices(bits)
+    assert idx.tolist() == [v for v in range(bits.bit_length()) if bits >> v & 1]
+    mask = np.zeros(bits.bit_length(), dtype=bool)
+    mask[idx] = True
+    assert mask_bits(mask) == bits

@@ -23,14 +23,10 @@ import sys
 from pathlib import Path
 
 import gapforge
-from gapforge.cliquered import VectorSumInstance
-from gapforge.csp import build_csp
-from gapforge.encoding import sample_scheme
 from gapforge.explicit import ExplicitGraph
-from gapforge.field import FVector
-from gapforge.gapgraph import build_gap_graph
 from gapforge.pipeline import PipelineConfig, run_pipeline
 from gapforge.verify import soundness_probe
+from test_verify import over_budget_gap
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(gapforge.__file__).resolve().parent
@@ -72,11 +68,7 @@ def test_tracer_counts_one_export_per_run_and_implicit_samples():
     # install looks every target module up in sys.modules
     for info in pkgutil.iter_modules(gapforge.__path__):
         importlib.import_module(f"gapforge.{info.name}")
-    # two one-vector sets, h=1, ell=2, r=1: 16^2 * 4^4 + 16 * 4^2 vertices
-    inst = VectorSumInstance(
-        [[FVector.from_text("10")], [FVector.from_text("01")]], FVector.from_text("10")
-    )
-    big = build_gap_graph(build_csp(inst, sample_scheme(5, h=1, m=2, ell=2), 2, 1, 2), 1)
+    big = over_budget_gap()
     assert big.num_vertices == 65_792
 
     tracer = load_perfbench("spans").Tracer()
@@ -192,3 +184,18 @@ def test_module_level_imports_are_read():
                     if (alias.asname or alias.name.partition(".")[0]) not in read:
                         unread.append(f"{path.name}: {alias.name}")
     assert not unread, f"imports no code reads: {unread}"
+
+
+def test_row_codec_lives_in_explicit():
+    # bitset rows are converted to and from vertex indices only through
+    # explicit.bit_indices and explicit.mask_bits
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "explicit.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                ("packbits", "unpackbits")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"bitset rows packed or unpacked outside explicit.py: {found}"

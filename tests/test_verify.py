@@ -23,7 +23,7 @@ from gapforge.verify import (
     max_clique_exact,
     soundness_probe,
 )
-from gapforge.explicit import ExplicitGraph
+from gapforge.explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
 from reference import adjacent, from_bool_matrix, from_entries, to_bool_matrix
 from test_acceptance import _separated_no_instance
 
@@ -188,6 +188,29 @@ def test_implicit_search_path():
     assert a == b
     assert g.is_clique(list(a.witness)).ok
     assert a.upper_bound is None
+
+
+def over_budget_gap():
+    """Two one-vector sets, h=1, ell=2, r=1: 16^2 * 4^4 + 16 * 4^2 vertices,
+    over the export budget, so a search-mode probe searches implicitly."""
+    inst = VectorSumInstance(
+        [[FVector.from_text("10")], [FVector.from_text("01")]], FVector.from_text("10")
+    )
+    return build_gap_graph(build_csp(inst, sample_scheme(5, h=1, m=2, ell=2), 2, 1, 2), 1)
+
+
+def test_negative_restarts_raise_on_the_implicit_path():
+    # the explicit path refuses them in clique_local_search; a report of
+    # -3 restarts would claim a search that never ran
+    g = over_budget_gap()
+    assert g.num_vertices == 65_792 > EXPORT_VERTEX_BUDGET
+    for probe in (
+        lambda: verify._implicit_search(g, -3, 0, None, 8),
+        lambda: soundness_probe(g, mode="search", restarts=-3, seed=0),
+        lambda: soundness_probe(tiny_gap("10"), mode="search", restarts=-3, seed=0),
+    ):
+        with pytest.raises(ValueError, match="restarts must be nonnegative"):
+            probe()
 
 
 def test_implicit_search_above_2_63_vertices_raises_value_error():
