@@ -22,6 +22,7 @@ from .errors import BudgetExceededError, StageError
 from .explicit import EXPORT_VERTEX_BUDGET, read_dimacs, write_dimacs
 from .gapgraph import build_gap_graph, write_clique_set, write_sidecar
 from .pipeline import PipelineConfig, render_kv, run_pipeline
+from .textio import text_lines
 from .verify import EXACT_NODE_BUDGET, EXACT_VERTEX_BUDGET, clique_local_search, max_clique_exact
 
 
@@ -256,7 +257,7 @@ def _cmd_amplify(args) -> int:
 def _cmd_pipeline(args) -> int:
     with open(args.input) as fp:
         head = fp.read()
-    header = next((tok for tok in map(str.split, head.splitlines()) if tok[:1] == ["p"]), [])
+    header = next((tok for tok in text_lines(StringIO(head)) if tok[0] == "p"), [])
     if header[1:2] == ["mcol"]:
         graph = read_mcol(StringIO(head))
     else:

@@ -29,6 +29,7 @@ from typing import IO, Hashable, Iterable, Sequence
 
 from .errors import check_budget
 from .field import FVector
+from .textio import misfit, text_lines
 
 Vertex = Hashable
 # largest gadget dimension m reduce_clique builds vectors over
@@ -260,15 +261,10 @@ def brute_force_vector_sum(inst: VectorSumInstance) -> SelectionCertificate | No
 
 # -- file formats --------------------------------------------------------
 #
-# Multicolor graph (vertices are positive integers 1..n):
-#     p mcol <n> <#edges> <k>
-#     c <vertex> <color>          one line per vertex
-#     e <u> <v>                   one line per edge
-#
-# Vector-sum instance:
-#     vsi <numSets> <m>
-#     t <digits>
-#     s <setIndex> <digits>       setIndex 1-based; empty sets have no lines
+# mcol: vertices 1..n, one `c` line per vertex and one `e` line per edge;
+# vsi: one `s` line per vector, SET 1-based (empty sets have no lines).
+_MCOL_LINES = ("p mcol N M K", "c VERTEX COLOR", "e U V")
+_VSI_LINES = ("vsi SETS M", "t DIGITS", "s SET DIGITS")
 
 
 def write_mcol(g: MulticolorGraph, fp: IO[str]) -> None:
@@ -284,22 +280,20 @@ def read_mcol(fp: IO[str]) -> MulticolorGraph:
     header = None
     colors: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
-    for line in fp:
-        tok = line.split()
-        if not tok or tok[0] == "#":
-            continue
-        if len(tok) != {"p": 5, "c": 3, "e": 3}.get(tok[0], len(tok)):
-            raise ValueError(f"wrong number of fields in line {line!r}")
-        if tok[0] == "p":
-            if tok[1] != "mcol":
-                raise ValueError(f"expected 'p mcol' header, got {line!r}")
-            header = (int(tok[2]), int(tok[3]), int(tok[4]))
-        elif tok[0] == "c":
-            colors[int(tok[1])] = int(tok[2])
-        elif tok[0] == "e":
+    for tok in text_lines(fp, _MCOL_LINES):
+        if tok[0] == "e":
             edges.append((int(tok[1]), int(tok[2])))
+        elif tok[0] == "c":
+            v = int(tok[1])
+            if v in colors:
+                raise ValueError(f"vertex {v} colored twice")
+            colors[v] = int(tok[2])
+        elif header is not None:
+            raise ValueError("second 'p' line")
+        elif tok[1] != "mcol":
+            raise misfit(_MCOL_LINES[0], tok)
         else:
-            raise ValueError(f"unrecognized line {line!r}")
+            header = (int(tok[2]), int(tok[3]), int(tok[4]))
     if header is None:
         raise ValueError("missing 'p mcol' header")
     n, ne, k = header
@@ -320,20 +314,17 @@ def read_vsi(fp: IO[str]) -> VectorSumInstance:
     header = None
     target = None
     rows: list[tuple[int, FVector]] = []
-    for line in fp:
-        tok = line.split()
-        if not tok or tok[0] == "#":
-            continue
-        if len(tok) != {"vsi": 3, "t": 2, "s": 3}.get(tok[0], len(tok)):
-            raise ValueError(f"wrong number of fields in line {line!r}")
-        if tok[0] == "vsi":
-            header = (int(tok[1]), int(tok[2]))
-        elif tok[0] == "t":
-            target = FVector.from_text(tok[1])
-        elif tok[0] == "s":
+    for tok in text_lines(fp, _VSI_LINES):
+        if tok[0] == "s":
             rows.append((int(tok[1]), FVector.from_text(tok[2])))
+        elif tok[0] == "t":
+            if target is not None:
+                raise ValueError("second 't' line")
+            target = FVector.from_text(tok[1])
+        elif header is not None:
+            raise ValueError("second 'vsi' line")
         else:
-            raise ValueError(f"unrecognized line {line!r}")
+            header = (int(tok[1]), int(tok[2]))
     if header is None or target is None:
         raise ValueError("missing vsi header or target")
     num_sets, m = header

@@ -28,11 +28,10 @@ assignments.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from decimal import Decimal
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .encoding import (
 )
 from .errors import check_budget
 from .field import FVector
+from .textio import text_lines
 
 # largest tuple count 4^(kh) a CSP may tabulate
 TUPLE_BUDGET = 1 << 14
@@ -419,32 +419,21 @@ def linearity_decode(
     return DecodeResult(winner, Fraction(best, len(col_idx)), mode == "exact")
 
 
-def iter_tuples_lex(k: int, h: int) -> Iterable[int]:
-    """Packed tuples ordered by their digit strings (coordinate 0 first)."""
-    kh = k * h
-    for digits in itertools.product(range(4), repeat=kh):
-        packed = 0
-        for pos, d in enumerate(digits):
-            packed |= d << (2 * pos)
-        yield packed
-
-
 def write_assignment(csp: CSPInstance, a: Assignment, fp: IO[str]) -> None:
-    """One line per tuple: `<tuple digits> <value digits>`, lexicographic."""
+    """One line per tuple: `<tuple digits> <value digits>`, ordered by the
+    tuple digits (their fixed width makes that the order of the lines)."""
     _check_assignment(csp, a)
     kh = csp.k * csp.h
-    for t in iter_tuples_lex(csp.k, csp.h):
-        fp.write(f"{FVector(kh, t).to_text()} {a.value(t).to_text()}\n")
+    fp.writelines(
+        sorted(f"{FVector(kh, t).to_text()} {a.value(t).to_text()}\n" for t in range(csp.num_vars))
+    )
 
 
 def read_assignment(fp: IO[str], k: int, h: int, ell: int) -> Assignment:
     values = [None] * num_tuples(k, h)
-    for line in fp:
-        tok = line.split()
-        if not tok or tok[0] == "#":
-            continue
+    for tok in text_lines(fp):
         if len(tok) != 2:
-            raise ValueError(f"malformed assignment line {line!r}")
+            raise ValueError(f"malformed assignment line {' '.join(tok)!r}")
         t = FVector.from_text(tok[0])
         v = FVector.from_text(tok[1])
         if t.dim != k * h or v.dim != ell:

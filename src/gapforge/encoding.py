@@ -43,6 +43,7 @@ import numpy as np
 from .errors import check_budget
 from .field import FMat, FVector, MUL, rank_and_kernel
 from .rng import SplitMix64
+from .textio import misfit, text_lines
 
 _MUL_NP = np.array(MUL, dtype=np.uint8)
 _INV_NP = np.array([0, 1, 3, 2], dtype=np.uint8)
@@ -401,21 +402,14 @@ def write_scheme(scheme: EncodingScheme, fp: IO[str]) -> None:
 
 
 def read_scheme(fp: IO[str]) -> EncodingScheme:
-    lines = [ln.strip() for ln in fp if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("scheme "):
-        raise ValueError("missing scheme header")
-    tok = lines[0].split(maxsplit=4)
-    if len(tok) < 4:
-        raise ValueError(f"expected 'scheme H M ELL PROVENANCE' header, got {lines[0]!r}")
+    lines = text_lines(fp)
+    tok = next(lines, [])
+    if tok[:1] != ["scheme"] or len(tok) < 5:
+        raise misfit("scheme H M ELL PROVENANCE", tok)
     h, m, ell = int(tok[1]), int(tok[2]), int(tok[3])
-    provenance = tok[4] if len(tok) > 4 else ""
-    body = lines[1:]
-    if len(body) != ell * h:
-        raise ValueError(f"expected {ell * h} row lines, found {len(body)}")
-    mats = []
-    for b in range(ell):
-        rows = [FVector.from_text(body[b * h + i]) for i in range(h)]
-        if any(r.dim != m for r in rows):
-            raise ValueError("row width disagrees with header")
-        mats.append(FMat(rows))
-    return EncodingScheme(h, m, ell, tuple(mats), provenance)
+    # a row line is one digit string, which from_text checks
+    rows = [FVector.from_text(" ".join(row)) for row in lines]
+    if len(rows) != ell * h:
+        raise ValueError(f"expected {ell * h} row lines, found {len(rows)}")
+    mats = tuple(FMat(rows[b * h : (b + 1) * h]) for b in range(ell))
+    return EncodingScheme(h, m, ell, mats, " ".join(tok[4:]))

@@ -14,10 +14,13 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .textio import misfit, text_lines
+
 # largest graph any stage materializes (gap-graph export, strong power)
 EXPORT_VERTEX_BUDGET = 20_000
 # bit_indices of an empty row (most exported rows), shared: np.empty costs more than a walk
 _NO_BITS = np.empty(0, dtype=np.intp)
+_DIMACS_LINES = ("p edge N M", "e U V")
 
 
 class ExplicitGraph:
@@ -35,6 +38,7 @@ class ExplicitGraph:
         return g
 
     def add_edge(self, u: int, v: int) -> None:
+        u, v = int(u), int(v)  # a numpy integer would wrap the row past bit 63
         if u == v:
             raise ValueError("self loops not allowed")
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -86,27 +90,24 @@ def write_dimacs(g: ExplicitGraph, fp: IO[str]) -> None:
 
 
 def read_dimacs(fp: IO[str]) -> ExplicitGraph:
-    g = None
-    declared = None
-    for line in fp:
-        tok = line.split()
-        if not tok or tok[0] in ("c", "#"):
-            continue
+    lines = text_lines(fp, _DIMACS_LINES, skip="c")
+    tok = next(lines, None)
+    if tok is None or tok[0] != "p":
+        raise ValueError("missing 'p edge' header before the edge lines")
+    if tok[1] != "edge":
+        raise misfit(_DIMACS_LINES[0], tok)
+    g = ExplicitGraph(int(tok[2]))
+    n, adj, declared = g.n, g.adj, int(tok[3])
+    for tok in lines:
         if tok[0] == "p":
-            if len(tok) != 4 or tok[1] != "edge":
-                raise ValueError(f"expected 'p edge N M' header, got {line!r}")
-            g = ExplicitGraph(int(tok[2]))
-            declared = int(tok[3])
-        elif tok[0] == "e":
-            if len(tok) != 3:
-                raise ValueError(f"expected 'e U V' edge line, got {line!r}")
-            if g is None:
-                raise ValueError("edge line before header")
-            g.add_edge(int(tok[1]) - 1, int(tok[2]) - 1)
-        else:
-            raise ValueError(f"unrecognized line {line!r}")
-    if g is None:
-        raise ValueError("missing 'p edge' header")
-    if declared is not None and g.num_edges() != declared:
+            raise ValueError("second 'p' line")
+        u, v = int(tok[1]) - 1, int(tok[2]) - 1
+        # ORed here, not through add_edge, whose int() conversions would slow
+        # this loop; add_edge still names what is wrong with a bad edge
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            g.add_edge(u, v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    if g.num_edges() != declared:
         raise ValueError("edge count disagrees with header")
     return g

@@ -53,6 +53,7 @@ from .csp import CSPInstance, honest_assignment
 from .errors import check_budget
 from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, mask_bits
 from .field import FVector
+from .textio import text_lines
 
 Vertex = tuple
 # largest family planted_clique builds
@@ -374,32 +375,22 @@ def read_sidecar(fp: IO[str], g: GapGraph) -> list[Vertex]:
     kh = g.csp.k * g.csp.h
     ell = g.csp.ell
     out: dict[int, Vertex] = {}
-    for line in fp:
-        tok = line.split()
-        if not tok or tok[0] == "#":
-            continue
+    for tok in text_lines(fp):
         if len(tok) < 2 or len(tok) != {"B": 4, "A": 5}.get(tok[1]):
-            raise ValueError(f"malformed sidecar line {line!r}")
+            raise ValueError(f"malformed sidecar line {' '.join(tok)!r}")
         idx = int(tok[0])
         if idx in out:
             raise ValueError(f"sidecar id {idx} listed twice")
-        if tok[1] == "B":
-            packed = FVector.from_text(tok[2])
-            vals = FVector.from_text(tok[3])
-            if packed.dim != 2 * kh or vals.dim != 2 * ell:
-                raise ValueError("sidecar widths disagree with graph parameters")
-            p = packed.bits & (4**kh - 1)
-            q = packed.bits >> (2 * kh)
-            y = vals.bits & (4**ell - 1)
-            z = vals.bits >> (2 * ell)
-            out[idx] = g.b_vertex(p, q, y, z)
+        # a B line packs (p, q) and (y, z) into one digit string each, low half first
+        halves = 2 if tok[1] == "B" else 1
+        tup, val = FVector.from_text(tok[2]), FVector.from_text(tok[-1])
+        if tup.dim != halves * kh or val.dim != halves * ell:
+            raise ValueError("sidecar widths disagree with graph parameters")
+        if halves == 2:
+            p, q = tup.bits & (4**kh - 1), tup.bits >> (2 * kh)
+            out[idx] = g.b_vertex(p, q, val.bits & (4**ell - 1), val.bits >> (2 * ell))
         else:
-            p = FVector.from_text(tok[2])
-            i = int(tok[3])
-            val = FVector.from_text(tok[4])
-            if p.dim != kh or val.dim != ell:
-                raise ValueError("sidecar widths disagree with graph parameters")
-            out[idx] = g.a_vertex(p.bits, i, val.bits)
+            out[idx] = g.a_vertex(tup.bits, int(tok[3]), val.bits)
     ids = range(1, len(out) + 1)
     if out.keys() != set(ids):
         raise ValueError(f"sidecar ids are not 1..{len(out)}")

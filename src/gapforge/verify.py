@@ -205,9 +205,6 @@ def max_clique_exact(
             sub = adj[v] & later
             if sub:
                 expand(1, sub)
-            elif best < 1:
-                best = 1
-                best_witness = [v]
             stack.pop()
             later |= 1 << v
     except _NodeBudget:

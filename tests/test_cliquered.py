@@ -202,6 +202,37 @@ def test_vsi_rejects_bad_header():
         read_vsi(io.StringIO("vsi 1 2\nt 111\n"))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p mcol 2 0 2\nc 1 1\nc 2 2\np mcol 2 0 2\n",
+        "p mcol 2 0 2\nc 1 1\nc 1 2\nc 2 1\n",
+    ],
+    ids=["second-p", "second-c"],
+)
+def test_mcol_line_given_twice_raises_value_error(text):
+    # the later line used to overwrite the earlier one
+    with pytest.raises(ValueError, match="twice|second"):
+        read_mcol(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["vsi 1 2\nt 10\nvsi 1 2\ns 1 10\n", "vsi 1 2\nt 10\nt 01\ns 1 01\n"],
+    ids=["second-vsi", "second-t"],
+)
+def test_vsi_line_given_twice_raises_value_error(text):
+    with pytest.raises(ValueError, match="second"):
+        read_vsi(io.StringIO(text))
+
+
+def test_mcol_and_vsi_skip_every_hash_comment():
+    g = read_mcol(io.StringIO("#x\np mcol 2 1 2\n  # note\nc 1 1\nc 2 2\n#e 1 1\ne 1 2\n"))
+    assert g == MulticolorGraph(2, {1: 1, 2: 2}, [(1, 2)])
+    inst = read_vsi(io.StringIO("#x\nvsi 1 2\n  # note\nt 10\n#t 01\ns 1 10\n"))
+    assert inst == VectorSumInstance([[FVector.from_text("10")]], FVector.from_text("10"))
+
+
 # lines built from the format's keywords and small numbers reach every
 # branch of a parser far more often than uniform text would
 def _text_from(tokens):
@@ -219,6 +250,9 @@ def test_mcol_text_parses_or_raises_value_error(text):
     except ValueError:
         return
     assert isinstance(g, MulticolorGraph)
+    buf = io.StringIO()
+    write_mcol(g, buf)
+    assert read_mcol(io.StringIO(buf.getvalue())) == g
 
 
 @settings(deadline=None, max_examples=300)
@@ -229,3 +263,6 @@ def test_vsi_text_parses_or_raises_value_error(text):
     except ValueError:
         return
     assert isinstance(inst, VectorSumInstance)
+    buf = io.StringIO()
+    write_vsi(inst, buf)
+    assert read_vsi(io.StringIO(buf.getvalue())) == inst

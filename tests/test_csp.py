@@ -29,7 +29,6 @@ from gapforge.csp import (
     build_csp,
     evaluate,
     honest_assignment,
-    iter_tuples_lex,
     linearity_decode,
     read_assignment,
     write_assignment,
@@ -326,14 +325,6 @@ def test_trichotomy_at_k1_h1_ell1():
         assert perfect_found == expect_perfect
 
 
-def test_tuple_lex_order():
-    order = list(iter_tuples_lex(1, 2))
-    # digit strings 00,01,...,33 in lexicographic (left digit first) order
-    texts = [FVector(2, t).to_text() for t in order]
-    assert texts == sorted(texts)
-    assert len(order) == 16
-
-
 def test_assignment_file_roundtrip():
     csp = two_set_csp(ell=2)
     sel = brute_force_vector_sum(csp.inst)
@@ -351,6 +342,11 @@ def test_assignment_file_roundtrip():
 def test_assignment_file_rejects_partial():
     with pytest.raises(ValueError):
         read_assignment(io.StringIO("00 0\n"), 1, 1, 1)
+
+
+def test_assignment_file_skips_every_hash_comment():
+    text = "#x\n" + "".join(f"  # tuple {t}\n{t} 1\n" for t in "0123")
+    assert list(read_assignment(io.StringIO(text), 1, 1, 1).values) == [1, 1, 1, 1]
 
 
 # -- reference: the per-alpha isin / per-sample loop evaluate -----------------

@@ -447,3 +447,15 @@ def test_scheme_text_parses_or_raises_value_error(lines):
     except ValueError:
         return
     assert isinstance(scheme, EncodingScheme)
+    buf = io.StringIO()
+    write_scheme(scheme, buf)
+    assert read_scheme(io.StringIO(buf.getvalue())) == scheme
+
+
+def test_scheme_skips_indented_comments():
+    s = sample_scheme(5, h=1, m=2, ell=2)
+    buf = io.StringIO()
+    write_scheme(s, buf)
+    header, *rows = buf.getvalue().splitlines()
+    text = "\n".join(["  # note", header, "\t#x", *rows, "    # trailing note"])
+    assert read_scheme(io.StringIO(text)) == s

@@ -30,6 +30,17 @@ def test_wrong_token_counts_raise_value_error(text):
         read_dimacs(StringIO(text))
 
 
+def test_second_header_raises_value_error():
+    # a later header used to replace the graph, dropping the edges before it
+    with pytest.raises(ValueError, match="second 'p' line"):
+        read_dimacs(StringIO("p edge 3 1\ne 1 2\np edge 3 0\n"))
+
+
+def test_comment_is_any_line_whose_first_token_starts_with_hash():
+    text = "#x\nc plain DIMACS comment\np edge 2 1\n   # indented note\n#\ne 1 2\n"
+    assert read_dimacs(StringIO(text)) == ExplicitGraph.from_edges(2, [(0, 1)])
+
+
 # lines built from DIMACS keywords and small numbers reach every branch of
 # the parser far more often than uniform text would
 _token = st.sampled_from(["p", "edge", "e", "c", "#", "col", "x", "-1", "0", "1", "2", "3", "4"])
@@ -45,6 +56,9 @@ def test_arbitrary_text_parses_or_raises_value_error(lines):
     except ValueError:
         return
     assert isinstance(g, ExplicitGraph)
+    out = StringIO()
+    write_dimacs(g, out)
+    assert read_dimacs(StringIO(out.getvalue())) == g
 
 
 @settings(deadline=None, max_examples=100)
@@ -61,6 +75,25 @@ def test_write_then_read_round_trips(data):
     again = StringIO()
     write_dimacs(back, again)
     assert again.getvalue() == out.getvalue()
+
+
+def test_numpy_integer_vertices_are_stored_as_ints():
+    g = ExplicitGraph.from_edges(80, [(np.int64(0), np.int64(70))])
+    assert g.is_clique([0, 70])
+    assert all(type(row) is int for row in g.adj)
+
+
+def test_edges_from_nonzero_write_like_python_int_edges():
+    m = np.random.default_rng(3).random((60, 60)) < 0.2
+    m = np.triu(m, 1)
+    m |= m.T
+    g = ExplicitGraph.from_edges(60, zip(*np.nonzero(m)))
+    want = ExplicitGraph.from_edges(60, [(int(u), int(v)) for u, v in zip(*np.nonzero(m))])
+    out, ref = StringIO(), StringIO()
+    write_dimacs(g, out)
+    write_dimacs(want, ref)
+    assert out.getvalue() == ref.getvalue()
+    assert read_dimacs(StringIO(out.getvalue())) == want
 
 
 def test_is_clique_reads_a_set_and_rejects_out_of_range_vertices():

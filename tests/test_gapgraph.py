@@ -465,6 +465,33 @@ def test_planted_on_k2_instance():
     assert g.is_clique(planted).ok
 
 
+@pytest.mark.parametrize("make", [tiny_gap, k2_gap], ids=["tiny", "k2"])
+def test_is_clique_of_a_sound_pair_agrees_with_adjacent(make):
+    # a non-adjacent sound pair fails is_clique either in the union
+    # consistency pass (one variable, two values) or in the checked
+    # differences of _first_bad_pair; both must name the pair itself
+    g = make()
+    rng = np.random.default_rng(4)
+    picks = rng.integers(0, g.num_vertices, 1500).tolist()
+    sound = [v for v in map(g.vertex_by_index, picks) if g.self_ok(v)]
+    seen = set()
+    for i, j in rng.integers(0, len(sound), (150, 2)).tolist():
+        u, w = sound[i], sound[j]
+        if u == w:
+            continue
+        check = g.is_clique([u, w])
+        assert check.ok == g.adjacent(u, w), (u, w)
+        if check.ok:
+            assert check.violating_pair is None
+            seen.add("adjacent")
+            continue
+        assert set(check.violating_pair) == {u, w}
+        values = dict(g.assignments(u))
+        clash = any(values.get(var, val) != val for var, val in g.assignments(w))
+        seen.add("clash" if clash else "checked pair")
+    assert seen == {"adjacent", "clash", "checked pair"}
+
+
 def test_sidecar_roundtrip():
     g = tiny_gap()
     _, verts = g.export_explicit()
@@ -538,6 +565,14 @@ def test_sidecar_text_parses_or_raises_value_error(lines):
     except ValueError:
         return
     assert all(g.validate_vertex(v) == v for v in verts)
+    buf = io.StringIO()
+    write_sidecar(verts, g, buf)
+    assert read_sidecar(io.StringIO(buf.getvalue()), g) == verts
+
+
+def test_sidecar_skips_every_hash_comment():
+    text = "#x\n1 A 0 1 0\n  # note\n2 B 00 00\n"
+    assert read_sidecar(io.StringIO(text), tiny_gap()) == [("A", 0, 1, 0), ("B", 0, 0, 0, 0)]
 
 
 @pytest.mark.parametrize(

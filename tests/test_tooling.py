@@ -199,3 +199,16 @@ def test_row_codec_lives_in_explicit():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"bitset rows packed or unpacked outside explicit.py: {found}"
+
+
+def test_text_lines_read_in_one_place():
+    # every text format takes its lines from textio.text_lines, so blank
+    # lines, comments and field counts follow one rule
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "textio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.For, ast.comprehension)) and ast.unparse(node.iter) == "fp":
+                found.append(f"{path.name}:{node.iter.lineno}")
+    assert not found, f"loops over a file object outside textio.py: {found}"
