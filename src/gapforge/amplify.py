@@ -39,10 +39,6 @@ class ProductGraph:
         if self.t < 1:
             raise ValueError("power must be positive")
 
-    @property
-    def num_vertices(self) -> int:
-        return self.base.n**self.t
-
 
 def strong_power(g: ExplicitGraph, t: int) -> ProductGraph:
     return ProductGraph(g, t)

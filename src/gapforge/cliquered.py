@@ -29,7 +29,7 @@ from typing import IO, Hashable, Iterable, Sequence
 
 from .errors import check_budget
 from .field import FVector
-from .textio import misfit, text_lines
+from .textio import text_lines
 
 Vertex = Hashable
 # largest gadget dimension m reduce_clique builds vectors over
@@ -261,8 +261,10 @@ def brute_force_vector_sum(inst: VectorSumInstance) -> SelectionCertificate | No
 
 # -- file formats --------------------------------------------------------
 #
-# mcol: vertices 1..n, one `c` line per vertex and one `e` line per edge;
-# vsi: one `s` line per vector, SET 1-based (empty sets have no lines).
+# Each format's header comes first and appears once; body lines follow in
+# any order.  mcol: vertices 1..n, one `c` line per vertex and one `e` line
+# per edge, M counting distinct edges; vsi: one `s` line per vector, SET
+# 1-based (empty sets have no lines).
 _MCOL_LINES = ("p mcol N M K", "c VERTEX COLOR", "e U V")
 _VSI_LINES = ("vsi SETS M", "t DIGITS", "s SET DIGITS")
 
@@ -277,29 +279,22 @@ def write_mcol(g: MulticolorGraph, fp: IO[str]) -> None:
 
 
 def read_mcol(fp: IO[str]) -> MulticolorGraph:
-    header = None
+    lines = text_lines(fp, _MCOL_LINES)
+    n, num_edges, k = map(int, next(lines)[2:])
     colors: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
-    for tok in text_lines(fp, _MCOL_LINES):
+    for tok in lines:
         if tok[0] == "e":
             edges.append((int(tok[1]), int(tok[2])))
-        elif tok[0] == "c":
+        else:
             v = int(tok[1])
             if v in colors:
                 raise ValueError(f"vertex {v} colored twice")
             colors[v] = int(tok[2])
-        elif header is not None:
-            raise ValueError("second 'p' line")
-        elif tok[1] != "mcol":
-            raise misfit(_MCOL_LINES[0], tok)
-        else:
-            header = (int(tok[2]), int(tok[3]), int(tok[4]))
-    if header is None:
-        raise ValueError("missing 'p mcol' header")
-    n, ne, k = header
-    if len(colors) != n or len(edges) != ne:
+    g = MulticolorGraph(k, colors, edges)
+    if len(colors) != n or len(g.edges) != num_edges:
         raise ValueError("header counts disagree with body")
-    return MulticolorGraph(k, colors, edges)
+    return g
 
 
 def write_vsi(inst: VectorSumInstance, fp: IO[str]) -> None:
@@ -311,28 +306,24 @@ def write_vsi(inst: VectorSumInstance, fp: IO[str]) -> None:
 
 
 def read_vsi(fp: IO[str]) -> VectorSumInstance:
-    header = None
+    lines = text_lines(fp, _VSI_LINES)
+    num_sets, m = map(int, next(lines)[1:])
+    # before any set is built; reduce_clique writes k' <= m <= GADGET_BUDGET sets
+    check_budget(num_sets, GADGET_BUDGET, f"{num_sets} vector sets over budget {GADGET_BUDGET}")
+    sets: list[list[FVector]] = [[] for _ in range(num_sets)]
     target = None
-    rows: list[tuple[int, FVector]] = []
-    for tok in text_lines(fp, _VSI_LINES):
+    for tok in lines:
         if tok[0] == "s":
-            rows.append((int(tok[1]), FVector.from_text(tok[2])))
-        elif tok[0] == "t":
-            if target is not None:
-                raise ValueError("second 't' line")
-            target = FVector.from_text(tok[1])
-        elif header is not None:
-            raise ValueError("second 'vsi' line")
+            si = int(tok[1])
+            if not 1 <= si <= num_sets:
+                raise ValueError(f"set index {si} out of range")
+            sets[si - 1].append(FVector.from_text(tok[2]))
+        elif target is not None:
+            raise ValueError("second 't' line")
         else:
-            header = (int(tok[1]), int(tok[2]))
-    if header is None or target is None:
-        raise ValueError("missing vsi header or target")
-    num_sets, m = header
+            target = FVector.from_text(tok[1])
+    if target is None:
+        raise ValueError("missing 't DIGITS' line")
     if target.dim != m:
         raise ValueError("target dimension disagrees with header")
-    sets: list[list[FVector]] = [[] for _ in range(num_sets)]
-    for si, v in rows:
-        if not 1 <= si <= num_sets:
-            raise ValueError(f"set index {si} out of range")
-        sets[si - 1].append(v)
     return VectorSumInstance(sets, target)

@@ -28,7 +28,7 @@ assignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import IO, Sequence
@@ -200,11 +200,7 @@ def honest_assignment(csp: CSPInstance, sel: SelectionCertificate) -> Assignment
 
 @dataclass(frozen=True)
 class SatReport:
-    """Satisfied fractions per constraint family, exact when exhaustive.
-
-    The per-alpha maps are populated only in exhaustive mode and skip
-    alpha = 0 (whose constraints relate a tuple to itself).
-    """
+    """Satisfied fractions per constraint family, exact when exhaustive."""
 
     c1_fraction: Fraction
     c2_fraction_per_i: tuple[Fraction, ...]
@@ -212,8 +208,6 @@ class SatReport:
     exact: bool
     samples: int | None = None
     seed: int | None = None
-    c2_fraction_per_i_alpha: dict = dc_field(default_factory=dict, repr=False)
-    c3_fraction_per_alpha: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def all_satisfied(self) -> bool:
@@ -290,7 +284,7 @@ def evaluate(
     C2/C3 checks plus the 2 |S| n C1 steps.  sampled: uniform constraint
     indices per family, drawn from one seeded generator in the order C1
     (s, then t), then (t, alpha) for each slot i, then (t, alpha) for C3;
-    Fractions over the sample count, per-alpha maps left empty.
+    Fractions over the sample count.
     Either way the C2/C3 checks run once per family over (t, alpha)
     index arrays.
     """
@@ -324,32 +318,18 @@ def evaluate(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # satisfied constraints per alpha, for C2-1 .. C2-k and then C3
-    per_family = []
+    # satisfied constraints of C2-1 .. C2-k and then C3
+    hits = []
     for i, (t, alpha) in enumerate(draws):
         is_c3 = i == csp.k
         diff = vals[t ^ (csp.diagonal(alpha) if is_c3 else csp.place(alpha, i))]
         diff ^= vals[t]
         ok = diff == csp.target_codes[alpha] if is_c3 else csp.c2_ok(i * num_alphas + alpha, diff)
-        hit_alphas = np.broadcast_to(alpha, ok.shape)[ok]
-        per_family.append(np.bincount(hit_alphas, minlength=num_alphas).tolist())
-    *c2_hits, c3_hits = per_family
-    total = diff.size
-    c2_per_i = tuple(Fraction(sum(hits), total) for hits in c2_hits)
-    c3 = Fraction(sum(c3_hits), total)
+        hits.append(Fraction(int(np.count_nonzero(ok)), diff.size))
+    *c2_per_i, c3 = hits
     if not exact:
-        return SatReport(c1, c2_per_i, c3, False, samples=count, seed=seed)
-    # alpha = 0 relates a tuple to itself, so the maps skip it
-    c2_map = {
-        (i, ap): Fraction(hits[ap], n)
-        for i, hits in enumerate(c2_hits)
-        for ap in range(1, num_alphas)
-    }
-    c3_map = {ap: Fraction(c3_hits[ap], n) for ap in range(1, num_alphas)}
-    return SatReport(
-        c1, c2_per_i, c3, True,
-        c2_fraction_per_i_alpha=c2_map, c3_fraction_per_alpha=c3_map,
-    )
+        return SatReport(c1, tuple(c2_per_i), c3, False, samples=count, seed=seed)
+    return SatReport(c1, tuple(c2_per_i), c3, True)
 
 
 @dataclass(frozen=True)

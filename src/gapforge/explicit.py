@@ -14,7 +14,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .textio import misfit, text_lines
+from .textio import text_lines
 
 # largest graph any stage materializes (gap-graph export, strong power)
 EXPORT_VERTEX_BUDGET = 20_000
@@ -91,16 +91,10 @@ def write_dimacs(g: ExplicitGraph, fp: IO[str]) -> None:
 
 def read_dimacs(fp: IO[str]) -> ExplicitGraph:
     lines = text_lines(fp, _DIMACS_LINES, skip="c")
-    tok = next(lines, None)
-    if tok is None or tok[0] != "p":
-        raise ValueError("missing 'p edge' header before the edge lines")
-    if tok[1] != "edge":
-        raise misfit(_DIMACS_LINES[0], tok)
-    g = ExplicitGraph(int(tok[2]))
-    n, adj, declared = g.n, g.adj, int(tok[3])
+    _, _, n, declared = next(lines)
+    g = ExplicitGraph(int(n))
+    n, adj, declared = g.n, g.adj, int(declared)
     for tok in lines:
-        if tok[0] == "p":
-            raise ValueError("second 'p' line")
         u, v = int(tok[1]) - 1, int(tok[2]) - 1
         # ORed here, not through add_edge, whose int() conversions would slow
         # this loop; add_edge still names what is wrong with a bad edge

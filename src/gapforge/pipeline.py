@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass, field as dc_field
 from decimal import Decimal
 from fractions import Fraction
-from io import StringIO
 from typing import ClassVar
 
 from .cliquered import (
@@ -89,16 +88,16 @@ class PipelineBundle:
     k_prime: int
     multicolor: MulticolorGraph | None
     instance: VectorSumInstance | None
-    scheme: EncodingScheme | None
-    scheme_report: SchemeReport | None
-    csp: CSPInstance | None
-    gap: GapGraph | None
-    selection: SelectionCertificate | None
-    completeness: SatReport | None
-    planted_ok: bool | None
-    explicit_graph: ExplicitGraph | None
-    probe: SoundnessProbe | None
-    report_text: str
+    scheme: EncodingScheme | None = None
+    scheme_report: SchemeReport | None = None
+    csp: CSPInstance | None = None
+    gap: GapGraph | None = None
+    selection: SelectionCertificate | None = None
+    completeness: SatReport | None = None
+    planted_ok: bool | None = None
+    explicit_graph: ExplicitGraph | None = None
+    probe: SoundnessProbe | None = None
+    report_text: str = ""
     files: dict[str, str] = dc_field(default_factory=dict)
 
 
@@ -185,13 +184,8 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
         lines += _size_lines(k_prime, h, ell, r, m, n_vectors)
         lines.append(("dry_run", 1))
         text = render_kv(lines)
-        files = {}
-        if out_dir is not None:
-            files["report.txt"] = _write(out_dir, "report.txt", text)
-        return PipelineBundle(
-            cfg, k_prime, mcg, inst, None, None, None, None, None, None,
-            None, None, None, text, files,
-        )
+        files = _write_files(out_dir, [("report.txt", _write_text, text)])
+        return PipelineBundle(cfg, k_prime, mcg, inst, report_text=text, files=files)
 
     # the tuple count needs only (k', h): check it before sampling a scheme
     _run_stage("csp", lambda: num_tuples(k_prime, h))
@@ -253,23 +247,20 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
         lines.append(("soundness_verdict", "skipped"))
 
     text = render_kv(lines)
-    files = {}
-    if out_dir is not None:
-        files["instance.vsi"] = _write_with(out_dir, "instance.vsi", write_vsi, inst)
-        files["scheme.txt"] = _write_with(out_dir, "scheme.txt", write_scheme, scheme)
-        files["csp.meta"] = _write(out_dir, "csp.meta", _csp_meta(csp, r))
-        if explicit_graph is not None:
-            files["graph.dimacs"] = _write_with(
-                out_dir, "graph.dimacs", write_dimacs, explicit_graph
-            )
-            buf = StringIO()
-            write_sidecar(vertices, gap, buf)
-            files["graph.map"] = _write(out_dir, "graph.map", buf.getvalue())
-        if planted is not None:
-            buf = StringIO()
-            write_clique_set(planted, gap, buf)
-            files["planted.clq"] = _write(out_dir, "planted.clq", buf.getvalue())
-        files["report.txt"] = _write(out_dir, "report.txt", text)
+    items = [
+        ("instance.vsi", write_vsi, inst),
+        ("scheme.txt", write_scheme, scheme),
+        ("csp.meta", _write_text, _csp_meta(csp, r)),
+    ]
+    if explicit_graph is not None:
+        items += [
+            ("graph.dimacs", write_dimacs, explicit_graph),
+            ("graph.map", write_sidecar, vertices, gap),
+        ]
+    if planted is not None:
+        items.append(("planted.clq", write_clique_set, planted, gap))
+    items.append(("report.txt", _write_text, text))
+    files = _write_files(out_dir, items)
 
     return PipelineBundle(
         cfg, k_prime, mcg, inst, scheme, scheme_report, csp, gap, sel,
@@ -335,15 +326,19 @@ def render_kv(lines) -> str:
     return "".join(f"{key}={str(Decimal(v)) if type(v) is int else v}\n" for key, v in lines)
 
 
-def _write(out_dir: str, name: str, text: str) -> str:
+def _write_files(out_dir: str | None, items) -> dict[str, str]:
+    """Write each (name, writer, *args) item to out_dir/name through
+    writer(*args, fp), in order; name -> path, empty without out_dir."""
+    if out_dir is None:
+        return {}
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fp:
-        fp.write(text)
-    return path
+    files = {}
+    for name, writer, *args in items:
+        files[name] = os.path.join(out_dir, name)
+        with open(files[name], "w") as fp:
+            writer(*args, fp)
+    return files
 
 
-def _write_with(out_dir: str, name: str, writer, obj) -> str:
-    buf = StringIO()
-    writer(obj, buf)
-    return _write(out_dir, name, buf.getvalue())
+def _write_text(text: str, fp) -> None:
+    fp.write(text)

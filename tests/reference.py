@@ -344,7 +344,7 @@ def index_of(p, tup) -> int:
 
 
 def tuple_of(p, idx: int) -> tuple[int, ...]:
-    if not 0 <= idx < p.num_vertices:
+    if not 0 <= idx < p.base.n**p.t:
         raise ValueError("index out of range")
     out = []
     for _ in range(p.t):

@@ -50,7 +50,7 @@ def test_power_one_is_identity():
 
 def test_k2_squared():
     p = strong_power(complete_graph(2), 2)
-    assert p.num_vertices == 4
+    assert p.base.n**p.t == 4
     assert max_clique_exact(export_power(p)).lower_bound == 4
 
 
@@ -74,7 +74,7 @@ def test_power_requires_positive_t():
 
 def test_index_tuple_roundtrip():
     p = strong_power(cycle_graph(4), 3)
-    for idx in range(p.num_vertices):
+    for idx in range(p.base.n**p.t):
         assert index_of(p, tuple_of(p, idx)) == idx
 
 

@@ -226,6 +226,35 @@ def test_vsi_line_given_twice_raises_value_error(text):
         read_vsi(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_mcol, "c 1 1\np mcol 2 0 2\nc 2 2\n"),
+        (read_vsi, "t 10\nvsi 1 2\ns 1 10\n"),
+    ],
+    ids=["mcol", "vsi"],
+)
+def test_body_line_before_the_header_raises_value_error(reader, text):
+    # the header used to be accepted anywhere in the file
+    with pytest.raises(ValueError, match="expected '(p mcol N M K|vsi SETS M)' line"):
+        reader(io.StringIO(text))
+
+
+def test_mcol_edge_count_is_the_number_of_distinct_edges():
+    # `e 2 1` repeats the edge `e 1 2`; it used to read as one edge that
+    # writes back as `p mcol 2 1 2`
+    with pytest.raises(ValueError, match="header counts"):
+        read_mcol(io.StringIO("p mcol 2 2 2\nc 1 1\nc 2 2\ne 1 2\ne 2 1\n"))
+
+
+def test_vsi_set_count_is_checked_against_the_gadget_budget(monkeypatch):
+    monkeypatch.setattr("gapforge.cliquered.GADGET_BUDGET", 2)
+    text = "vsi 2 2\nt 11\ns 1 10\ns 2 01\n"
+    assert read_vsi(io.StringIO(text)).num_sets == 2
+    with pytest.raises(BudgetExceededError, match="3 vector sets over budget 2"):
+        read_vsi(io.StringIO(text.replace("vsi 2", "vsi 3")))
+
+
 def test_mcol_and_vsi_skip_every_hash_comment():
     g = read_mcol(io.StringIO("#x\np mcol 2 1 2\n  # note\nc 1 1\nc 2 2\n#e 1 1\ne 1 2\n"))
     assert g == MulticolorGraph(2, {1: 1, 2: 2}, [(1, 2)])
@@ -266,3 +295,29 @@ def test_vsi_text_parses_or_raises_value_error(text):
     buf = io.StringIO()
     write_vsi(inst, buf)
     assert read_vsi(io.StringIO(buf.getvalue())) == inst
+
+
+def _shuffled_body(text: str, data) -> str:
+    header, *body = text.splitlines(keepends=True)
+    return header + "".join(data.draw(st.permutations(body)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 7), st.integers(0, 2**32 - 1), st.data())
+def test_mcol_body_lines_read_in_any_order(k, extra, seed, data):
+    g = random_multicolor(np.random.default_rng(seed), k, k + extra, 0.5)
+    buf = io.StringIO()
+    write_mcol(g, buf)
+    assert read_mcol(io.StringIO(_shuffled_body(buf.getvalue(), data))) == g
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1), st.data())
+def test_vsi_body_lines_read_in_any_order(k, extra, seed, data):
+    inst = reduce_clique(random_multicolor(np.random.default_rng(seed), k, k + extra, 0.5))
+    buf = io.StringIO()
+    write_vsi(inst, buf)
+    back = read_vsi(io.StringIO(_shuffled_body(buf.getvalue(), data)))
+    # a set's vectors come back in file order, so compare each set as a set
+    assert back.target == inst.target
+    assert [set(s) for s in back.sets] == [set(s) for s in inst.sets]
