@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from io import StringIO
 
 from .amplify import export_power, strong_power
 from .cliquered import brute_force_vector_sum, read_mcol, read_vsi
@@ -256,12 +255,9 @@ def _cmd_amplify(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     with open(args.input) as fp:
-        head = fp.read()
-    header = next((tok for tok in text_lines(StringIO(head)) if tok[0] == "p"), [])
-    if header[1:2] == ["mcol"]:
-        graph = read_mcol(StringIO(head))
-    else:
-        graph = read_dimacs(StringIO(head))
+        header = next((tok for tok in text_lines(fp) if tok[0] == "p"), [])
+        fp.seek(0)
+        graph = read_mcol(fp) if header[1:2] == ["mcol"] else read_dimacs(fp)
     cfg = PipelineConfig(
         k=args.k,
         h=args.h,

@@ -4,8 +4,9 @@ Row u is a Python int whose bit v is set when {u, v} is an edge.  That
 keeps neighborhood intersections (the inner loop of clique search) at
 one big-int AND per step and makes graphs of a few thousand vertices
 cheap to handle.  Rows convert to and from vertex indices only through
-this module's codec, `bit_indices` and `mask_bits`, which go through a
-row's bytes.  DIMACS import/export is 1-indexed.
+this module's codec, `bit_indices` and `mask_bits` (`_or_bits` in
+bulk), which go through a row's bytes.  DIMACS import/export is
+1-indexed; both work a chunk or a row at a time, not an edge.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .textio import text_lines
+from .textio import int_blocks
 
 # largest graph any stage materializes (gap-graph export, strong power)
 EXPORT_VERTEX_BUDGET = 20_000
@@ -83,25 +84,51 @@ def mask_bits(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+def _or_bits(rows: list[int], at: np.ndarray, bits: np.ndarray) -> None:
+    """rows[at[i]] |= 1 << bits[i] for every i: mask_bits in bulk, one
+    packed span of bytes, from its lowest to its highest bit, per
+    distinct row."""
+    order = np.argsort(at)
+    at, bits = at[order], bits[order]
+    new = np.concatenate(([True], at[1:] != at[:-1]))
+    first = np.flatnonzero(new)
+    lo = np.minimum.reduceat(bits, first) // 8  # each row's lowest byte
+    size = np.maximum.reduceat(bits, first) // 8 + 1 - lo
+    end = np.cumsum(size)
+    start = end - size
+    flat = np.zeros(int(end[-1]) * 8, dtype=bool)
+    flat[(start - lo)[np.cumsum(new) - 1] * 8 + bits] = True
+    raw = np.packbits(flat, bitorder="little").tobytes()
+    for r, a, z, shift in zip(at[first].tolist(), start.tolist(), end.tolist(), (lo * 8).tolist()):
+        rows[r] |= int.from_bytes(raw[a:z], "little") << shift
+
+
 def write_dimacs(g: ExplicitGraph, fp: IO[str]) -> None:
     fp.write(f"p edge {g.n} {g.num_edges()}\n")
-    for u, v in g.edges():
-        fp.write(f"e {u + 1} {v + 1}\n")
+    names = [str(v) for v in range(1, g.n + 1)]
+    for u, row in enumerate(g.adj):
+        above = bit_indices(row >> (u + 1))
+        if len(above):
+            head = f"e {names[u]} "
+            others = map(names.__getitem__, (above + (u + 1)).tolist())
+            fp.write(head + f"\n{head}".join(others) + "\n")
 
 
 def read_dimacs(fp: IO[str]) -> ExplicitGraph:
-    lines = text_lines(fp, _DIMACS_LINES, skip="c")
-    _, _, n, declared = next(lines)
+    blocks = int_blocks(fp, _DIMACS_LINES, skip="c")
+    _, _, n, declared = next(blocks)
     g = ExplicitGraph(int(n))
-    n, adj, declared = g.n, g.adj, int(declared)
-    for tok in lines:
-        u, v = int(tok[1]) - 1, int(tok[2]) - 1
-        # ORed here, not through add_edge, whose int() conversions would slow
-        # this loop; add_edge still names what is wrong with a bad edge
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            g.add_edge(u, v)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    declared = int(declared)
+    for uv in blocks:
+        if isinstance(uv, list):  # one line of a chunk read line by line
+            g.add_edge(uv[0] - 1, uv[1] - 1)
+            continue
+        u, v = uv.T - 1
+        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= g.n)
+        if bad.any():
+            i = int(bad.argmax())
+            g.add_edge(int(u[i]), int(v[i]))  # names what is wrong with the first
+        _or_bits(g.adj, np.concatenate((u, v)), np.concatenate((v, u)))
     if g.num_edges() != declared:
         raise ValueError("edge count disagrees with header")
     return g

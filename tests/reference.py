@@ -51,6 +51,12 @@ explicit
                       dense boolean forms of the bitset rows; the dense
                       Kronecker reference of `amplify.export_power` and
                       the boolean-matrix local search are built on them.
+  read_dimacs, write_dimacs
+                      DIMACS one line and one edge at a time: every line
+                      through `textio.text_lines`, every edge through
+                      `ExplicitGraph.add_edge`; the bulk `read_dimacs`
+                      must give the same graph or the same error, and
+                      `write_dimacs` the same bytes.
 
 amplify
   index_of, tuple_of, power_adjacent
@@ -75,7 +81,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -91,6 +97,7 @@ from gapforge.errors import check_budget
 from gapforge.explicit import ExplicitGraph
 from gapforge.field import MUL, FMat, FVector, _lo_mask
 from gapforge.gapgraph import GapGraph, Vertex
+from gapforge.textio import text_lines
 
 # -- field -------------------------------------------------------------------
 
@@ -326,6 +333,24 @@ def to_bool_matrix(g: ExplicitGraph) -> np.ndarray:
         bitorder="little",
     )
     return m[:, : g.n].astype(bool)
+
+
+def write_dimacs(g: ExplicitGraph, fp: IO[str]) -> None:
+    fp.write(f"p edge {g.n} {g.num_edges()}\n")
+    for u, v in g.edges():
+        fp.write(f"e {u + 1} {v + 1}\n")
+
+
+def read_dimacs(fp: IO[str]) -> ExplicitGraph:
+    lines = text_lines(fp, ("p edge N M", "e U V"), skip="c")
+    _, _, n, declared = next(lines)
+    g = ExplicitGraph(int(n))
+    declared = int(declared)
+    for tok in lines:
+        g.add_edge(int(tok[1]) - 1, int(tok[2]) - 1)
+    if g.num_edges() != declared:
+        raise ValueError("edge count disagrees with header")
+    return g
 
 
 # -- amplify -----------------------------------------------------------------
