@@ -15,8 +15,10 @@ x_t = f(a_1, v_1) + ... + f(a_k, v_k); when the selection sums to the
 target it satisfies every constraint.
 
 `CSPInstance` owns the one constraint table that `evaluate` and the gap
-graph's pair rule read, in the dtype `encoding.f_codes` picks (int64, or
-Python ints for wide values); every value array takes that dtype.
+graph's pair rule read, in the dtype `encoding.value_dtype` picks for ell
+(int64, or Python ints for wide values).  An `Assignment` holds one
+read-only value array in that same dtype, which every consumer reads as
+it is.
 
 Fractions of satisfied constraints are exact `fractions.Fraction`
 values; denominators are the literal family sizes (|F|^{2kh} for C1,
@@ -42,6 +44,7 @@ from .encoding import (
     derandomize_projections,
     f_codes,
     matrix_stack,
+    value_dtype,
 )
 from .errors import check_budget
 from .field import FVector
@@ -66,7 +69,7 @@ class CSPInstance:
     """Bundled vector-sum instance + encoding scheme with the constraint table.
 
     The C2/C3 right-hand sides are tabulated once, as packed integers in
-    the dtype `encoding.f_codes` picks:
+    the dtype `encoding.value_dtype` picks for ell:
 
       allowed       -1-padded sorted rows of allowed C2 value differences
                     f(alpha, v), v in V_i; row i * num_alphas + alpha
@@ -157,30 +160,36 @@ def build_csp(
 
 
 class Assignment:
-    """Total map from packed tuples to packed values in F^ell."""
+    """Total map from packed tuples to packed values in F^ell.
+
+    values is a read-only 1-d copy of the caller's values in
+    `encoding.value_dtype(ell)`, the dtype of the CSP's constraint table."""
 
     __slots__ = ("k", "h", "ell", "values")
 
-    def __init__(self, k: int, h: int, ell: int, values: Sequence[int]):
+    def __init__(self, k: int, h: int, ell: int, values: Sequence[int] | np.ndarray):
         self.k = k
         self.h = h
         self.ell = ell
-        values = tuple(values)
-        if len(values) != 4 ** (k * h):
+        try:
+            values = np.array(values, dtype=value_dtype(ell))
+        except OverflowError:  # an int past int64
+            raise ValueError("packed value out of range for ell") from None
+        if values.shape != (4 ** (k * h),):
             raise ValueError(f"need one value per tuple ({4 ** (k * h)})")
-        top = 4**ell
-        if any(not 0 <= v < top for v in values):
+        if not ((values >= 0) & (values < 4**ell)).all():
             raise ValueError("packed value out of range for ell")
+        values.flags.writeable = False
         self.values = values
 
     def value(self, packed_tuple: int) -> FVector:
-        return FVector(self.ell, self.values[packed_tuple])
+        return FVector(self.ell, int(self.values[packed_tuple]))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Assignment)
             and (self.k, self.h, self.ell) == (other.k, other.h, other.ell)
-            and self.values == other.values
+            and np.array_equal(self.values, other.values)
         )
 
 
@@ -195,7 +204,7 @@ def honest_assignment(csp: CSPInstance, sel: SelectionCertificate) -> Assignment
         if not 0 <= idx < len(s):
             raise ValueError(f"selection index {idx} out of range for set {i}")
         values ^= f_codes(csp.mats, as_digits([s[idx]], csp.inst.dim))[csp.slot(t, i), 0]
-    return Assignment(csp.k, csp.h, csp.ell, values.tolist())
+    return Assignment(csp.k, csp.h, csp.ell, values)
 
 
 @dataclass(frozen=True)
@@ -290,7 +299,7 @@ def evaluate(
     """
     _check_assignment(csp, a)
     n, num_alphas = csp.num_vars, csp.num_alphas
-    vals = np.array(a.values, dtype=csp.allowed.dtype)
+    vals = a.values
     exact = mode == "exhaustive"
     if exact:
         c1_size, c2_size, c3_size = csp.family_sizes()
@@ -384,7 +393,7 @@ def linearity_decode(
             -1, len(col_idx)
         )
     # candidate row index encodes (c_1, ..., c_k) with c_1 as the major digit
-    vals = np.array(a.values, dtype=lut.dtype)[col_idx]
+    vals = a.values[col_idx]
     agreements = (predicted == vals).sum(axis=1)
     best = int(agreements.max())
     tied = np.flatnonzero(agreements == best)

@@ -48,9 +48,15 @@ from .textio import misfit, text_lines
 _MUL_NP = np.array(MUL, dtype=np.uint8)
 _INV_NP = np.array([0, 1, 3, 2], dtype=np.uint8)
 
-# Where `f_codes` switches dtype: up to MAX_ELL coordinates, 2 * 31 = 62 bits
+# Where `value_dtype` switches: up to MAX_ELL coordinates, 2 * 31 = 62 bits
 # keep every f-value and every XOR of two in a non-negative int64.
 MAX_ELL = 31
+
+
+def value_dtype(ell: int):
+    """The one dtype of packed values in F^ell: int64 up to MAX_ELL
+    coordinates, Python ints (object) above."""
+    return np.int64 if ell <= MAX_ELL else object
 
 
 def as_digits(vectors: Sequence[FVector], dim: int) -> np.ndarray:
@@ -79,10 +85,9 @@ def f_values(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def f_codes(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """`f_values` with each f-value packed into one integer, coordinate i at
-    bits 2i: int64 up to MAX_ELL coordinates, Python ints (object) above."""
+    bits 2i, in the `value_dtype` of its width."""
     T = f_values(mats, vectors)
-    dtype = np.int64 if T.shape[-1] <= MAX_ELL else object
-    return (T.astype(dtype) << (2 * np.arange(T.shape[-1]))).sum(axis=-1)
+    return (T.astype(value_dtype(T.shape[-1])) << (2 * np.arange(T.shape[-1]))).sum(axis=-1)
 
 
 def f_table(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ bulk), which go through a row's bytes.  DIMACS import/export is
 
 from __future__ import annotations
 
+import sys
 from typing import IO, Iterable
 
 import numpy as np
@@ -28,6 +29,8 @@ class ExplicitGraph:
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n > sys.maxsize:  # past the index range `[0] * n` raises OverflowError
+            raise MemoryError
         self.n = n
         self.adj: list[int] = [0] * n
 

@@ -235,7 +235,7 @@ class GapGraph(GapSizes):
         check_budget(n, PLANTED_BUDGET, f"planted clique has {n} vertices, budget {PLANTED_BUDGET}")
         if not verify_selection(self.csp.inst, sel):
             raise ValueError("selection does not satisfy the instance")
-        hv = honest_assignment(self.csp, sel).values
+        hv = honest_assignment(self.csp, sel).values.tolist()  # Python ints in the tuples
         out: list[Vertex] = []
         for p in range(self.num_tuples):
             for q in range(self.num_tuples):
@@ -256,7 +256,7 @@ class GapGraph(GapSizes):
         has millions of members."""
         if not verify_selection(self.csp.inst, sel):
             return False
-        hv = np.array(honest_assignment(self.csp, sel).values, dtype=self.csp.allowed.dtype)
+        hv = honest_assignment(self.csp, sel).values
         return self._first_bad_pair(hv, np.ones(len(hv), dtype=bool)) is None
 
     def is_clique(self, vertices: Iterable[Vertex]) -> CliqueCheck:

@@ -409,7 +409,7 @@ def zero_assignment(k: int, h: int, ell: int) -> Assignment:
 def replace_value(a: Assignment, packed_tuple: int, value: FVector) -> Assignment:
     if value.dim != a.ell:
         raise ValueError("value dimension mismatch")
-    vals = list(a.values)
+    vals = a.values.tolist()
     vals[packed_tuple] = value.bits
     return Assignment(a.k, a.h, a.ell, vals)
 
@@ -420,7 +420,7 @@ def replace_value(a: Assignment, packed_tuple: int, value: FVector) -> Assignmen
 def planted_family(g: GapGraph, sel: SelectionCertificate) -> list[Vertex]:
     """One vertex per group matching the honest assignment of sel, in
     `planted_clique`'s order, whether or not sel satisfies the instance."""
-    hv = honest_assignment(g.csp, sel).values
+    hv = honest_assignment(g.csp, sel).values.tolist()
     out: list[Vertex] = []
     for p in range(g.num_tuples):
         for q in range(g.num_tuples):

@@ -395,7 +395,7 @@ def test_criterion_9_decode_agreement(capsys):
             inst, sel = solvable_instance(rng, k, m)
             csp = build_csp(inst, sample_scheme(cfg_idx, h, m, ell), k, h, ell)
             honest = honest_assignment(csp, sel)
-            base = np.array(honest.values, dtype=np.int64)
+            base = honest.values
             n = csp.num_vars
             idx = np.arange(n)
             xor_table = idx[:, None] ^ idx[None, :]

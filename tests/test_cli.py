@@ -576,16 +576,18 @@ def _run_cli_under_memory_limit(argv):
             ["csp", "--build", "--instance"], "vsi 3000000000 2\nt 00\n",
             f"error: 3000000000 vector sets over budget {GADGET_BUDGET}\n",
         ),
+        (["clique", "--exact"], "p edge 99999999999999999999 0\n", "error: out of memory\n"),
     ],
-    ids=["dimacs", "vsi"],
+    ids=["dimacs", "vsi", "dimacs-past-index-range"],
 )
 def test_out_of_memory_exits_one(tmp_path, scheme_file, argv, text, err):
-    # both headers declare three billion rows.  Isolated vertices make a
-    # valid graph, so the DIMACS parser allocates its rows and meets a
-    # MemoryError under the 1.5 GB address-space limit; the vsi parser
+    # the first two headers declare three billion rows.  Isolated vertices
+    # make a valid graph, so the DIMACS parser allocates its rows and meets
+    # a MemoryError under the 1.5 GB address-space limit; the vsi parser
     # checks its set count against the budget before it allocates, so
-    # under the same limit it ends with the budget line.  Either way the
-    # CLI ends with one error line
+    # under the same limit it ends with the budget line.  A vertex count
+    # past the index range cannot be allocated either.  Every way the CLI
+    # ends with one error line
     path = tmp_path / "huge.txt"
     path.write_text(text)
     argv = argv + [str(path)] + (["--scheme", str(scheme_file)] if argv[0] == "csp" else [])

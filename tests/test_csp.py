@@ -335,6 +335,45 @@ def test_assignment_file_skips_every_hash_comment():
     assert list(read_assignment(io.StringIO(text), 1, 1, 1).values) == [1, 1, 1, 1]
 
 
+_OUT_OF_RANGE = "packed value out of range for ell"
+
+
+@pytest.mark.parametrize(
+    "ell, values, error",
+    [
+        (1, [0, 1, 2], "need one value per tuple"),
+        (1, [0, 1, 2, -1], _OUT_OF_RANGE),
+        (1, [0, 1, 2, 4], _OUT_OF_RANGE),
+        (1, [0, 1, 2, 2**63], _OUT_OF_RANGE),
+        (1, [0, 1, 2, 2**80], _OUT_OF_RANGE),
+        (40, [0, 1, 2, 4**40], _OUT_OF_RANGE),
+        (40, [0, 1, 2, 3], None),
+        (1, (0, 1, 2, 3), None),
+        (1, np.arange(4), None),
+        (1, list(np.arange(4)), None),
+    ],
+    ids=[
+        "short", "negative", "4-at-ell-1", "2**63", "2**80", "4**40-at-ell-40",
+        "wide", "tuple", "ndarray", "numpy-scalars",
+    ],
+)
+def test_assignment_checks_and_holds_one_read_only_array(ell, values, error):
+    # an out-of-range value is one ValueError, never an OverflowError from
+    # the int64 conversion; a valid one is copied once into the table's
+    # dtype, read-only, and never aliases the caller's array
+    if error:
+        with pytest.raises(ValueError, match=error):
+            Assignment(1, 1, ell, values)
+        return
+    a = Assignment(1, 1, ell, values)
+    assert a.values.dtype == (np.int64 if ell <= MAX_ELL else object)
+    assert a.values.shape == (4,) and a.values.tolist() == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="read-only"):
+        a.values[0] = 1
+    if isinstance(values, np.ndarray):
+        assert values.flags.writeable and not np.shares_memory(values, a.values)
+
+
 # -- reference: the per-alpha isin / per-sample loop evaluate -----------------
 
 
@@ -381,6 +420,7 @@ def reference_evaluate(csp, a, mode="exhaustive", count=10_000, seed=0):
             Fraction(c1_hits, n * n), tuple(c2_per_i),
             Fraction(c3_hits, n * csp.num_alphas), True,
         )
+    py_vals = a.values.tolist()  # the sampled loops index one Python int at a time
     rng = np.random.default_rng(seed)
     s_idx = rng.integers(0, n, count)
     t_idx = rng.integers(0, n, count)
@@ -391,13 +431,13 @@ def reference_evaluate(csp, a, mode="exhaustive", count=10_000, seed=0):
         a_s = rng.integers(0, csp.num_alphas, count)
         hits = 0
         for t, ap in zip(t_s.tolist(), a_s.tolist()):
-            hits += (a.values[t ^ csp.place(ap, i)] ^ a.values[t]) in allowed[i][ap]
+            hits += (py_vals[t ^ csp.place(ap, i)] ^ py_vals[t]) in allowed[i][ap]
         c2_per_i.append(Fraction(hits, count))
     t_s = rng.integers(0, n, count)
     a_s = rng.integers(0, csp.num_alphas, count)
     c3_hits = 0
     for t, ap in zip(t_s.tolist(), a_s.tolist()):
-        c3_hits += (a.values[t ^ csp.diagonal(ap)] ^ a.values[t]) == target_code(csp, ap)
+        c3_hits += (py_vals[t ^ csp.diagonal(ap)] ^ py_vals[t]) == target_code(csp, ap)
     return SatReport(
         Fraction(c1_hits, count), tuple(c2_per_i), Fraction(c3_hits, count), False,
         samples=count, seed=seed,
@@ -440,10 +480,10 @@ def reference_corpus():
             if not empty:
                 honest = honest_assignment(csp, SelectionCertificate(sel))
                 assert honest == reference_honest_assignment(csp, SelectionCertificate(sel))
-                corrupted = np.array(honest.values)
+                corrupted = honest.values.copy()
                 hit = rng.random(n) < 0.1
                 corrupted[hit] = rng.integers(0, top, int(hit.sum()))
-                assignments += [honest, Assignment(k, h, ell, corrupted.tolist())]
+                assignments += [honest, Assignment(k, h, ell, corrupted)]
                 delta = FVector(ell, int(rng.integers(1, top)))
                 basis = 1 << int(rng.integers(0, n.bit_length() - 1))
                 for t in (n - 1, basis, 0):
@@ -498,7 +538,7 @@ def test_nonlinear_part_vanishes_on_basis_and_on_linear_assignments():
     for csp, assignments in reference_corpus():
         basis = [1 << j for j in range(csp.num_vars.bit_length() - 1)]
         for a in assignments:
-            e = _nonlinear_part(np.array(a.values, dtype=csp.allowed.dtype))
+            e = _nonlinear_part(a.values)
             assert not e[basis].any() and e[0] == a.values[0]
             linear = evaluate(csp, a).c1_fraction == 1
             assert linear == (not e.any())

@@ -201,6 +201,39 @@ def test_row_codec_lives_in_explicit():
     assert not found, f"bitset rows packed or unpacked outside explicit.py: {found}"
 
 
+def test_assignment_values_stay_one_array():
+    # an Assignment holds one read-only array in encoding.value_dtype's
+    # dtype: no other src module reads MAX_ELL, and src code reads .values
+    # as it is, never wrapped in np.array, np.asarray, list or tuple, and
+    # turned into a list only where planted_clique builds its vertex tuples
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        planted = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "planted_clique"
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            names = [node.id] if isinstance(node, ast.Name) else []
+            names += [node.name] if isinstance(node, ast.alias) else []
+            if "MAX_ELL" in names and path.name != "encoding.py":
+                found.append(f"{path.name}:{node.lineno} reads MAX_ELL")
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            wraps = (
+                func in ("np.array", "np.asarray", "list", "tuple")
+                and node.args
+                and ast.unparse(node.args[0]).endswith(".values")
+            )
+            converts = func.endswith((".values.tolist", ".values.astype"))
+            if wraps or (converts and not (func.endswith(".tolist") and id(node) in planted)):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, f"assignment values converted: {found}"
+
+
 def test_text_lines_read_in_one_place():
     # every text format takes its lines from textio, so blank lines,
     # comments and field counts follow one rule: no other src module
