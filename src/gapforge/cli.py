@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--h", type=int)
     r.add_argument("--ell", type=int)
     r.add_argument("--replication", type=int)
-    r.add_argument("--epsilon", type=Fraction, default=Fraction(1, 20))
+    r.add_argument("--epsilon", type=_fraction, default=Fraction(1, 20))
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--derandomize", action="store_true")
     r.add_argument("--dry-run", action="store_true")
@@ -109,6 +109,15 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", metavar="DIR")
     r.set_defaults(func=_cmd_pipeline)
     return p
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text) as an argparse type: a zero denominator is refused
+    like any other text Fraction cannot read, not raised past argparse."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def _print_kv(*pairs) -> None:

@@ -14,11 +14,14 @@ scheme encoder.  The honest assignment of a selection (v_1, ..., v_k) is
 x_t = f(a_1, v_1) + ... + f(a_k, v_k); when the selection sums to the
 target it satisfies every constraint.
 
-`CSPInstance` owns the one constraint table that `evaluate` and the gap
-graph's pair rule read, in the dtype `encoding.value_dtype` picks for ell
-(int64, or Python ints for wide values).  An `Assignment` holds one
-read-only value array in that same dtype, which every consumer reads as
-it is.
+`CSPInstance` computes f(alpha, v) once for every instance vector and
+keeps that table: the constraint table that `evaluate` and the gap
+graph's pair rule read is built from it, and an honest value is read off
+its columns, one per slot.  Both are in the dtype `encoding.value_dtype`
+picks for ell (int64, or Python ints for wide values).  An `Assignment`
+holds one read-only value array in that same dtype, which every consumer
+reads as it is.  `linearity_decode` scores its candidates in
+lexicographic digit order, so that order is its tie-break.
 
 Fractions of satisfied constraints are exact `fractions.Fraction`
 values; denominators are the literal family sizes (|F|^{2kh} for C1,
@@ -38,14 +41,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .cliquered import SelectionCertificate, VectorSumInstance
-from .encoding import (
-    EncodingScheme,
-    as_digits,
-    derandomize_projections,
-    f_codes,
-    matrix_stack,
-    value_dtype,
-)
+from .encoding import EncodingScheme, as_digits, f_codes, matrix_stack, value_dtype
 from .errors import check_budget
 from .field import FVector
 from .textio import text_lines
@@ -68,9 +64,13 @@ def num_tuples(k: int, h: int) -> int:
 class CSPInstance:
     """Bundled vector-sum instance + encoding scheme with the constraint table.
 
-    The C2/C3 right-hand sides are tabulated once, as packed integers in
-    the dtype `encoding.value_dtype` picks for ell:
+    f is tabulated once, as packed integers in the dtype
+    `encoding.value_dtype` picks for ell; the other tables read it:
 
+      codes         f(alpha, v), alpha down the rows and the instance
+                    vectors across, set by set with the target last
+      starts        each set's first column, then the target's: vector
+                    idx of set i is column starts[i] + idx
       allowed       -1-padded sorted rows of allowed C2 value differences
                     f(alpha, v), v in V_i; row i * num_alphas + alpha
       target_codes  f(alpha, target) per alpha, the C3 right-hand sides
@@ -104,11 +104,11 @@ class CSPInstance:
         self.ell = ell
         self.num_vars = num_tuples(k, h)
         self.num_alphas = num_alphas = 4**h
-        self.mats = matrix_stack(scheme.mats)
         vectors = [v for s in inst.sets for v in s] + [inst.target]
-        codes = f_codes(self.mats, as_digits(vectors, inst.dim))  # one call; target last
-        ends = np.cumsum([len(s) for s in inst.sets])
-        rows = [np.unique(row) for per_set in np.split(codes, ends, axis=1)[:-1] for row in per_set]
+        self.codes = codes = f_codes(matrix_stack(scheme.mats), as_digits(vectors, inst.dim))
+        self.starts = starts = np.cumsum([0, *map(len, inst.sets)])
+        per_set = np.split(codes, starts[1:], axis=1)[:-1]  # the target's column dropped
+        rows = [np.unique(row) for columns in per_set for row in columns]
         self.allowed = np.full((len(rows), max(1, *map(len, rows))), -1, dtype=codes.dtype)
         for j, row in enumerate(rows):
             self.allowed[j, : len(row)] = row
@@ -194,16 +194,17 @@ class Assignment:
 
 
 def honest_assignment(csp: CSPInstance, sel: SelectionCertificate) -> Assignment:
-    """x_t = f(a_1, v_1) + ... + f(a_k, v_k) for the selected vectors."""
+    """x_t = f(a_1, v_1) + ... + f(a_k, v_k) for the selected vectors, read
+    off the instance table: codes[slot(t, i), starts[i] + idx_i]."""
     if len(sel.indices) != csp.k:
         raise ValueError("selection length differs from k")
     t = np.arange(csp.num_vars)
-    values = np.zeros(csp.num_vars, dtype=csp.allowed.dtype)
+    values = np.zeros(csp.num_vars, dtype=csp.codes.dtype)
     for i, idx in enumerate(sel.indices):
-        s = csp.inst.sets[i]
-        if not 0 <= idx < len(s):
+        # an index past its set would read a neighbouring set's column
+        if not 0 <= idx < len(csp.inst.sets[i]):
             raise ValueError(f"selection index {idx} out of range for set {i}")
-        values ^= f_codes(csp.mats, as_digits([s[idx]], csp.inst.dim))[csp.slot(t, i), 0]
+        values ^= csp.codes[csp.slot(t, i), csp.starts[i] + idx]
     return Assignment(csp.k, csp.h, csp.ell, values)
 
 
@@ -361,8 +362,9 @@ def linearity_decode(
 
     Exact mode scores every candidate (c_1, ..., c_k) in (F^{h*ell})^k
     against every tuple; sampled mode scores against a seeded tuple
-    sample.  Ties go to the lexicographically smallest (c_1, ..., c_k)
-    under digit order.
+    sample.  Candidates are scored in lexicographic digit order, c_1
+    first and coordinate 0 most significant, and the first with the
+    best score wins, so ties go to the lexicographically smallest.
     """
     _check_assignment(csp, a)
     k, h, ell = csp.k, csp.h, csp.ell
@@ -381,10 +383,11 @@ def linearity_decode(
     entries = n_cands * len(col_idx)
     check_budget(entries, DECODE_BUDGET, f"decode table would have {Decimal(entries)} entries")
 
-    # per-slot lookup: lut[c, a] = packed a . c, the f-values
-    # of the block selectors, c over every vector of F^{h*ell}
-    cands = (np.arange(n_cands_per_slot)[:, None] >> 2 * np.arange(cdim)) & 3
-    lut = f_codes(matrix_stack(derandomize_projections(cdim, h)), cands).T
+    # per-slot lookup: lut[c, a] = packed a . c, the f-values of the block
+    # selectors (row j*h + i of the identity picks digit i of block j), c
+    # over every vector of F^{h*ell} with coordinate 0 the major digit
+    cands = (np.arange(n_cands_per_slot)[:, None] >> 2 * np.arange(cdim - 1, -1, -1)) & 3
+    lut = f_codes(np.eye(cdim, dtype=np.uint8).reshape(ell, h, cdim), cands).T
 
     predicted = np.zeros((1, len(col_idx)), dtype=lut.dtype)
     for i in range(k):
@@ -392,20 +395,12 @@ def linearity_decode(
         predicted = (predicted[:, None, :] ^ contrib[None, :, :]).reshape(
             -1, len(col_idx)
         )
-    # candidate row index encodes (c_1, ..., c_k) with c_1 as the major digit
-    vals = a.values[col_idx]
-    agreements = (predicted == vals).sum(axis=1)
-    best = int(agreements.max())
-    tied = np.flatnonzero(agreements == best)
-
-    def unpack(row: int) -> tuple[FVector, ...]:
-        comps = []
-        for i in range(k - 1, -1, -1):
-            comps.append(FVector(cdim, (row // (n_cands_per_slot**i)) % n_cands_per_slot))
-        return tuple(comps)
-
-    winner = min((unpack(int(r)) for r in tied), key=lambda cs: [c.digits() for c in cs])
-    return DecodeResult(winner, Fraction(best, len(col_idx)), mode == "exact")
+    # rows run over (c_1, ..., c_k) in digit order, c_1 the major digit
+    agreements = (predicted == a.values[col_idx]).sum(axis=1)
+    row = int(agreements.argmax())
+    winner = np.unravel_index(row, (n_cands_per_slot,) * k)
+    components = tuple(FVector.from_digits(cands[c].tolist()) for c in winner)
+    return DecodeResult(components, Fraction(int(agreements[row]), len(col_idx)), mode == "exact")
 
 
 def write_assignment(csp: CSPInstance, a: Assignment, fp: IO[str]) -> None:

@@ -40,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import check_budget
 from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, bit_indices
 from .gapgraph import GapGraph, Vertex
 
@@ -48,6 +49,8 @@ from .gapgraph import GapGraph, Vertex
 EXACT_VERTEX_BUDGET = 1_000
 # search nodes before the exact solver stops with bounds
 EXACT_NODE_BUDGET = 20_000_000
+# restarts one local or implicit search may run, far above any count used
+RESTART_BUDGET = 1_000_000
 # vertices drawn per restart when a gap graph is searched implicitly
 IMPLICIT_SAMPLE_SIZE = 512
 # 2-improvement swaps per local-search restart, and outsiders scanned per slot
@@ -253,13 +256,19 @@ def _two_improve(adj: list[int], clique: list[int]) -> list[int]:
     return clique
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
+    msg = f"{Decimal(restarts)} restarts over budget {RESTART_BUDGET}"
+    check_budget(restarts, RESTART_BUDGET, msg)
+
+
 def clique_local_search(g: ExplicitGraph, restarts: int = 100, seed: int = 0) -> CliqueReport:
     """Restarted randomized greedy clique search; exact=False always.
 
     The report depends only on (graph, restarts, seed).
     """
-    if restarts < 0:
-        raise ValueError("restarts must be nonnegative")
+    _check_restarts(restarts)
     adj = g.adj
     n = g.n
     best: list[int] = []
@@ -283,8 +292,7 @@ def _implicit_search(
     # joins when it is adjacent to every member before it.  A vertex
     # unsound on its own has an empty row, so it is only ever taken first,
     # and then alone
-    if restarts < 0:
-        raise ValueError("restarts must be nonnegative")
+    _check_restarts(restarts)
     n = g.num_vertices
     if restarts and n > 1 << 63:
         # rng.integers draws int64 vertex indices

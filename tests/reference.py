@@ -67,6 +67,9 @@ csp
   allowed_diffs, target_code
                       one C2 / C3 right-hand side of `CSPInstance`'s
                       table, for the constraint-by-constraint references.
+  reference_decode    `linearity_decode` by brute force: candidates in
+                      lexicographic digit order, values from
+                      `block_linear`, the first maximum wins.
   zero_assignment, replace_value
                       the all-zero `Assignment` and one with a single
                       tuple's value overwritten, for hand-built corrupted
@@ -400,6 +403,34 @@ def allowed_diffs(csp: CSPInstance, i: int, a_packed: int) -> frozenset[int]:
 def target_code(csp: CSPInstance, a_packed: int) -> int:
     """Packed f(a, target) (the C3 right-hand side)."""
     return int(csp.target_codes[a_packed])
+
+
+def reference_decode(
+    csp: CSPInstance, a: Assignment, mode: str = "exact", samples: int = 4096, seed: int = 0
+) -> tuple[tuple[FVector, ...], Fraction, int]:
+    """Every (c_1, ..., c_k) in lexicographic digit order, scored by how
+    many of the decoded tuples t have a.value(t) = sum_i block_linear(a_i, c_i);
+    the first maximum, its agreement, and how many candidates tie with it."""
+    n = csp.num_vars
+    if mode == "exact":
+        cols = list(range(n))
+    else:
+        cols = np.random.default_rng(seed).integers(0, n, min(samples, n)).tolist()
+    cands = [FVector.from_digits(d) for d in itertools.product(range(4), repeat=csp.h * csp.ell)]
+    alphas = [FVector(csp.h, x) for x in range(csp.num_alphas)]
+    contrib = {(x, c): block_linear(x, c) for x in alphas for c in cands}
+    best, winner, tied = -1, None, 0
+    for comps in itertools.product(cands, repeat=csp.k):
+        score = 0
+        for t in cols:
+            value = FVector.zeros(csp.ell)
+            for i, c in enumerate(comps):
+                value = value + contrib[alphas[csp.slot(t, i)], c]
+            score += value == a.value(t)
+        if score > best:
+            best, winner, tied = score, comps, 0
+        tied += score == best
+    return winner, Fraction(best, len(cols)), tied
 
 
 def zero_assignment(k: int, h: int, ell: int) -> Assignment:

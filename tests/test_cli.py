@@ -527,6 +527,42 @@ def test_out_of_range_parameter_exits_one(tmp_path, capsys, argv):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("epsilon", ["1/0", "-1/0", "abc"])
+def test_unparseable_epsilon_is_a_usage_error(tmp_path, capsys, epsilon):
+    # a zero denominator is refused like any other text Fraction cannot
+    # read; the = form lets a value start with a minus sign
+    path = tmp_path / "k2.col"
+    with open(path, "w") as fp:
+        write_dimacs(ExplicitGraph.from_edges(2, [(0, 1)]), fp)
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--input", str(path), "--k", "1", f"--epsilon={epsilon}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --epsilon: invalid Fraction value: {epsilon!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clique", "--search", "--restarts"],
+        ["pipeline", "--k", "1", "--h", "1", "--ell", "1", "--replication", "1",
+         "--probe-mode", "search", "--probe-restarts"],
+    ],
+    ids=["restarts", "probe-restarts"],
+)
+def test_restarts_past_their_budget_exit_one_at_once(tmp_path, argv):
+    # a child process, so a search that ignores the count times out
+    # instead of hanging the suite
+    path = tmp_path / "e3.col"
+    path.write_text("p edge 3 0\n")
+    argv = argv + ["99999999999999999999"]
+    argv[1:1] = ["--input", str(path)] if argv[0] == "pipeline" else [str(path)]
+    proc = _run_cli(argv, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "99999999999999999999 restarts over budget" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "flag, text",
     [
@@ -559,13 +595,18 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
 
-def _run_cli_under_memory_limit(argv):
-    """`gapforge argv` in a child process with a 1.5 GB address space."""
+def _run_cli(argv, **kwargs):
+    """`gapforge argv` in a child process."""
     env = {**os.environ, "PYTHONPATH": str(Path(gapforge.__file__).resolve().parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "gapforge.cli", *argv], capture_output=True, text=True,
-        env=env, preexec_fn=_limit_address_space, timeout=300,
+        env=env, **kwargs,
     )
+
+
+def _run_cli_under_memory_limit(argv):
+    """`gapforge argv` in a child process with a 1.5 GB address space."""
+    return _run_cli(argv, preexec_fn=_limit_address_space, timeout=300)
 
 
 @pytest.mark.parametrize(

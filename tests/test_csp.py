@@ -40,6 +40,7 @@ from reference import (
     allowed_diffs,
     encode_f,
     from_entries,
+    reference_decode,
     replace_value,
     target_code,
     zero_assignment,
@@ -291,6 +292,26 @@ def test_decode_sampled_mode():
     res = linearity_decode(csp, a, mode="sampled", samples=8, seed=2)
     assert not res.exact
     assert res.agreement == 1
+
+
+@pytest.mark.parametrize(
+    "k, h, ell", [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 2), (3, 1, 1)]
+)
+def test_decode_tie_break_matches_reference(k, h, ell):
+    # random assignments tie often, exactly and on one to three samples;
+    # the winner must be the first maximum in lexicographic digit order
+    inst = VectorSumInstance([[FVector.unit(k, i)] for i in range(k)], FVector(k, 0))
+    csp = build_csp(inst, sample_scheme(k, h=h, m=k, ell=ell), k=k, h=h, ell=ell)
+    rng = np.random.default_rng([k, h, ell])
+    runs = [("exact", 4096)] * 4 + [("sampled", s) for s in (1, 2, 3) * 2]
+    ties = 0
+    for seed, (mode, samples) in enumerate(runs):
+        a = Assignment(k, h, ell, rng.integers(0, 4**ell, csp.num_vars))
+        res = linearity_decode(csp, a, mode=mode, samples=samples, seed=seed)
+        components, agreement, tied = reference_decode(csp, a, mode, samples, seed)
+        assert (res.components, res.agreement) == (components, agreement), (mode, seed)
+        ties += tied > 1
+    assert ties >= 2
 
 
 def test_trichotomy_at_k1_h1_ell1():

@@ -201,6 +201,21 @@ def test_row_codec_lives_in_explicit():
     assert not found, f"bitset rows packed or unpacked outside explicit.py: {found}"
 
 
+def test_csp_tabulates_f_values_twice():
+    # csp.py computes f-values in two tables only: the instance table in
+    # CSPInstance.__init__, which honest assignments read their columns
+    # from, and the block selectors' table in linearity_decode
+    tree = ast.parse((SRC / "csp.py").read_text())
+    calls = []
+    for owner in ast.walk(tree):
+        if not isinstance(owner, ast.FunctionDef):
+            continue
+        for node in ast.walk(owner):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("f_codes"):
+                calls.append(owner.name)
+    assert sorted(calls) == ["__init__", "linearity_decode"], calls
+
+
 def test_assignment_values_stay_one_array():
     # an Assignment holds one read-only array in encoding.value_dtype's
     # dtype: no other src module reads MAX_ELL, and src code reads .values

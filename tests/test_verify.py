@@ -14,6 +14,7 @@ import pytest
 from gapforge.cliquered import VectorSumInstance, brute_force_vector_sum
 from gapforge.csp import build_csp
 from gapforge.encoding import EncodingScheme, sample_scheme
+from gapforge.errors import BudgetExceededError
 from gapforge.field import FVector
 from gapforge import verify
 from gapforge.gapgraph import build_gap_graph
@@ -210,6 +211,20 @@ def test_negative_restarts_raise_on_the_implicit_path():
         lambda: soundness_probe(tiny_gap("10"), mode="search", restarts=-3, seed=0),
     ):
         with pytest.raises(ValueError, match="restarts must be nonnegative"):
+            probe()
+
+
+def test_restarts_past_their_budget_raise_before_the_first():
+    # both search paths check the count before any restart runs
+    restarts = verify.RESTART_BUDGET + 1
+    g = over_budget_gap()
+    for probe in (
+        lambda: verify._implicit_search(g, restarts, 0, None, 8),
+        lambda: soundness_probe(g, mode="search", restarts=restarts, seed=0),
+        lambda: soundness_probe(tiny_gap("10"), mode="search", restarts=restarts, seed=0),
+        lambda: clique_local_search(ExplicitGraph(3), restarts=restarts),
+    ):
+        with pytest.raises(BudgetExceededError, match=f"{restarts} restarts over budget"):
             probe()
 
 
