@@ -19,7 +19,11 @@ good when three conditions hold:
 One numpy kernel, `f_values`, gives the f-values of any matrix stack to
 the CSP's table, the decoder's table and, as F[a, w, x] = f(a, x + w) for
 a != 0, w, x in V (`f_table`), to the two f-value conditions and the
-derandomizer.  `encode_g` is g for one vector.
+derandomizer.  `encode_g` is g for one vector.  `check_scheme` finds the
+first collision of each f-value condition by one stable sort over rows
+of F (`first_repeat`).  `derandomize_scheme` tabulates each matrix once:
+it keeps the constraints its selectors violate by index into their F,
+and each new matrix's own F filters them.
 
 Random schemes satisfy all three with constant probability once
 ell >= 2 log2 |V| + 2h; `derandomize_scheme` constructs one
@@ -177,16 +181,27 @@ class SchemeReport:
     witness: ConditionWitness | None
 
 
-def _first_repeat(items):
-    """The (earlier, later) payloads of the first key met again under
-    another tag, or None; a repeat under the same tag replaces the payload."""
-    seen = {}
-    for key, tag, payload in items:
-        prev = seen.get(key)
-        if prev is not None and prev[0] != tag:
-            return prev[1], payload
-        seen[key] = (tag, payload)
-    return None
+def first_repeat(keys: np.ndarray, tags: np.ndarray) -> tuple[int, int, int] | None:
+    """The first row of a 2-d key array in which, scanning left to right, a
+    key is met again under another tag (column c has tag tags[c]), as (row,
+    earlier column, later column), or None; a repeat under the same tag
+    replaces the earlier column.
+
+    One stable argsort sorts every row: equal keys then stand in column
+    order, so an entry's sorted predecessor with the same key is that key's
+    latest earlier occurrence, and the hit is the smallest later column
+    whose predecessor carries another tag.
+    """
+    rows, width = keys.shape
+    order = np.argsort(keys, axis=1, kind="stable")
+    k, t = np.take(keys, order + width * np.arange(rows)[:, None]), tags[order]
+    hit = (k[:, 1:] == k[:, :-1]) & (t[:, 1:] != t[:, :-1])
+    first = np.flatnonzero(hit)[:1]
+    if not len(first):
+        return None
+    r = int(first[0]) // (width - 1)
+    j = np.where(hit[r], order[r, 1:], width).argmin()  # sorted position before the hit
+    return r, int(order[r, j]), int(order[r, j + 1])
 
 
 # f-table entries check_scheme may evaluate
@@ -198,10 +213,13 @@ def check_scheme(scheme: EncodingScheme, test_set: Sequence[FVector]) -> SchemeR
 
     Injectivity of g on all of F^m is decided exactly by the rank of the
     stacked ell*h x m matrix (a kernel vector is the witness), not by
-    enumerating F^m.  The other two hash the entries of F[a, w, x] = f(a, x + w)
-    (`f_table`, 4^h * |V|^2 of them, guarded by CHECK_SCHEME_BUDGET):
-    separation keys on F[a, V[0], v] = f(a, v) + f(a, V[0]), self-correction
-    on F[a, w, x] per w.
+    enumerating F^m.  The other two read the entries of F[a, w, x] =
+    f(a, x + w) (`f_table`, 4^h * |V|^2 of them, guarded by
+    CHECK_SCHEME_BUDGET) and find each condition's first collision by one
+    stable sort over all its rows (`first_repeat`): separation sorts row a
+    of F[a, V[0], v] = f(a, v) + f(a, V[0]), tagged by v; self-correction
+    row w of F[a, w, x], x major and a minor, tagged by x, with the q
+    entries of x = w replaced by keys no other entry has.
 
     The report carries at most one witness: the first failure in the
     order injective, separating, self-correcting.
@@ -220,31 +238,28 @@ def check_scheme(scheme: EncodingScheme, test_set: Sequence[FVector]) -> SchemeR
     cond_inj = rank == scheme.m
     witness = None if cond_inj else ConditionWitness("injective", (), (kernel,))
 
-    alphas = list(nonzero_vectors(scheme.h))
-    keys = []  # one test vector meets both conditions vacuously
-    if len(V) > 1:
-        keys = f_table(matrix_stack(scheme.mats), as_digits(V, scheme.m)).tolist()
-
     cond_sep = cond_self = True
-    for a, plane in zip(alphas, keys):
-        hit = _first_repeat((key, v, v) for v, key in zip(V, plane[0]))
+    n = len(V)
+    if n > 1:  # one test vector meets both conditions vacuously
+        F = f_table(matrix_stack(scheme.mats), as_digits(V, scheme.m))
+        q = len(F)
+        hit = first_repeat(F[:, 0], np.arange(n))
         if hit:
             cond_sep = False
-            witness = witness or ConditionWitness("separating", (a,), hit)
-            break
-
-    for wi, w in enumerate(V):
-        hit = _first_repeat(
-            (plane[wi][xi], x, (a, x))
-            for xi, x in enumerate(V)
-            if xi != wi
-            for a, plane in zip(alphas, keys)
-        )
+            a, v, u = hit
+            alpha = FVector(scheme.h, a + 1)
+            witness = witness or ConditionWitness("separating", (alpha,), (V[v], V[u]))
+        keys = F.transpose(1, 2, 0).copy()  # [w, x, a]
+        keys[np.arange(n), np.arange(n)] = -1 - np.arange(q)  # x = w: keys met nowhere else
+        hit = first_repeat(keys.reshape(n, n * q), np.repeat(np.arange(n), q))
         if hit:
             cond_self = False
-            (a, v), (ap, u) = hit
-            witness = witness or ConditionWitness("self-correcting", (a, ap), (v, u, w))
-            break
+            w, (v, a), (u, ap) = hit[0], divmod(hit[1], q), divmod(hit[2], q)
+            witness = witness or ConditionWitness(
+                "self-correcting",
+                (FVector(scheme.h, a + 1), FVector(scheme.h, ap + 1)),
+                (V[v], V[u], V[w]),
+            )
 
     return SchemeReport(cond_inj, cond_sep, cond_self, witness)
 
@@ -316,33 +331,42 @@ class DerandomizationStats:
     rounds: int
 
 
-def _violated(mats: np.ndarray, V: list[FVector]) -> np.ndarray:
-    """The `derandomize_scheme` constraints the stack violates, as rank-one rows."""
+def _violated(mats: np.ndarray, X: np.ndarray, V: list[FVector]) -> tuple[np.ndarray, ...]:
+    """The `derandomize_scheme` constraints the stack violates: each as the
+    pair of flat indices into F = `f_table` whose entries it asks to differ,
+    and as its rank-one row."""
     h, m = mats.shape[1:]
-    X = as_digits(V, m)
-    L = f_table(mats, X)
+    F = f_table(mats, X)
+    # compare ids, not values, so a stack past MAX_ELL compares no objects;
+    # F[a, v, v] = 0 is the smallest value, so id 0 is the value 0
+    F = np.unique(F, return_inverse=True)[1].reshape(F.shape)
     alphas = as_digits(list(nonzero_vectors(h)), h)
+    i = np.arange(len(X))
+    # a constraint (a, w, v, a', u) is the row outer(a, v+w) + outer(a', u+w), violated
+    # when F[a, w, v] = f(a, v+w) equals F[a', w, u]; separating ones, f(a, v+u) = 0 for
+    # a pair v < u, are (a, v, u, a, v): the row outer(a, u+v), against F[a, v, v] = 0
+    a, v, u = np.nonzero((F == 0) & (i[:, None] < i))
+    separating = (a, v, u, a, v)
+    # self-correcting: a pair v < u, both != w
+    pairs = (i[:, None] < i) & (i[:, None, None] != i[:, None]) & (i[:, None, None] != i)
+    equal = F[:, :, :, None, None] == F.transpose(1, 0, 2)[None, :, None]  # [a, w, v, a', u]
+    a, w, v, ap, u = np.concatenate(
+        [separating, np.nonzero(equal & pairs[:, :, None, :])], axis=1
+    )
 
     def outer(a, d):  # the rank-one matrices alphas[a] d^T, flattened row-major
         return _MUL_NP[alphas[a][:, :, None], d[:, None, :]].reshape(len(a), h * m)
 
-    i = np.arange(len(V))
-    # separating: f(a, v + u) = 0 for a pair v < u
-    a, v, u = np.nonzero((L == 0) & (i[:, None] < i))
-    separating = outer(a, X[v] ^ X[u])
-    # self-correcting: f(a, v + w) = f(a', u + w) for a pair v < u, both != w
-    pairs = (i[:, None] < i) & (i[:, None, None] != i[:, None]) & (i[:, None, None] != i)
-    equal = L[:, :, :, None, None] == L.transpose(1, 0, 2)[None, :, None]  # [a, w, v, a', u]
-    a, w, v, ap, u = np.nonzero(equal & pairs[:, :, None, :])
-    self_correcting = outer(a, X[v] ^ X[w]) ^ outer(ap, X[u] ^ X[w])
-    zero = np.flatnonzero(~self_correcting.any(axis=1))
+    rows = outer(a, X[v] ^ X[w]) ^ outer(ap, X[u] ^ X[w])
+    zero = np.flatnonzero(~rows.any(axis=1))  # only self-correcting rows can be zero
     if len(zero):
         # outer(a, v+w) == outer(a', u+w): no scheme can tell these apart
         wt, vt, ut = (V[j].to_text() for j in min(zip(w[zero], v[zero], u[zero])))
         raise ValueError(
             f"self-correction unachievable: {ut}+{wt} is a scalar multiple of {vt}+{wt}"
         )
-    return np.concatenate([separating, self_correcting])
+    left, right = (np.ravel_multi_index(e, F.shape) for e in ((a, w, v), (ap, w, u)))
+    return np.stack([left, right]), rows
 
 
 # estimated constraints derandomize_scheme may enumerate
@@ -361,10 +385,13 @@ def derandomize_scheme(
       separating       outer(a, v + u)             a != 0, v != u in V
       self-correcting  outer(a, v+w) + outer(a', u+w)   w in V, v != u
 
-    A scheme matrix B satisfies a constraint D when <B flattened, D> != 0.
-    Each round builds only the constraints its table F[a, w, x] = f(a, x + w)
-    shows violated and appends one conditional-expectations matrix, which
-    leaves at most a quarter of them violated: at most ceil(log4(N+1)) rounds.
+    A scheme matrix B satisfies a constraint D when <B flattened, D> != 0,
+    and a stack violates D exactly when each of its matrices does.  So the
+    selectors' table F[a, w, x] = f(a, x + w) lists the violated
+    constraints once, each kept as the two entries of F it asks to differ.
+    Each round appends one conditional-expectations matrix, which leaves at
+    most a quarter of them violated (at most ceil(log4(N+1)) rounds),
+    tabulates that matrix alone and keeps the constraints it violates too.
     """
     V = list(test_set)
     if len(V) < 1:
@@ -382,12 +409,17 @@ def derandomize_scheme(
     check_budget(est, DERANDOMIZE_BUDGET, f"would enumerate about {est} constraints")
     n_constraints = q * n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 2 * q * q
 
+    X = as_digits(V, m)
     mats = derandomize_projections(m, h)
+    pairs, rows = _violated(matrix_stack(mats), X, V)
     rounds = 0
-    while len(remaining := _violated(matrix_stack(mats), V)):
-        a = conditional_expectation_vector(remaining)
+    while len(rows):
+        a = conditional_expectation_vector(rows)
         mats.append(FMat([a.slice(i * m, (i + 1) * m) for i in range(h)]))
         rounds += 1
+        F = f_table(matrix_stack(mats[-1:]), X).ravel()
+        keep = F[pairs[0]] == F[pairs[1]]  # the constraints the new matrix violates too
+        pairs, rows = pairs[:, keep], rows[keep]
 
     scheme = EncodingScheme(h, m, len(mats), tuple(mats), "derandomized")
     return scheme, DerandomizationStats(n_constraints, rounds)
@@ -401,9 +433,9 @@ def derandomize_scheme(
 
 def write_scheme(scheme: EncodingScheme, fp: IO[str]) -> None:
     fp.write(f"scheme {scheme.h} {scheme.m} {scheme.ell} {scheme.provenance}\n")
-    for A in scheme.mats:
-        for row in A.rows:
-            fp.write(row.to_text() + "\n")
+    text = np.full((scheme.ell * scheme.h, scheme.m + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = matrix_stack(scheme.mats).reshape(-1, scheme.m) + ord("0")  # "0123"[d]
+    fp.write(text.tobytes().decode("ascii"))
 
 
 def read_scheme(fp: IO[str]) -> EncodingScheme:

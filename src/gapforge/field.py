@@ -57,6 +57,32 @@ def _lo_mask(dim: int) -> int:
     return ((1 << (2 * dim)) - 1) // 3
 
 
+def _scale(bits: int, c: int, mask: int) -> int:
+    """c times a packed vector, mask = _lo_mask(dim), on the two bit-planes."""
+    if c < 2:
+        return bits if c else 0
+    lo = bits & mask
+    hi = (bits >> 1) & mask
+    if c == 2:  # w * (a + b*w) = b + (a^b)*w
+        return ((lo ^ hi) << 1) | hi
+    return (lo << 1) | (lo ^ hi)  # (w+1) * (a + b*w) = (a^b) + a*w
+
+
+def _dot(x: int, y: int, mask: int) -> int:
+    """Dot product of two packed vectors, mask = _lo_mask(dim): the parities
+    of the two planes of their elementwise product."""
+    a, b = x & mask, (x >> 1) & mask
+    c, d = y & mask, (y >> 1) & mask
+    lo = (a & c) ^ (b & d)
+    hi = (a & d) ^ (b & c) ^ (b & d)
+    return ((hi.bit_count() & 1) << 1) | (lo.bit_count() & 1)
+
+
+def _lead(bits: int) -> int:
+    """The first nonzero coordinate of a nonzero packed vector."""
+    return ((bits & -bits).bit_length() - 1) >> 1
+
+
 class FVector:
     """Immutable vector over GF(4), digits packed two bits per coordinate."""
 
@@ -158,29 +184,15 @@ class FVector:
     __sub__ = __add__  # characteristic 2
 
     def scalar_mul(self, c: int) -> "FVector":
-        if c == 0:
-            return FVector(self.dim, 0)
         if c == 1:
             return self
-        mask = _lo_mask(self.dim)
-        lo = self.bits & mask
-        hi = (self.bits >> 1) & mask
-        if c == 2:  # w * (a + b*w) = b + (a^b)*w
-            return FVector(self.dim, ((lo ^ hi) << 1) | hi)
-        if c == 3:  # (w+1) * (a + b*w) = (a^b) + a*w
-            return FVector(self.dim, (lo << 1) | (lo ^ hi))
-        raise ValueError("scalar outside 0..3")
+        if not 0 <= c <= 3:
+            raise ValueError("scalar outside 0..3")
+        return FVector(self.dim, _scale(self.bits, c, _lo_mask(self.dim)))
 
     def dot(self, other: "FVector") -> int:
         self._check_dim(other)
-        mask = _lo_mask(self.dim)
-        a = self.bits & mask
-        b = (self.bits >> 1) & mask
-        c = other.bits & mask
-        d = (other.bits >> 1) & mask
-        lo = (a & c) ^ (b & d)
-        hi = (a & d) ^ (b & c) ^ (b & d)
-        return ((hi.bit_count() & 1) << 1) | (lo.bit_count() & 1)
+        return _dot(self.bits, other.bits, _lo_mask(self.dim))
 
     def slice(self, start: int, stop: int) -> "FVector":
         if not 0 <= start <= stop <= self.dim:
@@ -234,44 +246,42 @@ def outer(a: FVector, v: FVector) -> FMat:
 def rank_and_kernel(rows: Sequence[FVector]) -> tuple[int, FVector | None]:
     """Rank of the row list and, if column-rank deficient, a kernel vector.
 
-    Gaussian elimination over GF(4) on packed rows.  The kernel vector,
-    when present, satisfies row.dot(kernel) == 0 for every row and is
-    nonzero, giving an explicit witness that the stacked map is not
-    injective.
+    Gaussian elimination over GF(4) on the rows' packed ints, with the
+    rows kept by their first nonzero column: only rows that start at a
+    pivot's column meet it, and one XOR with a precomputed multiple of the
+    pivot moves each to a later column.  When the rank is below m the
+    witness is the kernel vector whose first free coordinate is 1 and
+    whose other free coordinates are 0, read off the echelon rows by back
+    substitution: it is nonzero and row.dot(kernel) == 0 for every row,
+    an explicit witness that the stacked map is not injective.
     """
     if not rows:
         raise ValueError("need at least one row")
     m = rows[0].dim
     if any(r.dim != m for r in rows):
         raise ValueError("ragged rows")
-    work = [r for r in rows if not r.is_zero()]
-    pivots: list[tuple[int, FVector]] = []  # (pivot column, normalized row)
+    mask = _lo_mask(m)
+    starting: dict[int, list[int]] = {}  # column -> the rows whose first nonzero it is
+    for r in rows:
+        if r.bits:
+            starting.setdefault(_lead(r.bits), []).append(r.bits)
+    pivots: dict[int, int] = {}  # column -> its pivot row, scaled to a leading 1
     for col in range(m):
-        pivot_row = None
-        for idx, r in enumerate(work):
-            if r[col] != 0:
-                pivot_row = work.pop(idx)
-                break
-        if pivot_row is None:
+        if col not in starting:
             continue
-        pivot_row = pivot_row.scalar_mul(inv(pivot_row[col]))
-        work = [
-            r + pivot_row.scalar_mul(r[col]) if r[col] != 0 else r
-            for r in work
-        ]
-        work = [r for r in work if not r.is_zero()]
-        pivots = [
-            (pc, pr + pivot_row.scalar_mul(pr[col]) if pr[col] != 0 else pr)
-            for pc, pr in pivots
-        ]
-        pivots.append((col, pivot_row))
+        shift = 2 * col
+        p, *rest = starting.pop(col)
+        p = _scale(p, inv((p >> shift) & 3), mask)
+        multiples = (0, p, _scale(p, 2, mask), _scale(p, 3, mask))
+        for r in rest:
+            if r := r ^ multiples[(r >> shift) & 3]:
+                starting.setdefault(_lead(r), []).append(r)
+        pivots[col] = p
     rank = len(pivots)
     if rank == m:
         return rank, None
-    pivot_cols = {pc for pc, _ in pivots}
-    free_col = next(c for c in range(m) if c not in pivot_cols)
-    digits = [0] * m
-    digits[free_col] = 1
-    for pc, pr in pivots:
-        digits[pc] = pr[free_col]  # x_pivot = -coef = coef in char 2
-    return rank, FVector.from_digits(digits)
+    free_col = next(c for c in range(m) if c not in pivots)
+    kernel = 1 << (2 * free_col)
+    for col in reversed(pivots):  # the later coordinates are already solved
+        kernel |= _dot(pivots[col], kernel, mask) << (2 * col)  # -x = x in char 2
+    return rank, FVector(m, kernel)

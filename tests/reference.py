@@ -24,6 +24,9 @@ encoding
   encode_f            f(a, v) = (a^T A_1 v, ..., a^T A_ell v), the scalar
                       form of the `f_values` / `f_codes` kernel.
   all_pass            all three flags of a `check_scheme` report.
+  first_repeat        the first key met again under another tag, one item
+                      at a time with a dict; `encoding.first_repeat` finds
+                      it for every row of a key array by one stable sort.
   zero_dot_count      #{c : <a, c> = 0}; checks the floor(N/4) bound of
                       `conditional_expectation_vector`.
   collision_frequency, collision_frequency_exhaustive
@@ -173,6 +176,18 @@ def encode_f(scheme: EncodingScheme, a: FVector, v: FVector) -> FVector:
 
 def all_pass(report: SchemeReport) -> bool:
     return report.cond_injective and report.cond_separating and report.cond_self_correcting
+
+
+def first_repeat(items):
+    """The (earlier, later) payloads of the first key met again under
+    another tag, or None; a repeat under the same tag replaces the payload."""
+    seen = {}
+    for key, tag, payload in items:
+        prev = seen.get(key)
+        if prev is not None and prev[0] != tag:
+            return prev[1], payload
+        seen[key] = (tag, payload)
+    return None
 
 
 def zero_dot_count(a: FVector, constraints: Sequence[FVector]) -> int:

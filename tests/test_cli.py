@@ -15,7 +15,7 @@ from gapforge.cli import main
 from gapforge.cliquered import (
     GADGET_BUDGET, VectorSumInstance, read_vsi, reduce_clique, write_mcol, write_vsi,
 )
-from gapforge.csp import build_csp, honest_assignment, write_assignment
+from gapforge.csp import TUPLE_BUDGET, build_csp, honest_assignment, write_assignment
 from gapforge.encoding import read_scheme
 from gapforge.explicit import ExplicitGraph, read_dimacs, write_dimacs
 from gapforge.field import FVector
@@ -307,7 +307,7 @@ def test_seven_sets_over_tuple_budget_exit_one(tmp_path, seven_sets, capsys, arg
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == f"error: {4**14} tuple variables over budget\n"
+    assert proc.stderr == f"error: 4^14 tuple variables over budget {TUPLE_BUDGET}\n"
 
 
 @pytest.fixture
@@ -561,6 +561,19 @@ def test_restarts_past_their_budget_exit_one_at_once(tmp_path, argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "99999999999999999999 restarts over budget" in proc.stderr
+
+
+def test_large_k_tuple_budget_line_is_short(tmp_path):
+    # K2 at k = 14 asks for 4^(k*h) tuples with about 700,000 decimal
+    # digits; the budget line names the count as a power, so the child
+    # ends at once with one short line
+    path = tmp_path / "k2.dimacs"
+    path.write_text("p edge 2 1\ne 1 2\n")
+    proc = _run_cli(["pipeline", "--input", str(path), "--k", "14"], timeout=5)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr.encode()) < 200
+    assert proc.stderr.endswith(f"tuple variables over budget {TUPLE_BUDGET}\n")
 
 
 @pytest.mark.parametrize(

@@ -404,6 +404,24 @@ def test_derandomize_k4_k3_h1_union_is_clean_and_pinned():
     assert digest == "7f57e4caa8a2ea8d50865c965b6ecf2970ab28dd4e5c762b38ba61596337ed98"
 
 
+def test_derandomize_tabulates_each_matrix_once(monkeypatch):
+    # the k = 2, h = 2 reduction of K3 needs rounds; round one tabulates the
+    # selector stack and every later round only the matrix it appended
+    stacks = []
+
+    def counting(mats, vectors):
+        stacks.append(len(mats))
+        return f_values(mats, vectors)
+
+    monkeypatch.setattr("gapforge.encoding.f_values", counting)
+    g = ExplicitGraph.from_edges(3, itertools.combinations(range(3), 2))
+    inst = reduce_clique(plain_to_multicolor(g, 2))
+    scheme, stats = derandomize_scheme(inst.union(), 2, inst.dim)
+    assert stats.rounds > 0
+    assert stacks[1:] == [1] * stats.rounds
+    assert sum(stacks) == scheme.ell
+
+
 def test_derandomize_detects_unachievable_self_correction():
     # u + w = v + w is impossible for distinct u, v; force the scalar case
     # with non-0/1 vectors: u+w = w*(v+w)

@@ -7,7 +7,11 @@ and filtering the whole list each round, and the two collision
 frequencies evaluating each bilinear form directly.  On a seeded corpus
 (h in {1, 2}, m 1-5, ell 1-4, |V| up to 7, digits {0, 1} and {0..3}) the
 package must give the same reports and witnesses, the same schemes and
-stats, the same Fractions and the same ValueError messages.
+stats, the same Fractions and the same ValueError messages.  Wide cases
+pack f-values into Python ints: schemes of ell 32 and 40 for the checker,
+and selector stacks of more than `MAX_ELL` matrices for the derandomizer.
+The sort that finds first repeats is checked against the dict scan
+`reference.first_repeat` on small key and tag arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 import pytest
 
 from gapforge.encoding import (
+    MAX_ELL,
     ConditionWitness,
     EncodingScheme,
     SchemeReport,
@@ -26,6 +31,7 @@ from gapforge.encoding import (
     conditional_expectation_vector,
     derandomize_projections,
     derandomize_scheme,
+    first_repeat as sorted_first_repeat,
     nonzero_vectors,
     sample_scheme,
 )
@@ -35,6 +41,7 @@ from reference import (
     collision_frequency,
     collision_frequency_exhaustive,
     encode_f,
+    first_repeat,
     from_entries,
 )
 
@@ -203,6 +210,116 @@ def test_check_and_derandomize_match_reference():
     assert kinds >= {
         "pass", "injective", "separating", "self-correcting", "unachievable", "rounds"
     }, kinds
+
+
+def wide_corpus(cases: int):
+    """Schemes of ell 32 and 40 against test sets of up to 12 vectors.  Most
+    repeat a sampled scheme of 1-2 matrices up to the full width, so the
+    three conditions fail as often as at that small width while every
+    f-value is wider than int64; the rest are sampled at the full width."""
+    for case in range(cases):
+        rng = np.random.default_rng(9300 + case)
+        h = 1 + case % 2
+        ell = (32, 40)[case // 2 % 2]
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(2, min(12 if h == 1 else 6, 4**m) + 1))
+        V: list[FVector] = []
+        while len(V) < n:
+            v = random_vector(rng, m, 4)
+            if v not in V:
+                V.append(v)
+        seed = int(rng.integers(0, 2**32))
+        if case % 4 == 3:
+            scheme = sample_scheme(seed, h, m, ell)
+        else:
+            base = sample_scheme(seed, h, m, 1 + case % 2).mats
+            mats = tuple(base[i % len(base)] for i in range(ell))
+            scheme = EncodingScheme(h, m, ell, mats, "explicit")
+        yield scheme, V
+
+
+def test_wide_check_matches_reference():
+    kinds = set()
+    for scheme, V in wide_corpus(24):
+        assert scheme.ell > MAX_ELL
+        rep = check_scheme(scheme, V)
+        assert rep == ref_check_scheme(scheme, V), (scheme, V)
+        kinds.add(rep.witness.condition if rep.witness else "pass")
+    assert kinds == {"pass", "injective", "separating", "self-correcting"}, kinds
+
+
+def wide_derandomize_cases():
+    """Test sets whose selector stack has more than MAX_ELL matrices.  At
+    h = 1 the selectors violate only zero constraints, so a case either
+    needs no round or is unachievable; at h = 2 two vectors in one block
+    make the selectors violate nonzero constraints, so rounds run."""
+    rng = np.random.default_rng(9400)
+    for m in (32, 33, 40):
+        for top in (2, 4):
+            V = []
+            while len(V) < 4:
+                v = random_vector(rng, m, top)
+                if v not in V:
+                    V.append(v)
+            yield V, 1, m
+    w, v = FVector.zeros(34), FVector.unit(34, 5)
+    yield [w, v, v.scalar_mul(2), FVector.unit(34, 9)], 1, 34  # u + w = w * (v + w)
+    for m in (64, 66):
+        zero, e0, e1 = FVector.zeros(m), FVector.unit(m, 0), FVector.unit(m, 1)
+        yield [zero, e0, e1, random_vector(rng, m, 2)], 2, m
+
+
+def test_wide_derandomize_matches_reference():
+    seen = set()
+    for V, h, m in wide_derandomize_cases():
+        assert -(-m // h) > MAX_ELL
+        got = outcome(derandomize_scheme, V, h, m)
+        want = outcome(ref_derandomize_scheme, V, h, m)
+        if want[0] == "ValueError":
+            assert got == want
+            seen.add("unachievable")
+            continue
+        scheme, stats = got
+        assert (scheme, (stats.n_constraints, stats.rounds)) == want, V
+        assert all_pass(check_scheme(scheme, V))
+        seen.add("rounds" if stats.rounds else "clean")
+    assert seen == {"clean", "rounds", "unachievable"}, seen
+
+
+def scan_rows(keys: np.ndarray, tags: np.ndarray):
+    """`reference.first_repeat` row by row, the payload being the column."""
+    for r, krow in enumerate(keys.tolist()):
+        hit = first_repeat(zip(krow, tags.tolist(), range(len(krow))))
+        if hit:
+            return (r, *hit)
+    return None
+
+
+@pytest.mark.parametrize(
+    "tags, want",
+    [([0, 0, 1], (0, 1, 2)), ([0, 1, 0], (0, 0, 1)), ([0, 0, 0], None), ([2, 1, 1], (0, 0, 1))],
+    ids=["AAB", "ABA", "AAA", "BAA"],
+)
+def test_first_repeat_tag_patterns(tags, want):
+    # one key three times: a same-tag repeat moves the earlier column on
+    keys, tags = np.array([[7, 7, 7]]), np.array(tags)
+    assert sorted_first_repeat(keys, tags) == scan_rows(keys, tags) == want
+
+
+def test_first_repeat_matches_scan():
+    rng = np.random.default_rng(9500)
+    hits = same_tag = 0
+    for trial in range(400):
+        rows, width = int(rng.integers(1, 5)), int(rng.integers(0, 9))
+        keys = rng.integers(0, 1 + trial % 5, (rows, width))
+        tags = rng.integers(0, 1 + trial % 3, width)
+        if trial % 2:  # Python ints past int64, as check_scheme sees past MAX_ELL
+            keys = (keys.astype(object) << 70) | 1
+        want = scan_rows(keys, tags)
+        assert sorted_first_repeat(keys, tags) == want, (keys, tags)
+        hits += want is not None
+        same_tag += any(len(set(zip(k, tags.tolist()))) < width for k in keys.tolist())
+    assert hits > 100 and same_tag > 100, (hits, same_tag)
 
 
 def test_collision_frequencies_match_reference():
