@@ -51,7 +51,7 @@ import numpy as np
 from .cliquered import SelectionCertificate, verify_selection
 from .csp import CSPInstance, honest_assignment
 from .errors import check_budget
-from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, mask_bits
+from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, bit_indices, mask_bits
 from .field import FVector
 from .textio import text_lines
 
@@ -179,20 +179,24 @@ class GapGraph(GapSizes):
         ok = self._pairs_ok(var[:, :, None], val[:, :, None], var[:, None, :], val[:, None, :])
         return ok.all(axis=(1, 2))
 
-    def _rows(self, var: np.ndarray, val: np.ndarray) -> Callable[[int], int]:
-        """Row lookup over the vertices of _vertex_arrays rows: position i
-        maps to the bitset of the positions adjacent to it, computed when
-        asked.  Both vertices must be sound and pass the pair rule on all
-        3x3 assignment pairs; bit i is clear."""
+    def _rows(self, var: np.ndarray, val: np.ndarray) -> Callable[[int, int], int]:
+        """Row lookup over the vertices of _vertex_arrays rows: row(i,
+        within) is the bitset of the positions in within adjacent to
+        position i, computed when asked and only over those positions
+        (within = -1 asks for all of them).  Both vertices must be sound
+        and pass the pair rule on all 3x3 assignment pairs; bit i is clear."""
         sound = self._sound(var, val)
+        full = (1 << len(sound)) - 1
 
-        def row(i: int) -> int:
+        def row(i: int, within: int) -> int:
             if not sound[i]:
                 return 0
-            ok = self._pairs_ok(var[i, :, None, None], val[i, :, None, None], var, val)
-            ok = ok.all(axis=(0, 2)) & sound
-            ok[i] = False
-            return mask_bits(ok)
+            at = bit_indices(within & full)
+            ok = self._pairs_ok(var[i, :, None, None], val[i, :, None, None], var[at], val[at])
+            mask = np.zeros(len(sound), dtype=bool)
+            mask[at] = ok.all(axis=(0, 2)) & sound[at]
+            mask[i] = False
+            return mask_bits(mask)
 
         return row
 

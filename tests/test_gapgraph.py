@@ -26,7 +26,7 @@ from gapforge.cliquered import (
 from gapforge.csp import build_csp
 from gapforge.encoding import EncodingScheme, sample_scheme
 from gapforge.errors import BudgetExceededError
-from gapforge.explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
+from gapforge.explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, mask_bits
 from gapforge.field import FVector
 from gapforge.gapgraph import (
     PLANTED_BUDGET,
@@ -338,13 +338,22 @@ def test_export_edge_count_recount():
         assert adjacent(graph, i, j) == g.adjacent(verts[i], verts[j])
 
 
+def assert_rows_within(row, n, seed):
+    # row(i, within) is row(i, -1) restricted to within, on seeded masks
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        for within in (0, mask_bits(rng.random(n) < 0.5), mask_bits(rng.random(n) < 0.1)):
+            assert row(i, within) == row(i, -1) & within
+
+
 def test_rows_on_demand_match_export_and_adjacent():
     # whole tiny graph, then a seeded k=2 subset with planted vertices in
     # it: row i restricted to the listed vertices is the exported row
     g = tiny_gap()
     graph, verts = g.export_explicit()
     row = g._rows(*g._vertex_arrays(verts))
-    assert [row(i) for i in range(graph.n)] == graph.adj
+    assert [row(i, -1) for i in range(graph.n)] == graph.adj
+    assert_rows_within(row, graph.n, 13)
     g = k2_gap()
     graph, verts = g.export_explicit()
     index = {v: i for i, v in enumerate(verts)}
@@ -353,16 +362,18 @@ def test_rows_on_demand_match_export_and_adjacent():
     pick += [index[v] for v in planted[::40] if index[v] not in pick]
     row = g._rows(*g._vertex_arrays([verts[i] for i in pick]))
     for a, i in enumerate(pick):
-        assert row(a) == sum(1 << b for b, j in enumerate(pick) if adjacent(graph, i, j))
+        assert row(a, -1) == sum(1 << b for b, j in enumerate(pick) if adjacent(graph, i, j))
+    assert_rows_within(row, len(pick), 14)
     # values wider than int64: planted vertices with one value perturbed
     g = k2_gap(ell=40)
     planted = g.planted_clique(brute_force_vector_sum(g.csp.inst))[::20]
     wide = [v[:-1] + (v[-1] ^ 1 << 70,) for v in planted[::2]]
     vs = planted + wide
     row = g._rows(*g._vertex_arrays(vs))
-    bits = [[row(a) >> b & 1 for b in range(len(vs))] for a in range(len(vs))]
+    bits = [[row(a, -1) >> b & 1 for b in range(len(vs))] for a in range(len(vs))]
     assert bits == [[int(g.adjacent(u, w)) for w in vs] for u in vs]
     assert any(map(any, bits)) and not all(map(all, bits))
+    assert_rows_within(row, len(vs), 15)
 
 
 def test_export_budget():

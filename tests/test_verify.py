@@ -133,6 +133,20 @@ def test_node_budget_degrades_to_bounds():
     assert g.is_clique(list(rep.witness))
 
 
+def test_node_budget_counts_root_nodes():
+    # a root vertex is a search node too, so an exact report never
+    # explores more nodes than its budget, and a cut search still reports
+    # a valid witness within its bounds
+    graphs = [complete_graph(3), ExplicitGraph.from_edges(3, [(0, 1)])]
+    graphs += [g for _, g in corpus(32, 40)]
+    for g in graphs:
+        for budget in range(4):
+            rep = max_clique_exact(g, node_budget=budget)
+            assert not rep.exact or rep.nodes_explored <= budget
+            assert g.is_clique(list(rep.witness))
+            assert rep.lower_bound == len(rep.witness) <= rep.upper_bound
+
+
 def test_local_search_finds_k8():
     rep = clique_local_search(complete_graph(8), restarts=1, seed=123)
     assert rep.lower_bound == 8 and not rep.exact
@@ -500,6 +514,9 @@ def test_local_search_matches_reference_on_criterion_8_export():
     assert sum(not row for row in graph.adj) > verify.TWO_IMPROVE_SCAN_CAP
     for seed in (0, 1, 2):
         assert clique_local_search(graph, 20, seed) == reference_local_search(graph, 20, seed)
+    # at 200 restarts many start at an isolated vertex and reach the same
+    # 2-improvement states, which the search remembers within its call
+    assert clique_local_search(graph, 200, 0) == reference_local_search(graph, 200, 0)
 
 
 def test_greedy_by_priority_matches_reference():
@@ -507,17 +524,29 @@ def test_greedy_by_priority_matches_reference():
     rng = np.random.default_rng(31)
     for g in graphs:
         adjbool = to_bool_matrix(g)
+
+        def row(v, within, adj=g.adj):
+            return adj[v] & within
+
         for _ in range(3):
             prio = rng.permutation(g.n)
-            got = verify._greedy_by_priority(g.adj.__getitem__, prio.tolist())
+            got = verify._greedy_by_priority(row, prio.tolist())
             assert got == reference_greedy_by_priority(adjbool, prio)
         # without a priority the greedy takes the least index
-        got = verify._greedy_by_priority(g.adj.__getitem__)
+        got = verify._greedy_by_priority(row)
         assert got == reference_greedy_by_priority(adjbool, np.arange(g.n))
 
 
 def test_degeneracy_order_matches_quadratic_reference():
     graphs = [g for _, g in corpus(29, 120)] + list(exported_gap_graphs())
+    # vertices that reach degree 0 partway through the order: a path, a
+    # star, a perfect matching, and a triangle among isolated vertices
+    graphs += [
+        ExplicitGraph.from_edges(9, [(i, i + 1) for i in range(8)]),
+        ExplicitGraph.from_edges(8, [(3, i) for i in range(8) if i != 3]),
+        ExplicitGraph.from_edges(10, [(i, 9 - i) for i in range(5)]),
+        ExplicitGraph.from_edges(7, [(2, 4), (4, 5), (2, 5)]),
+    ]
     for g in graphs:
         order = reference_degeneracy_order(g.adj, g.n)
         assert verify._degeneracy_order(g.adj, g.n) == order
