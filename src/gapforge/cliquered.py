@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import IO, Hashable, Iterable, Sequence
+from typing import IO, Hashable, Sequence
 
 from .errors import check_budget
 from .field import FVector
@@ -43,19 +43,23 @@ def pair_index(i: int, j: int) -> int:
     return (j - 1) * (j - 2) // 2 + i
 
 
+@dataclass(repr=False)
 class MulticolorGraph:
     """Undirected graph with vertices partitioned into k color classes."""
 
-    def __init__(self, k: int, colors: dict, edges: Iterable[tuple]):
-        if k < 1:
+    k: int
+    colors: dict  # copied
+    edges: set[frozenset]  # from any iterable of vertex pairs
+
+    def __post_init__(self):
+        if self.k < 1:
             raise ValueError("k must be positive")
-        self.k = k
-        self.colors = dict(colors)
+        self.colors = dict(self.colors)
         for v, c in self.colors.items():
-            if not 1 <= c <= k:
-                raise ValueError(f"vertex {v!r} has color {c} outside 1..{k}")
-        self.edges: set[frozenset] = set()
-        for u, v in edges:
+            if not 1 <= c <= self.k:
+                raise ValueError(f"vertex {v!r} has color {c} outside 1..{self.k}")
+        pairs, self.edges = self.edges, set()
+        for u, v in pairs:
             if u == v:
                 raise ValueError("self loops not allowed")
             if u not in self.colors or v not in self.colors:
@@ -79,14 +83,6 @@ class MulticolorGraph:
                 out.append((u, v) if cu == i else (v, u))
         return sorted(out)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MulticolorGraph)
-            and self.k == other.k
-            and self.colors == other.colors
-            and self.edges == other.edges
-        )
-
 
 @dataclass(frozen=True)
 class SelectionCertificate:
@@ -95,6 +91,7 @@ class SelectionCertificate:
     indices: tuple[int, ...]
 
 
+@dataclass(repr=False)
 class VectorSumInstance:
     """Sets of 0/1 vectors in GF(4)^m with a sum target.
 
@@ -106,12 +103,14 @@ class VectorSumInstance:
     for c in {w, w+1} and nonzero v.
     """
 
-    def __init__(self, sets: Sequence[Sequence[FVector]], target: FVector):
-        self.sets = [list(s) for s in sets]
+    sets: list[list[FVector]]  # from any sequence of sequences
+    target: FVector
+
+    def __post_init__(self):
+        self.sets = [list(s) for s in self.sets]
         if not self.sets:
             raise ValueError("need at least one set")
-        self.target = target
-        m = target.dim
+        m = self.target.dim
         for si, s in enumerate(self.sets):
             for v in s:
                 if v.dim != m:
@@ -138,13 +137,6 @@ class VectorSumInstance:
 
     def empty_sets(self) -> list[int]:
         return [i for i, s in enumerate(self.sets) if not s]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorSumInstance)
-            and self.sets == other.sets
-            and self.target == other.target
-        )
 
 
 def verify_selection(inst: VectorSumInstance, sel: SelectionCertificate) -> bool:

@@ -377,6 +377,8 @@ def linearity_decode(
     if mode == "exact":
         col_idx = np.arange(n_tuples)
     elif mode == "sampled":
+        if samples < 1:
+            raise ValueError("need at least one sample")
         rng = np.random.default_rng(seed)
         col_idx = rng.integers(0, n_tuples, min(samples, n_tuples))
     else:

@@ -12,6 +12,7 @@ bulk), which go through a row's bytes.  DIMACS import/export is
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
@@ -25,14 +26,17 @@ _NO_BITS = np.empty(0, dtype=np.intp)
 _DIMACS_LINES = ("p edge N M", "e U V")
 
 
+@dataclass(repr=False)
 class ExplicitGraph:
-    def __init__(self, n: int):
-        if n < 0:
+    n: int
+    adj: list[int] = field(init=False)
+
+    def __post_init__(self):
+        if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if n > sys.maxsize:  # past the index range `[0] * n` raises OverflowError
+        if self.n > sys.maxsize:  # past the index range `[0] * n` raises OverflowError
             raise MemoryError
-        self.n = n
-        self.adj: list[int] = [0] * n
+        self.adj = [0] * self.n
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ExplicitGraph":
@@ -65,13 +69,6 @@ class ExplicitGraph:
             raise ValueError("vertex out of range")
         mask = sum(1 << v for v in vs)
         return all((self.adj[v] | (1 << v)) & mask == mask for v in vs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExplicitGraph)
-            and self.n == other.n
-            and self.adj == other.adj
-        )
 
 
 def bit_indices(bits: int) -> np.ndarray:

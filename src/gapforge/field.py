@@ -23,6 +23,7 @@ point.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 _DIGITS = "0123"
@@ -83,21 +84,18 @@ def _lead(bits: int) -> int:
     return ((bits & -bits).bit_length() - 1) >> 1
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class FVector:
     """Immutable vector over GF(4), digits packed two bits per coordinate."""
 
-    __slots__ = ("dim", "bits")
+    dim: int
+    bits: int
 
-    def __init__(self, dim: int, bits: int):
-        if dim < 0:
+    def __post_init__(self):
+        if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
-        if bits < 0 or bits >> (2 * dim):
+        if self.bits < 0 or self.bits >> (2 * self.dim):
             raise ValueError("packed value out of range for dimension")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FVector is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -151,16 +149,6 @@ class FVector:
     def __len__(self) -> int:
         return self.dim
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FVector)
-            and self.dim == other.dim
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.bits))
-
     def __repr__(self) -> str:
         return f"FVector({self.to_text()!r})"
 
@@ -201,24 +189,28 @@ class FVector:
         return FVector(width, (self.bits >> (2 * start)) & ((1 << (2 * width)) - 1))
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class FMat:
     """Matrix over GF(4): an immutable tuple of packed row vectors."""
 
-    __slots__ = ("h", "m", "rows")
+    rows: tuple[FVector, ...]  # from any sequence of rows
 
-    def __init__(self, rows: Sequence[FVector]):
-        rows = tuple(rows)
+    def __post_init__(self):
+        rows = tuple(self.rows)
         if not rows:
             raise ValueError("matrix needs at least one row")
         m = rows[0].dim
         if any(r.dim != m for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "h", len(rows))
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FMat is immutable")
+    @property
+    def h(self) -> int:
+        return len(self.rows)
+
+    @property
+    def m(self) -> int:
+        return self.rows[0].dim
 
     def matvec(self, v: FVector) -> FVector:
         if v.dim != self.m:
@@ -227,12 +219,6 @@ class FMat:
         for i, row in enumerate(self.rows):
             bits |= row.dot(v) << (2 * i)
         return FVector(self.h, bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FMat) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"FMat([{', '.join(r.to_text() for r in self.rows)}])"
@@ -246,14 +232,14 @@ def outer(a: FVector, v: FVector) -> FMat:
 def rank_and_kernel(rows: Sequence[FVector]) -> tuple[int, FVector | None]:
     """Rank of the row list and, if column-rank deficient, a kernel vector.
 
-    Gaussian elimination over GF(4) on the rows' packed ints, with the
-    rows kept by their first nonzero column: only rows that start at a
-    pivot's column meet it, and one XOR with a precomputed multiple of the
-    pivot moves each to a later column.  When the rank is below m the
-    witness is the kernel vector whose first free coordinate is 1 and
-    whose other free coordinates are 0, read off the echelon rows by back
-    substitution: it is nonzero and row.dot(kernel) == 0 for every row,
-    an explicit witness that the stacked map is not injective.
+    Gaussian elimination over GF(4) on the rows' packed ints, a row at a
+    time: a row clears its first nonzero column with one XOR of a multiple
+    of that column's pivot, or becomes its pivot, scaled to a leading 1.
+    When the rank is below m the witness is the kernel vector whose first
+    free coordinate is 1 and whose other free coordinates are 0, read off
+    the pivots by back substitution in descending column order: it is
+    nonzero and row.dot(kernel) == 0 for every row, an explicit witness
+    that the stacked map is not injective.
     """
     if not rows:
         raise ValueError("need at least one row")
@@ -261,27 +247,22 @@ def rank_and_kernel(rows: Sequence[FVector]) -> tuple[int, FVector | None]:
     if any(r.dim != m for r in rows):
         raise ValueError("ragged rows")
     mask = _lo_mask(m)
-    starting: dict[int, list[int]] = {}  # column -> the rows whose first nonzero it is
-    for r in rows:
-        if r.bits:
-            starting.setdefault(_lead(r.bits), []).append(r.bits)
     pivots: dict[int, int] = {}  # column -> its pivot row, scaled to a leading 1
-    for col in range(m):
-        if col not in starting:
-            continue
-        shift = 2 * col
-        p, *rest = starting.pop(col)
-        p = _scale(p, inv((p >> shift) & 3), mask)
-        multiples = (0, p, _scale(p, 2, mask), _scale(p, 3, mask))
-        for r in rest:
-            if r := r ^ multiples[(r >> shift) & 3]:
-                starting.setdefault(_lead(r), []).append(r)
-        pivots[col] = p
+    for row in rows:
+        r = row.bits
+        while r:
+            col = _lead(r)
+            d = (r >> (2 * col)) & 3
+            p = pivots.get(col)
+            if p is None:
+                pivots[col] = _scale(r, inv(d), mask)
+                break
+            r ^= _scale(p, d, mask)
     rank = len(pivots)
     if rank == m:
         return rank, None
     free_col = next(c for c in range(m) if c not in pivots)
     kernel = 1 << (2 * free_col)
-    for col in reversed(pivots):  # the later coordinates are already solved
+    for col in sorted(pivots, reverse=True):  # the later coordinates are already solved
         kernel |= _dot(pivots[col], kernel, mask) << (2 * col)  # -x = x in char 2
     return rank, FVector(m, kernel)

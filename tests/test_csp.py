@@ -294,6 +294,15 @@ def test_decode_sampled_mode():
     assert res.agreement == 1
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_decode_sampled_refuses_fewer_than_one_sample(samples):
+    # as evaluate does, not with numpy's reshape or negative-dimension message
+    csp = two_set_csp(ell=1, seed=9)
+    a = honest_assignment(csp, brute_force_vector_sum(csp.inst))
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        linearity_decode(csp, a, mode="sampled", samples=samples)
+
+
 @pytest.mark.parametrize(
     "k, h, ell", [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 2), (3, 1, 1)]
 )

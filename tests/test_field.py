@@ -85,6 +85,19 @@ def test_packing_roundtrip():
         assert FVector(v.dim, v.bits) == v
 
 
+def test_vectors_and_matrices_are_immutable_values():
+    # dict keys in the vector union and the scheme layer: equal by content,
+    # hashed by content, never changed in place
+    v, u = FVector.from_text("0123"), FVector(4, FVector.from_text("0123").bits)
+    assert v == u and hash(v) == hash(u) and v != FVector.from_text("012")
+    A = FMat([v, u])
+    assert A.rows == (v, u) and (A.h, A.m) == (2, 4)
+    assert A == FMat((u, v)) and hash(A) == hash(FMat((u, v)))
+    for obj, name in ((v, "dim"), (v, "bits"), (A, "rows")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+
+
 def test_from_text_rejects_junk():
     with pytest.raises(ValueError):
         FVector.from_text("0124")
@@ -236,31 +249,32 @@ def test_rank_full_and_deficient():
 
 
 def test_rank_random_matches_brute_force_injectivity():
+    # the kernel K of the rows, enumerated: rank = m - log4|K|, and column j
+    # is free when the first j+1 columns have the rank of the first j, that
+    # is, when K has 4x as many vectors supported on [0, j] as on [0, j)
     rng = np.random.default_rng(16)
-    for _ in range(60):
-        m = int(rng.integers(1, 4))
-        nrows = int(rng.integers(1, 5))
+    for _ in range(200):
+        m = int(rng.integers(1, 5))
+        nrows = int(rng.integers(1, 6))
         rows = [
             FVector.from_digits(int(x) for x in rng.integers(0, 4, m))
             for _ in range(nrows)
         ]
         rank, ker = rank_and_kernel(rows)
-        # brute force: does any nonzero v kill every row?
-        killed = None
-        for digits in itertools.product(range(4), repeat=m):
-            v = FVector.from_digits(digits)
-            if v.is_zero():
-                continue
-            if all(r.dot(v) == 0 for r in rows):
-                killed = v
-                break
+        kernel = [
+            v
+            for v in map(FVector.from_digits, itertools.product(range(4), repeat=m))
+            if all(r.dot(v) == 0 for r in rows)
+        ]
+        assert 4 ** (m - rank) == len(kernel)
+        support = [sum(v.bits >> (2 * j) == 0 for v in kernel) for j in range(m + 1)]
+        free = [j for j in range(m) if support[j + 1] == 4 * support[j]]
         if rank == m:
-            assert killed is None
             assert ker is None
         else:
-            assert killed is not None
-            assert ker is not None
+            assert ker is not None and not ker.is_zero()
             assert all(r.dot(ker) == 0 for r in rows)
+            assert [ker[j] for j in free] == [1] + [0] * (len(free) - 1)
 
 
 def test_is_zero_one():

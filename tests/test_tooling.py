@@ -267,3 +267,31 @@ def test_text_lines_read_in_one_place():
             ):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}()")
     assert not found, f"text read outside textio.py: {found}"
+
+
+def test_value_types_state_their_fields_once():
+    # a value type is a dataclass, which generates equality, hashing and
+    # immutability from its one list of fields; two classes keep their own
+    allowed = {
+        # values is an ndarray, and == on an ndarray compares element by element
+        "Assignment": {"__slots__", "__eq__"},
+        # mutable generator state, not a value: slots alone keep it small
+        "SplitMix64": {"__slots__"},
+    }
+    hand_written = {"__eq__", "__hash__", "__setattr__", "__slots__"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = {item.name}
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = {ast.unparse(t) for t in targets}
+                else:
+                    continue
+                for name in sorted(names & hand_written - allowed.get(node.name, set())):
+                    found.append(f"{path.name}:{item.lineno} {node.name}.{name}")
+    assert not found, f"hand-written value-type dunders: {found}"
