@@ -20,7 +20,7 @@ from .encoding import check_scheme, derandomize_scheme, read_scheme, sample_sche
 from .errors import BudgetExceededError, StageError
 from .explicit import EXPORT_VERTEX_BUDGET, read_dimacs, write_dimacs
 from .gapgraph import build_gap_graph, write_clique_set, write_sidecar
-from .pipeline import PipelineConfig, render_kv, run_pipeline
+from .pipeline import PROBE_MODES, PipelineConfig, render_kv, run_pipeline
 from .textio import text_lines
 from .verify import EXACT_NODE_BUDGET, EXACT_VERTEX_BUDGET, clique_local_search, max_clique_exact
 
@@ -94,18 +94,21 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--budget", type=int, default=EXPORT_VERTEX_BUDGET)
     a.set_defaults(func=_cmd_amplify)
 
-    r = sub.add_parser("pipeline", help="full reduction pipeline")
+    # a flag left unset takes PipelineConfig's default
+    r = sub.add_parser(
+        "pipeline", help="full reduction pipeline", argument_default=argparse.SUPPRESS
+    )
     r.add_argument("--input", required=True, help="plain DIMACS or mcol graph file")
     r.add_argument("--k", type=int, required=True)
     r.add_argument("--h", type=int)
     r.add_argument("--ell", type=int)
     r.add_argument("--replication", type=int)
-    r.add_argument("--epsilon", type=_fraction, default=Fraction(1, 20))
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--epsilon", type=_fraction)
+    r.add_argument("--seed", type=int)
     r.add_argument("--derandomize", action="store_true")
     r.add_argument("--dry-run", action="store_true")
-    r.add_argument("--probe-mode", default="auto", choices=["auto", "exact", "search", "skip"])
-    r.add_argument("--probe-restarts", type=int, default=200)
+    r.add_argument("--probe-mode", choices=PROBE_MODES)
+    r.add_argument("--probe-restarts", type=int)
     r.add_argument("--out", metavar="DIR")
     r.set_defaults(func=_cmd_pipeline)
     return p
@@ -124,18 +127,13 @@ def _print_kv(*pairs) -> None:
     sys.stdout.write(render_kv(pairs))
 
 
-def _load_instance(path: str):
+def _read(path: str, reader, *args):
     with open(path) as fp:
-        return read_vsi(fp)
-
-
-def _load_scheme(path: str):
-    with open(path) as fp:
-        return read_scheme(fp)
+        return reader(fp, *args)
 
 
 def _cmd_scheme(args) -> int:
-    inst = _load_instance(args.instance) if args.instance else None
+    inst = _read(args.instance, read_vsi) if args.instance else None
     m = args.m if args.m is not None else (inst.dim if inst else None)
     if m is None:
         raise ValueError("need --m or --instance")
@@ -168,8 +166,8 @@ def _cmd_scheme(args) -> int:
 
 
 def _make_csp(args):
-    inst = _load_instance(args.instance)
-    scheme = _load_scheme(args.scheme)
+    inst = _read(args.instance, read_vsi)
+    scheme = _read(args.scheme, read_scheme)
     return build_csp(inst, scheme, inst.num_sets, scheme.h, scheme.ell)
 
 
@@ -182,9 +180,7 @@ def _cmd_csp(args) -> int:
             ("c1_constraints", c1), ("c2_constraints", c2), ("c3_constraints", c3),
         )
         return 0
-    path = args.evaluate or args.decode
-    with open(path) as fp:
-        a = read_assignment(fp, csp.k, csp.h, csp.ell)
+    a = _read(args.evaluate or args.decode, read_assignment, csp.k, csp.h, csp.ell)
     if args.evaluate:
         mode = args.mode or "exhaustive"
         rep = evaluate(csp, a, mode=mode, count=args.count, seed=args.seed)
@@ -233,8 +229,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_clique(args) -> int:
-    with open(args.input) as fp:
-        g = read_dimacs(fp)
+    g = _read(args.input, read_dimacs)
     if args.exact:
         rep = max_clique_exact(g, args.vertex_budget, args.node_budget)
     else:
@@ -251,8 +246,7 @@ def _cmd_clique(args) -> int:
 
 
 def _cmd_amplify(args) -> int:
-    with open(args.input) as fp:
-        g = read_dimacs(fp)
+    g = _read(args.input, read_dimacs)
     powered = export_power(strong_power(g, args.power), budget=args.budget)
     if args.out:
         with open(args.out, "w") as fp:
@@ -263,23 +257,14 @@ def _cmd_amplify(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    with open(args.input) as fp:
+    opts = vars(args)
+    opts.pop("func")
+    path, out_dir = opts.pop("input"), opts.pop("out", None)
+    with open(path) as fp:
         header = next((tok for tok in text_lines(fp) if tok[0] == "p"), [])
         fp.seek(0)
         graph = read_mcol(fp) if header[1:2] == ["mcol"] else read_dimacs(fp)
-    cfg = PipelineConfig(
-        k=args.k,
-        h=args.h,
-        ell=args.ell,
-        replication=args.replication,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        derandomize=args.derandomize,
-        dry_run=args.dry_run,
-        probe_mode=args.probe_mode,
-        probe_restarts=args.probe_restarts,
-    )
-    bundle = run_pipeline(graph, cfg, out_dir=args.out)
+    bundle = run_pipeline(graph, PipelineConfig(**opts), out_dir=out_dir)
     sys.stdout.write(bundle.report_text)
     return 0
 

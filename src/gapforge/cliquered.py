@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import IO, Hashable, Sequence
+from typing import IO, Hashable
 
 from .errors import check_budget
 from .field import FVector
@@ -151,16 +151,9 @@ def verify_selection(inst: VectorSumInstance, sel: SelectionCertificate) -> bool
     return acc == inst.target.bits
 
 
-def _sigma_codes(vertices: Sequence[Vertex], nbits: int) -> dict[Vertex, int]:
-    # vertex -> packed 0/1 code of its 1-based rank, LSB first; never zero
-    codes = {}
-    for rank, v in enumerate(sorted(vertices), start=1):
-        bits = 0
-        for b in range(nbits):
-            if (rank >> b) & 1:
-                bits |= 1 << (2 * b)
-        codes[v] = bits
-    return codes
+def _zero_one(bits: int) -> int:
+    # packed GF(4) vector whose digit b is bit b of bits (0 or 1)
+    return int(f"{bits:b}", 4)
 
 
 def reduce_clique(g: MulticolorGraph) -> VectorSumInstance:
@@ -191,8 +184,9 @@ def reduce_clique(g: MulticolorGraph) -> VectorSumInstance:
     L = max(1, (n - 1).bit_length())  # ceil(log2(n)) for n >= 2
     npairs = k * (k - 1) // 2
     m = k + npairs + k * k * L
-    check_budget(m, GADGET_BUDGET, f"gadget dimension {m} over budget")
-    sigma = _sigma_codes(verts, L)
+    check_budget(m, GADGET_BUDGET, f"gadget dimension {m}")
+    # sigma(v): v's 1-based rank in sorted order, LSB first; never zero
+    sigma = {v: _zero_one(rank) for rank, v in enumerate(verts, start=1)}
     grid_base = k + npairs
 
     def block_offset(i: int, j: int) -> int:
@@ -220,10 +214,7 @@ def reduce_clique(g: MulticolorGraph) -> VectorSumInstance:
                 s.append(FVector(m, bits))
             sets.append(s)
 
-    target_bits = 0
-    for pos in range(k + npairs):
-        target_bits |= 1 << (2 * pos)
-    return VectorSumInstance(sets, FVector(m, target_bits))
+    return VectorSumInstance(sets, FVector(m, _zero_one((1 << (k + npairs)) - 1)))
 
 
 # selections brute_force_vector_sum may enumerate
@@ -237,9 +228,7 @@ def brute_force_vector_sum(inst: VectorSumInstance) -> SelectionCertificate | No
     total = 1
     for s in inst.sets:
         total *= len(s)
-        check_budget(
-            total, BRUTE_FORCE_BUDGET, f"selection-space size exceeds budget {BRUTE_FORCE_BUDGET}"
-        )
+        check_budget(total, BRUTE_FORCE_BUDGET, f"selection space of at least {total} selections")
     packed = [[v.bits for v in s] for s in inst.sets]
     tbits = inst.target.bits
     for combo in itertools.product(*(range(len(s)) for s in inst.sets)):
@@ -301,7 +290,7 @@ def read_vsi(fp: IO[str]) -> VectorSumInstance:
     lines = text_lines(fp, _VSI_LINES)
     num_sets, m = map(int, next(lines)[1:])
     # before any set is built; reduce_clique writes k' <= m <= GADGET_BUDGET sets
-    check_budget(num_sets, GADGET_BUDGET, f"{num_sets} vector sets over budget {GADGET_BUDGET}")
+    check_budget(num_sets, GADGET_BUDGET, f"{num_sets} vector sets")
     sets: list[list[FVector]] = [[] for _ in range(num_sets)]
     target = None
     for tok in lines:

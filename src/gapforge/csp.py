@@ -58,7 +58,7 @@ def num_tuples(k: int, h: int) -> int:
     """The tuple count 4^(kh) within TUPLE_BUDGET.  The budget message names
     it as a power: at k = 14 and the default h it has about 697,000 digits."""
     n = 4 ** (k * h)
-    check_budget(n, TUPLE_BUDGET, f"4^{k * h} tuple variables over budget {TUPLE_BUDGET}")
+    check_budget(n, TUPLE_BUDGET, f"4^{k * h} tuple variables")
     return n
 
 

@@ -45,12 +45,12 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import check_budget
-from .field import FMat, FVector, MUL, rank_and_kernel
+from .field import FMat, FVector, INV, MUL, rank_and_kernel
 from .rng import SplitMix64
 from .textio import misfit, text_lines
 
 _MUL_NP = np.array(MUL, dtype=np.uint8)
-_INV_NP = np.array([0, 1, 3, 2], dtype=np.uint8)
+_INV_NP = np.array([0, *INV[1:]], dtype=np.uint8)
 
 # Where `value_dtype` switches: up to MAX_ELL coordinates, 2 * 31 = 62 bits
 # keep every f-value and every XOR of two in a non-negative int64.

@@ -19,9 +19,10 @@ class BudgetExceededError(RuntimeError):
 
 
 def check_budget(needed: int, budget: int, message: str) -> None:
-    """Raise BudgetExceededError(message) when needed is over budget."""
+    """Raise BudgetExceededError("<message> over budget <budget>") when
+    needed is over budget; message names what needs the budget and how much."""
     if needed > budget:
-        raise BudgetExceededError(message, needed=needed, budget=budget)
+        raise BudgetExceededError(f"{message} over budget {budget}", needed=needed, budget=budget)
 
 
 class StageError(RuntimeError):

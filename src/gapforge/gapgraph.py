@@ -236,7 +236,7 @@ class GapGraph(GapSizes):
         of B groups).  The size is checked against PLANTED_BUDGET first.
         """
         n = self.planted_size()
-        check_budget(n, PLANTED_BUDGET, f"planted clique has {n} vertices, budget {PLANTED_BUDGET}")
+        check_budget(n, PLANTED_BUDGET, f"planted clique has {n} vertices")
         if not verify_selection(self.csp.inst, sel):
             raise ValueError("selection does not satisfy the instance")
         hv = honest_assignment(self.csp, sel).values.tolist()  # Python ints in the tuples

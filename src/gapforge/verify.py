@@ -283,8 +283,7 @@ def _two_improve(adj: list[int], clique: list[int], memo: dict) -> list[int]:
 def _check_restarts(restarts: int) -> None:
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
-    msg = f"{Decimal(restarts)} restarts over budget {RESTART_BUDGET}"
-    check_budget(restarts, RESTART_BUDGET, msg)
+    check_budget(restarts, RESTART_BUDGET, f"{Decimal(restarts)} restarts")
 
 
 def clique_local_search(g: ExplicitGraph, restarts: int = 100, seed: int = 0) -> CliqueReport:

@@ -267,9 +267,7 @@ def brute_force_multicolor_clique(g: MulticolorGraph) -> list | None:
     total = 1
     for c in classes:
         total *= len(c)
-        check_budget(
-            total, BRUTE_FORCE_BUDGET, f"class-size product exceeds budget {BRUTE_FORCE_BUDGET}"
-        )
+        check_budget(total, BRUTE_FORCE_BUDGET, f"class-size product of at least {total}")
     for combo in itertools.product(*classes):
         if all(has_edge(g, u, v) for u, v in itertools.combinations(combo, 2)):
             return list(combo)

@@ -95,6 +95,31 @@ def test_gadget_vectors_are_zero_one_and_independent():
     validate_no_scalar_multiples(inst)
 
 
+def test_gadget_digit_layout():
+    # each sigma block holds the vertex's 1-based rank in sorted order, in
+    # binary, least significant digit first; the target is 1 on exactly the
+    # k + k(k-1)/2 selector coordinates
+    g = MulticolorGraph(2, {1: 1, 2: 1, 3: 2, 4: 2}, [(1, 3), (2, 4)])
+    inst = reduce_clique(g)
+    k, L = 2, 3  # ranks 1..4 take ceil(log2(5)) = 3 digits
+    m = k + 1 + k * k * L
+    assert inst.dim == m
+    assert inst.target.digits() == (1,) * (k + 1) + (0,) * (m - k - 1)
+
+    def gadget(selector: int, *blocks) -> tuple[int, ...]:
+        digits = [0] * m
+        digits[selector] = 1
+        for (i, j), v in blocks:
+            start = k + 1 + ((i - 1) * k + (j - 1)) * L
+            digits[start:start + L] = [(v >> b) & 1 for b in range(L)]
+        return tuple(digits)
+
+    assert [v.digits() for v in inst.sets[0]] == [gadget(0, ((1, 2), v)) for v in (1, 2)]
+    assert [v.digits() for v in inst.sets[1]] == [gadget(1, ((2, 1), v)) for v in (3, 4)]
+    edges = [gadget(2, ((1, 2), v), ((2, 1), u)) for v, u in ((1, 3), (2, 4))]
+    assert [v.digits() for v in inst.sets[2]] == edges
+
+
 def test_missing_edge_breaks_solvability():
     g = MulticolorGraph(3, {1: 1, 2: 2, 3: 3}, [(1, 2), (1, 3)])
     inst = reduce_clique(g)

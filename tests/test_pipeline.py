@@ -124,6 +124,23 @@ def test_k2_multicolor_input_planted_but_implicit_graph():
     assert "soundness_witness=planted" in b.report_text
 
 
+def test_verified_planted_family_decides_a_yes_verdict():
+    # a search probe that stops short of the planted size proves nothing
+    # on a YES input: the planted family the run verified reaches it, and
+    # the probe's bounds stay in the report beside that verdict
+    cfg = desk_cfg(k=2, seed=0, probe_mode="search", probe_restarts=3)
+    b = run_pipeline(complete_graph(3), cfg)
+    assert b.planted_ok
+    assert b.probe.verdict != "reached"
+    report = dict(line.split("=", 1) for line in b.report_text.splitlines())
+    assert report["planted_clique_ok"] == "1"
+    assert report["soundness_verdict"] == "reached"
+    assert report["soundness_witness"] == "planted"
+    assert report["max_clique_lower"] == str(b.probe.clique.lower_bound)
+    assert report["soundness_threshold"] == str((1 - cfg.epsilon) * b.gap.planted_size())
+    assert "gap_certified" not in report
+
+
 def test_k2_no_instance_search_probe():
     mcg = MulticolorGraph(2, {0: 1, 1: 2}, [])  # no cross edge
     cfg = desk_cfg(k=2, probe_restarts=8)

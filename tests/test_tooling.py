@@ -15,14 +15,17 @@ module-level import in src and tests is read by its module.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import importlib.util
 import pkgutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import gapforge
+from gapforge.cli import _build_parser
 from gapforge.explicit import ExplicitGraph
 from gapforge.pipeline import PipelineConfig, run_pipeline
 from gapforge.verify import soundness_probe
@@ -165,6 +168,44 @@ def test_stages_own_their_budgets():
             if checks or raises:
                 found.append(f"{name}:{node.lineno}")
     assert not found, f"budget checks outside their stage: {found}"
+
+
+def test_pipeline_flags_are_the_config_fields_without_defaults():
+    # PipelineConfig states every knob's default once: the pipeline
+    # subcommand has one flag per field and passes on only the flags set
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in sub.choices["pipeline"]._actions if a.dest != "help"]
+    assert {a.dest for a in actions} == {f.name for f in fields(PipelineConfig)} | {"input", "out"}
+    assert [a.dest for a in actions if a.default is not argparse.SUPPRESS] == []
+
+
+def test_check_budget_writes_the_budget():
+    # check_budget appends "over budget B" itself, so a message names only
+    # what needs the budget and how much; a message held in a variable is
+    # read from the assignments to that name in the same module
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assigned: dict[str, list[ast.AST]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(node.value)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("check_budget")):
+                continue
+            message = node.args[2] if len(node.args) > 2 else node.keywords[0].value
+            texts = [message]
+            if isinstance(message, ast.Name):
+                texts = assigned.get(message.id, [])
+            words = [
+                c.value for t in texts for c in ast.walk(t)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            ]
+            if any("budget" in w for w in words):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"check_budget messages that write the budget themselves: {found}"
 
 
 def test_module_level_imports_are_read():
