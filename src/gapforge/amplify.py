@@ -59,6 +59,8 @@ def export_power(p: ProductGraph, budget: int = EXPORT_VERTEX_BUDGET) -> Explici
         raise BudgetExceededError(
             f"power has {n}^{t} vertices, over budget {budget}", needed=total, budget=budget
         )
+    if n < 2:  # a base of at most one vertex is its own power
+        t = 1
     closed = [row | 1 << a for a, row in enumerate(p.base.adj)]
     rows = [1]
     for i in range(t):

@@ -184,7 +184,7 @@ def reduce_clique(g: MulticolorGraph) -> VectorSumInstance:
     L = max(1, (n - 1).bit_length())  # ceil(log2(n)) for n >= 2
     npairs = k * (k - 1) // 2
     m = k + npairs + k * k * L
-    check_budget(m, GADGET_BUDGET, f"gadget dimension {m}")
+    check_budget(m, GADGET_BUDGET, "gadget dimension {}")
     # sigma(v): v's 1-based rank in sorted order, LSB first; never zero
     sigma = {v: _zero_one(rank) for rank, v in enumerate(verts, start=1)}
     grid_base = k + npairs
@@ -228,7 +228,7 @@ def brute_force_vector_sum(inst: VectorSumInstance) -> SelectionCertificate | No
     total = 1
     for s in inst.sets:
         total *= len(s)
-        check_budget(total, BRUTE_FORCE_BUDGET, f"selection space of at least {total} selections")
+        check_budget(total, BRUTE_FORCE_BUDGET, "selection space of at least {} selections")
     packed = [[v.bits for v in s] for s in inst.sets]
     tbits = inst.target.bits
     for combo in itertools.product(*(range(len(s)) for s in inst.sets)):
@@ -290,7 +290,7 @@ def read_vsi(fp: IO[str]) -> VectorSumInstance:
     lines = text_lines(fp, _VSI_LINES)
     num_sets, m = map(int, next(lines)[1:])
     # before any set is built; reduce_clique writes k' <= m <= GADGET_BUDGET sets
-    check_budget(num_sets, GADGET_BUDGET, f"{num_sets} vector sets")
+    check_budget(num_sets, GADGET_BUDGET, "{} vector sets")
     sets: list[list[FVector]] = [[] for _ in range(num_sets)]
     target = None
     for tok in lines:

@@ -34,7 +34,6 @@ assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import IO, Sequence
 
@@ -384,7 +383,7 @@ def linearity_decode(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     entries = n_cands * len(col_idx)
-    check_budget(entries, DECODE_BUDGET, f"decode table would have {Decimal(entries)} entries")
+    check_budget(entries, DECODE_BUDGET, "decode table would have {} entries")
 
     # per-slot lookup: lut[c, a] = packed a . c, the f-values of the block
     # selectors (row j*h + i of the identity picks digit i of block j), c

@@ -96,7 +96,7 @@ def f_codes(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def f_table(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """F[a, w, x] = f(a, x) + f(a, w) = f(a, x + w) as packed integers
-    (`f_codes`), a nonzero in `nonzero_vectors` order, w and x over `vectors`."""
+    (`f_codes`), row a for the nonzero packed a + 1, w and x over `vectors`."""
     P = f_codes(mats, vectors)[1:]
     return P[:, None] ^ P[:, :, None]
 
@@ -154,11 +154,6 @@ def encode_g(scheme: EncodingScheme, v: FVector) -> FVector:
     return FVector(scheme.ell * scheme.h, bits)
 
 
-def nonzero_vectors(dim: int):
-    for packed in range(1, 4**dim):
-        yield FVector(dim, packed)
-
-
 @dataclass(frozen=True)
 class ConditionWitness:
     """Counterexample to one scheme condition.
@@ -204,6 +199,18 @@ def first_repeat(keys: np.ndarray, tags: np.ndarray) -> tuple[int, int, int] | N
     return r, int(order[r, j]), int(order[r, j + 1])
 
 
+def _test_vectors(test_set: Sequence[FVector], m: int) -> list[FVector]:
+    """The test set as a list: nonempty, of m-vectors, none repeated."""
+    V = list(test_set)
+    if not V:
+        raise ValueError("test set must be nonempty")
+    if any(v.dim != m for v in V):
+        raise ValueError("test vector dimension differs from m")
+    if len(set(V)) != len(V):
+        raise ValueError("test set has duplicates")
+    return V
+
+
 # f-table entries check_scheme may evaluate
 CHECK_SCHEME_BUDGET = 10_000_000
 
@@ -224,15 +231,9 @@ def check_scheme(scheme: EncodingScheme, test_set: Sequence[FVector]) -> SchemeR
     The report carries at most one witness: the first failure in the
     order injective, separating, self-correcting.
     """
-    V = list(test_set)
-    if not V:
-        raise ValueError("test set must be nonempty")
-    if any(v.dim != scheme.m for v in V):
-        raise ValueError("test vector dimension differs from scheme")
-    if len(set(V)) != len(V):
-        raise ValueError("test set has duplicates")
-    cost = (4**scheme.h) * len(V) * max(len(V), 1)
-    check_budget(cost, CHECK_SCHEME_BUDGET, f"condition checks need about {cost} evaluations")
+    V = _test_vectors(test_set, scheme.m)
+    cost = (4**scheme.h) * len(V) ** 2
+    check_budget(cost, CHECK_SCHEME_BUDGET, "condition checks need about {} evaluations")
 
     rank, kernel = rank_and_kernel([row for A in scheme.mats for row in A.rows])
     cond_inj = rank == scheme.m
@@ -340,22 +341,21 @@ def _violated(mats: np.ndarray, X: np.ndarray, V: list[FVector]) -> tuple[np.nda
     # compare ids, not values, so a stack past MAX_ELL compares no objects;
     # F[a, v, v] = 0 is the smallest value, so id 0 is the value 0
     F = np.unique(F, return_inverse=True)[1].reshape(F.shape)
-    alphas = as_digits(list(nonzero_vectors(h)), h)
     i = np.arange(len(X))
     # a constraint (a, w, v, a', u) is the row outer(a, v+w) + outer(a', u+w), violated
     # when F[a, w, v] = f(a, v+w) equals F[a', w, u]; separating ones, f(a, v+u) = 0 for
     # a pair v < u, are (a, v, u, a, v): the row outer(a, u+v), against F[a, v, v] = 0
     a, v, u = np.nonzero((F == 0) & (i[:, None] < i))
-    separating = (a, v, u, a, v)
-    # self-correcting: a pair v < u, both != w
-    pairs = (i[:, None] < i) & (i[:, None, None] != i[:, None]) & (i[:, None, None] != i)
-    equal = F[:, :, :, None, None] == F.transpose(1, 0, 2)[None, :, None]  # [a, w, v, a', u]
-    a, w, v, ap, u = np.concatenate(
-        [separating, np.nonzero(equal & pairs[:, :, None, :])], axis=1
-    )
+    found = [(a, v, u, a, v)]
+    if len(X) > 2:  # self-correcting: a pair v < u, both != w
+        pairs = (i[:, None] < i) & (i[:, None, None] != i[:, None]) & (i[:, None, None] != i)
+        equal = F[:, :, :, None, None] == F.transpose(1, 0, 2)[None, :, None]  # [a, w, v, a', u]
+        found.append(np.nonzero(equal & pairs[:, :, None, :]))
+    a, w, v, ap, u = np.concatenate(found, axis=1)
 
-    def outer(a, d):  # the rank-one matrices alphas[a] d^T, flattened row-major
-        return _MUL_NP[alphas[a][:, :, None], d[:, None, :]].reshape(len(a), h * m)
+    def outer(a, d):  # the rank-one matrices alpha d^T, alpha the packed a + 1, flattened row-major
+        alpha = (a[:, None] + 1 >> 2 * np.arange(h)) & 3
+        return _MUL_NP[alpha[:, :, None], d[:, None, :]].reshape(len(a), h * m)
 
     rows = outer(a, X[v] ^ X[w]) ^ outer(ap, X[u] ^ X[w])
     zero = np.flatnonzero(~rows.any(axis=1))  # only self-correcting rows can be zero
@@ -369,7 +369,7 @@ def _violated(mats: np.ndarray, X: np.ndarray, V: list[FVector]) -> tuple[np.nda
     return np.stack([left, right]), rows
 
 
-# estimated constraints derandomize_scheme may enumerate
+# estimated constraints, and selector f-table entries, derandomize_scheme may build
 DERANDOMIZE_BUDGET = 10_000_000
 
 
@@ -393,20 +393,15 @@ def derandomize_scheme(
     most a quarter of them violated (at most ceil(log4(N+1)) rounds),
     tabulates that matrix alone and keeps the constraints it violates too.
     """
-    V = list(test_set)
-    if len(V) < 1:
-        raise ValueError("test set must be nonempty")
-    if len(set(V)) != len(V):
-        raise ValueError("test set has duplicates")
-    if any(v.dim != m for v in V):
-        raise ValueError("test vector dimension differs from m")
+    V = _test_vectors(test_set, m)
     if h < 1:
         raise ValueError("h must be positive")
 
     q = 4**h - 1
     n = len(V)
     est = q * n * (n - 1) + (q * (n - 1)) ** 2 * n // 2
-    check_budget(est, DERANDOMIZE_BUDGET, f"would enumerate about {est} constraints")
+    check_budget(est, DERANDOMIZE_BUDGET, "would enumerate about {} constraints")
+    check_budget(4**h * n * n, DERANDOMIZE_BUDGET, "selector f-table would have {} entries")
     n_constraints = q * n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 2 * q * q
 
     X = as_digits(V, m)

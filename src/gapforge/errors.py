@@ -8,6 +8,8 @@ stage failures need to carry the stage name upward.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 
 class BudgetExceededError(RuntimeError):
     """An operation would exceed its declared enumeration/memory budget."""
@@ -18,11 +20,21 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def int_text(n: int) -> str:
+    """n in decimal, exactly at any size: str() refuses past 4300 digits."""
+    return str(Decimal(n))
+
+
 def check_budget(needed: int, budget: int, message: str) -> None:
     """Raise BudgetExceededError("<message> over budget <budget>") when
-    needed is over budget; message names what needs the budget and how much."""
+    needed is over budget; message names what needs the budget, with a {}
+    where needed goes, written only then."""
     if needed > budget:
-        raise BudgetExceededError(f"{message} over budget {budget}", needed=needed, budget=budget)
+        if "{}" in message:
+            message = message.format(int_text(needed))
+        raise BudgetExceededError(
+            f"{message} over budget {int_text(budget)}", needed=needed, budget=budget
+        )
 
 
 class StageError(RuntimeError):

@@ -43,7 +43,6 @@ is adjacent to nothing."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
@@ -95,34 +94,24 @@ class GapGraph(GapSizes):
 
     # -- vertex handling ----------------------------------------------------
 
-    def b_vertex(self, p: int, q: int, y: int, z: int) -> Vertex:
-        self._check_tuple(p)
-        self._check_tuple(q)
-        self._check_value(y)
-        self._check_value(z)
-        return ("B", p, q, y, z)
-
-    def a_vertex(self, p: int, i: int, val: int) -> Vertex:
-        self._check_tuple(p)
-        if not 1 <= i <= self.r:
-            raise ValueError(f"copy index {i} outside 1..{self.r}")
-        self._check_value(val)
-        return ("A", p, i, val)
-
-    def _check_tuple(self, p: int) -> None:
-        if not 0 <= p < self.num_tuples:
-            raise ValueError(f"packed tuple {p} out of range")
-
-    def _check_value(self, v: int) -> None:
-        if not 0 <= v < self.num_values:
-            raise ValueError(f"packed value {v} out of range")
-
     def validate_vertex(self, v: Vertex) -> Vertex:
+        """v as a tuple, once it names a vertex of this graph: ("B", p, q,
+        y, z) or ("A", p, copy, val), each packed tuple and value in range."""
         if v[0] == "B" and len(v) == 5:
-            return self.b_vertex(*v[1:])
-        if v[0] == "A" and len(v) == 4:
-            return self.a_vertex(*v[1:])
-        raise ValueError(f"malformed vertex {v!r}")
+            tuples, values = v[1:3], v[3:]
+        elif v[0] == "A" and len(v) == 4:
+            tuples, values = v[1:2], v[3:]
+        else:
+            raise ValueError(f"malformed vertex {v!r}")
+        for p in tuples:
+            if not 0 <= p < self.num_tuples:
+                raise ValueError(f"packed tuple {p} out of range")
+        if v[0] == "A" and not 1 <= v[2] <= self.r:
+            raise ValueError(f"copy index {v[2]} outside 1..{self.r}")
+        for x in values:
+            if not 0 <= x < self.num_values:
+                raise ValueError(f"packed value {x} out of range")
+        return tuple(v)
 
     def assignments(self, v: Vertex) -> list[tuple[int, int]]:
         """(variable, value) pairs contributed by a vertex, possibly with
@@ -236,7 +225,7 @@ class GapGraph(GapSizes):
         of B groups).  The size is checked against PLANTED_BUDGET first.
         """
         n = self.planted_size()
-        check_budget(n, PLANTED_BUDGET, f"planted clique has {n} vertices")
+        check_budget(n, PLANTED_BUDGET, "planted clique has {} vertices")
         if not verify_selection(self.csp.inst, sel):
             raise ValueError("selection does not satisfy the instance")
         hv = honest_assignment(self.csp, sel).values.tolist()  # Python ints in the tuples
@@ -314,7 +303,7 @@ class GapGraph(GapSizes):
         itself; self-unsound vertices are isolated.
         """
         n = self.num_vertices
-        check_budget(n, budget, f"graph has {Decimal(n)} vertices")
+        check_budget(n, budget, "graph has {} vertices")
         vertices: list[Vertex] = [self.vertex_by_index(i) for i in range(n)]
         var, val = self._vertex_arrays(vertices)
         live = np.flatnonzero(self._sound(var, val))
@@ -392,9 +381,10 @@ def read_sidecar(fp: IO[str], g: GapGraph) -> list[Vertex]:
             raise ValueError("sidecar widths disagree with graph parameters")
         if halves == 2:
             p, q = tup.bits & (4**kh - 1), tup.bits >> (2 * kh)
-            out[idx] = g.b_vertex(p, q, val.bits & (4**ell - 1), val.bits >> (2 * ell))
+            v = ("B", p, q, val.bits & (4**ell - 1), val.bits >> (2 * ell))
         else:
-            out[idx] = g.a_vertex(tup.bits, int(tok[3]), val.bits)
+            v = ("A", tup.bits, int(tok[3]), val.bits)
+        out[idx] = g.validate_vertex(v)
     ids = range(1, len(out) + 1)
     if out.keys() != set(ids):
         raise ValueError(f"sidecar ids are not 1..{len(out)}")

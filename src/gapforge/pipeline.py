@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dc_field
-from decimal import Decimal
 from fractions import Fraction
 from typing import ClassVar
 
@@ -41,7 +40,7 @@ from .encoding import (
     sample_scheme,
     write_scheme,
 )
-from .errors import BudgetExceededError, StageError
+from .errors import BudgetExceededError, StageError, int_text
 from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, write_dimacs
 from .gapgraph import (
     PLANTED_BUDGET, GapGraph, GapSizes, build_gap_graph, write_clique_set, write_sidecar,
@@ -120,10 +119,6 @@ def plain_to_multicolor(g: ExplicitGraph, k: int) -> MulticolorGraph:
     return MulticolorGraph(k, colors, edges)
 
 
-def default_k_prime(k: int) -> int:
-    return k + k * (k - 1) // 2
-
-
 def _resolved(cfg: PipelineConfig, k_prime: int, n_vectors: int):
     h = cfg.h if cfg.h is not None else k_prime * k_prime
     ell = (
@@ -165,11 +160,9 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
         mcg = graph
     else:
         mcg = plain_to_multicolor(graph, cfg.k)
-    k_prime = default_k_prime(cfg.k)
 
     inst = _run_stage("reduce", lambda: reduce_clique(mcg))
-    assert inst.num_sets == k_prime
-    m = inst.dim
+    k_prime, m = inst.num_sets, inst.dim
     n_vectors = sum(len(s) for s in inst.sets)
     h, ell, r = _resolved(cfg, k_prime, n_vectors)
 
@@ -323,8 +316,8 @@ def _csp_meta(csp: CSPInstance, r: int) -> str:
 
 
 def render_kv(lines) -> str:
-    """key=value lines; Decimal writes an int exactly past str()'s 4300 digits."""
-    return "".join(f"{key}={str(Decimal(v)) if type(v) is int else v}\n" for key, v in lines)
+    """key=value lines, each int written exactly by int_text."""
+    return "".join(f"{key}={int_text(v) if type(v) is int else v}\n" for key, v in lines)
 
 
 def _write_files(out_dir: str | None, items) -> dict[str, str]:

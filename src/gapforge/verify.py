@@ -43,12 +43,11 @@ vertices it takes and only over the candidates still live."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from decimal import Decimal
 from typing import Callable
 
 import numpy as np
 
-from .errors import check_budget
+from .errors import check_budget, int_text
 from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, bit_indices
 from .gapgraph import GapGraph, Vertex
 
@@ -194,9 +193,9 @@ def max_clique_exact(
             if size + col_bound[i] <= best:
                 return
             v = col_order[i]
-            nodes += 1
-            if nodes > node_budget:
+            if nodes >= node_budget:
                 raise _NodeBudget
+            nodes += 1
             stack.append(v)
             nxt = pool & adj[v]
             if nxt:
@@ -213,10 +212,10 @@ def max_clique_exact(
     exact = True
     try:
         for v in reversed(order):
-            stack.append(v)
-            nodes += 1
-            if nodes > node_budget:
+            if nodes >= node_budget:
                 raise _NodeBudget
+            nodes += 1
+            stack.append(v)
             sub = adj[v] & later
             if sub:
                 expand(1, sub)
@@ -283,7 +282,7 @@ def _two_improve(adj: list[int], clique: list[int], memo: dict) -> list[int]:
 def _check_restarts(restarts: int) -> None:
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
-    check_budget(restarts, RESTART_BUDGET, f"{Decimal(restarts)} restarts")
+    check_budget(restarts, RESTART_BUDGET, "{} restarts")
 
 
 def clique_local_search(g: ExplicitGraph, restarts: int = 100, seed: int = 0) -> CliqueReport:
@@ -323,7 +322,7 @@ def _implicit_search(
     if restarts and n > 1 << 63:
         # rng.integers draws int64 vertex indices
         raise ValueError(
-            f"gap graph has {Decimal(n)} vertices, over the implicit search's limit of 2^63"
+            f"gap graph has {int_text(n)} vertices, over the implicit search's limit of 2^63"
         )
     warm: list[Vertex] = []
     if initial_clique is not None:

@@ -648,3 +648,56 @@ def test_out_of_memory_exits_one(tmp_path, scheme_file, argv, text, err):
     proc = _run_cli_under_memory_limit(argv)
     assert proc.returncode == 1
     assert proc.stderr == err
+
+
+@pytest.mark.parametrize(
+    "mode, vsi, what",
+    [
+        ("--sample", "vsi 1 1\nt 1\ns 1 1\n", "condition checks need about {} evaluations"),
+        (
+            "--derandomize", "vsi 1 2\nt 11\ns 1 10\ns 1 01\n",
+            "would enumerate about {} constraints",
+        ),
+    ],
+    ids=["check", "derandomize"],
+)
+def test_scheme_counts_past_4300_digits_end_with_the_budget_line(tmp_path, capsys, mode, vsi, what):
+    # at h = 8000 the check's 4^h * n^2 evaluations and the derandomizer's
+    # q n (n-1) + q^2 (n-1)^2 n / 2 constraints, q = 4^h - 1, have over
+    # 4,800 digits: more than str() writes, so the budget line must not use it
+    path = tmp_path / "inst.vsi"
+    path.write_text(vsi)
+    h, n = 8000, vsi.count("\ns ")
+    q = 4**h - 1
+    count = 4**h * n * n if mode == "--sample" else q * n * (n - 1) + (q * (n - 1)) ** 2 * n // 2
+    rc = main(["scheme", mode, "--h", str(h), "--ell", "1", "--instance", str(path)])
+    assert rc == 1
+    budget = 10_000_000
+    assert capsys.readouterr().err == f"error: {what.format(Decimal(count))} over budget {budget}\n"
+
+
+@pytest.mark.parametrize("h", [8, 10])
+def test_derandomize_one_vector_builds_no_unbudgeted_table(tmp_path, h):
+    # one test vector gives no constraint, so the scheme is the coordinate
+    # selectors; a table over pairs of nonzero alphas would need (4^h - 1)^2
+    # entries and run out of the child's 1.5 GB address space
+    path = tmp_path / "one.vsi"
+    path.write_text("vsi 1 1\nt 1\ns 1 1\n")
+    proc = _run_cli_under_memory_limit(
+        ["scheme", "--derandomize", "--h", str(h), "--instance", str(path)]
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["constraints=0", "rounds=0", f"scheme {h} 1 1 derandomized"]
+    assert lines[3:4 + h] == ["1"] + ["0"] * (h - 1) + ["cond_injective=1"]
+
+
+@pytest.mark.parametrize("text", ["p edge 0 0\n", "p edge 1 0\n"], ids=["empty", "one-vertex"])
+def test_amplify_power_of_at_most_one_vertex_is_the_base(tmp_path, text):
+    # the strong power of a graph on 0 or 1 vertices is that graph, at any power
+    path = tmp_path / "tiny.dimacs"
+    path.write_text(text)
+    proc = _run_cli(["amplify", "--power", str(10**30), "--input", str(path)], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == text
+

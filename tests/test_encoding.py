@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from gapforge.cliquered import reduce_clique
 from gapforge.encoding import (
+    DerandomizationStats,
     EncodingScheme,
     as_digits,
     check_scheme,
@@ -242,6 +243,31 @@ def test_check_scheme_budget(monkeypatch):
     monkeypatch.setattr("gapforge.encoding.CHECK_SCHEME_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
         check_scheme(s, V)
+
+
+@pytest.mark.parametrize(
+    "texts, message",
+    [
+        ([], "test set must be nonempty"),
+        (["10", "100", "10"], "test vector dimension differs from m"),
+        (["10", "01", "10"], "test set has duplicates"),
+    ],
+)
+def test_check_and_derandomize_check_a_test_set_alike(texts, message):
+    V = [FVector.from_text(t) for t in texts]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_scheme(sample_scheme(0, h=1, m=2, ell=2), V)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        derandomize_scheme(V, h=1, m=2)
+
+
+def test_derandomize_budget_counts_the_selector_table():
+    # one vector has no constraint, but the selectors' table still has
+    # 4^h entries: at h = 12 that is over budget
+    V = [FVector.from_text("1")]
+    assert derandomize_scheme(V, h=11, m=1)[1] == DerandomizationStats(0, 0)
+    with pytest.raises(BudgetExceededError, match=f"^selector f-table would have {4**12} entries"):
+        derandomize_scheme(V, h=12, m=1)
 
 
 def test_rank_deficiency_of_random_schemes_is_rare():

@@ -32,7 +32,6 @@ from gapforge.encoding import (
     derandomize_projections,
     derandomize_scheme,
     first_repeat as sorted_first_repeat,
-    nonzero_vectors,
     sample_scheme,
 )
 from gapforge.field import MUL, FMat, FVector, outer, rank_and_kernel
@@ -60,7 +59,7 @@ def ref_check_scheme(scheme: EncodingScheme, V: list[FVector]) -> SchemeReport:
         witness = ConditionWitness("injective", (), (kernel,))
 
     cond_sep = True
-    for a in nonzero_vectors(scheme.h):
+    for a in (FVector(scheme.h, packed) for packed in range(1, 4**scheme.h)):
         seen: dict[int, FVector] = {}
         for v in V:
             key = encode_f(scheme, a, v).bits
@@ -79,7 +78,7 @@ def ref_check_scheme(scheme: EncodingScheme, V: list[FVector]) -> SchemeReport:
         for x in V:
             if x == w:
                 continue
-            for a in nonzero_vectors(scheme.h):
+            for a in (FVector(scheme.h, packed) for packed in range(1, 4**scheme.h)):
                 key = encode_f(scheme, a, x + w).bits
                 prev = seen_pairs.get(key)
                 if prev is not None and prev[1] != x:
@@ -99,7 +98,7 @@ def ref_check_scheme(scheme: EncodingScheme, V: list[FVector]) -> SchemeReport:
 
 
 def ref_derandomize_scheme(V: list[FVector], h: int, m: int):
-    nz_alphas = list(nonzero_vectors(h))
+    nz_alphas = [FVector(h, packed) for packed in range(1, 4**h)]
     constraints: list[FVector] = []
     for v, u in itertools.combinations(V, 2):
         for a in nz_alphas:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -123,20 +124,41 @@ def test_vertex_index_roundtrip():
     seen = set()
     for idx in range(g.num_vertices):
         v = g.vertex_by_index(idx)
-        g.validate_vertex(v)
+        assert g.validate_vertex(list(v)) == v
         seen.add(v)
     assert len(seen) == g.num_vertices
+
+
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        (("B", 5, 6, 7, 8), "packed tuple 5 out of range"),
+        (("B", 0, 6, 7, 8), "packed tuple 6 out of range"),
+        (("B", 0, 0, 7, 8), "packed value 7 out of range"),
+        (("B", 0, 0, 0, 8), "packed value 8 out of range"),
+        (("A", 5, 2, 7), "packed tuple 5 out of range"),
+        (("A", 0, 2, 7), "copy index 2 outside 1..1"),
+        (("A", 0, 1, 7), "packed value 7 out of range"),
+        (("A", 0, 1), "malformed vertex ('A', 0, 1)"),
+        (("C", 0, 0, 0), "malformed vertex ('C', 0, 0, 0)"),
+    ],
+)
+def test_validate_vertex_names_the_first_bad_field(v, message):
+    # 4 tuples, 4 values, one copy group: fields are checked left to
+    # right, the copy index between an A vertex's tuple and value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tiny_gap().validate_vertex(v)
 
 
 def test_group_independence():
     g = tiny_gap()
     # two distinct vertices of one B group disagree on p or q
-    u = g.b_vertex(1, 2, 0, 3)
-    w = g.b_vertex(1, 2, 1, 3)
+    u = g.validate_vertex(("B", 1, 2, 0, 3))
+    w = g.validate_vertex(("B", 1, 2, 1, 3))
     assert not g.adjacent(u, w)
     # distinct A vertices in one group: same variable, different values
-    a1 = g.a_vertex(2, 1, 0)
-    a2 = g.a_vertex(2, 1, 1)
+    a1 = g.validate_vertex(("A", 2, 1, 0))
+    a2 = g.validate_vertex(("A", 2, 1, 1))
     assert not g.adjacent(a1, a2)
 
 
@@ -282,7 +304,7 @@ def test_is_clique_flags_intra_group_addition():
 def test_is_clique_singleton_and_empty():
     g = tiny_gap()
     assert g.is_clique([]).ok
-    assert g.is_clique([g.b_vertex(0, 0, 0, 0)]).ok
+    assert g.is_clique([g.validate_vertex(("B", 0, 0, 0, 0))]).ok
 
 
 def test_is_clique_agrees_with_pairwise_on_random_sets():
@@ -306,7 +328,7 @@ def test_self_invalid_vertices_are_isolated():
     g = tiny_gap()
     # B vertex on the degenerate group (p, p): variables {0, p, p}; pick
     # y != z so the duplicated variable p conflicts
-    v = g.b_vertex(1, 1, 0, 1)
+    v = g.validate_vertex(("B", 1, 1, 0, 1))
     assert not g.self_ok(v)
     for idx in range(0, g.num_vertices, 17):
         assert not g.adjacent(v, g.vertex_by_index(idx))

@@ -11,7 +11,6 @@ from gapforge.explicit import ExplicitGraph
 from gapforge.gapgraph import GapGraph
 from gapforge.pipeline import (
     PipelineConfig,
-    default_k_prime,
     plain_to_multicolor,
     run_pipeline,
 )
@@ -115,7 +114,7 @@ def test_k2_multicolor_input_planted_but_implicit_graph():
     mcg = MulticolorGraph(2, {0: 1, 1: 2}, [(0, 1)])
     cfg = desk_cfg(k=2)
     b = run_pipeline(mcg, cfg)
-    assert b.k_prime == default_k_prime(2) == 3
+    assert b.k_prime == 3  # k + k(k-1)/2 vector sets
     assert b.gap.num_vertices == 64 * 64 * 16 + 64 * 4
     assert b.explicit_graph is None
     assert b.planted_ok

@@ -336,3 +336,18 @@ def test_value_types_state_their_fields_once():
                 for name in sorted(names & hand_written - allowed.get(node.name, set())):
                     found.append(f"{path.name}:{item.lineno} {node.name}.{name}")
     assert not found, f"hand-written value-type dunders: {found}"
+
+
+def test_only_errors_imports_decimal():
+    # errors.int_text writes every int of a message or report exactly, past
+    # the 4,300 digits str() writes, so no other src module needs decimal
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module] if isinstance(node, ast.ImportFrom) else []
+            if any(name and name.partition(".")[0] == "decimal" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"decimal imported outside errors.py: {found}"

@@ -134,15 +134,15 @@ def test_node_budget_degrades_to_bounds():
 
 
 def test_node_budget_counts_root_nodes():
-    # a root vertex is a search node too, so an exact report never
-    # explores more nodes than its budget, and a cut search still reports
-    # a valid witness within its bounds
+    # a root vertex is a search node too, and the node that trips the
+    # budget is not counted, so no report explores more nodes than its
+    # budget, and a cut search still reports a valid witness within its bounds
     graphs = [complete_graph(3), ExplicitGraph.from_edges(3, [(0, 1)])]
     graphs += [g for _, g in corpus(32, 40)]
     for g in graphs:
         for budget in range(4):
             rep = max_clique_exact(g, node_budget=budget)
-            assert not rep.exact or rep.nodes_explored <= budget
+            assert rep.nodes_explored <= budget
             assert g.is_clique(list(rep.witness))
             assert rep.lower_bound == len(rep.witness) <= rep.upper_bound
 
@@ -181,7 +181,7 @@ def test_warm_start_reaches_planted():
 
 def test_warm_start_must_be_clique():
     g = tiny_gap("10")
-    bad = [g.b_vertex(1, 2, 0, 0), g.b_vertex(1, 2, 1, 1)]
+    bad = [g.validate_vertex(("B", 1, 2, 0, 0)), g.validate_vertex(("B", 1, 2, 1, 1))]
     with pytest.raises(ValueError):
         verify._implicit_search(g, 0, 1, bad, 512)
 
