@@ -70,8 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--instance", required=True)
     g.add_argument("--scheme", required=True)
     g.add_argument("--replication", type=int, required=True)
-    g.add_argument("--export", metavar="DIMACS", help="write the explicit graph")
-    g.add_argument("--map", metavar="FILE", help="sidecar map (default DIMACS path + .map)")
+    g.add_argument("--export", metavar="DIMACS", help="write the explicit graph and DIMACS.map")
     g.add_argument("--plant", metavar="FILE", help="write the planted clique set")
     g.add_argument("--budget", type=int, default=EXPORT_VERTEX_BUDGET)
     g.set_defaults(func=_cmd_graph)
@@ -213,7 +212,7 @@ def _cmd_graph(args) -> int:
         graph, verts = gap.export_explicit(budget=args.budget)
         with open(args.export, "w") as fp:
             write_dimacs(graph, fp)
-        map_path = args.map or args.export + ".map"
+        map_path = args.export + ".map"
         with open(map_path, "w") as fp:
             write_sidecar(verts, gap, fp)
         _print_kv(("written", args.export), ("map", map_path))

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import IO, Hashable
+from typing import IO
 
 from .errors import check_budget
 from .field import FVector
-from .textio import text_lines
+from .textio import int_fields, misfit, text_lines
 
-Vertex = Hashable
 # largest gadget dimension m reduce_clique builds vectors over
 GADGET_BUDGET = 1_000_000
 
@@ -151,6 +150,16 @@ def verify_selection(inst: VectorSumInstance, sel: SelectionCertificate) -> bool
     return acc == inst.target.bits
 
 
+def gadget_dims(k: int, num_vertices: int) -> tuple[int, int]:
+    """(L, m) for a k-class graph on num_vertices vertices: the sigma code
+    width L = max(1, bit_length(num_vertices)) and the gadget dimension
+    m = k + k(k-1)/2 + k^2 * L, which is checked against GADGET_BUDGET."""
+    L = max(1, num_vertices.bit_length())
+    m = k + k * (k - 1) // 2 + k * k * L
+    check_budget(m, GADGET_BUDGET, "gadget dimension {}")
+    return L, m
+
+
 def _zero_one(bits: int) -> int:
     # packed GF(4) vector whose digit b is bit b of bits (0 or 1)
     return int(f"{bits:b}", 4)
@@ -180,11 +189,8 @@ def reduce_clique(g: MulticolorGraph) -> VectorSumInstance:
     """
     k = g.k
     verts = g.vertices()
-    n = len(verts) + 1
-    L = max(1, (n - 1).bit_length())  # ceil(log2(n)) for n >= 2
+    L, m = gadget_dims(k, len(verts))
     npairs = k * (k - 1) // 2
-    m = k + npairs + k * k * L
-    check_budget(m, GADGET_BUDGET, "gadget dimension {}")
     # sigma(v): v's 1-based rank in sorted order, LSB first; never zero
     sigma = {v: _zero_one(rank) for rank, v in enumerate(verts, start=1)}
     grid_base = k + npairs
@@ -261,17 +267,18 @@ def write_mcol(g: MulticolorGraph, fp: IO[str]) -> None:
 
 def read_mcol(fp: IO[str]) -> MulticolorGraph:
     lines = text_lines(fp, _MCOL_LINES)
-    n, num_edges, k = map(int, next(lines)[2:])
+    head = next(lines)
+    n, num_edges, k = int_fields(head[2:], lambda: misfit(_MCOL_LINES[0], head))
     colors: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     for tok in lines:
         if tok[0] == "e":
-            edges.append((int(tok[1]), int(tok[2])))
+            edges.append(tuple(int_fields(tok[1:], lambda: misfit(_MCOL_LINES[2], tok))))
         else:
-            v = int(tok[1])
+            v, c = int_fields(tok[1:], lambda: misfit(_MCOL_LINES[1], tok))
             if v in colors:
                 raise ValueError(f"vertex {v} colored twice")
-            colors[v] = int(tok[2])
+            colors[v] = c
     g = MulticolorGraph(k, colors, edges)
     if len(colors) != n or len(g.edges) != num_edges:
         raise ValueError("header counts disagree with body")
@@ -288,14 +295,15 @@ def write_vsi(inst: VectorSumInstance, fp: IO[str]) -> None:
 
 def read_vsi(fp: IO[str]) -> VectorSumInstance:
     lines = text_lines(fp, _VSI_LINES)
-    num_sets, m = map(int, next(lines)[1:])
+    head = next(lines)
+    num_sets, m = int_fields(head[1:], lambda: misfit(_VSI_LINES[0], head))
     # before any set is built; reduce_clique writes k' <= m <= GADGET_BUDGET sets
     check_budget(num_sets, GADGET_BUDGET, "{} vector sets")
     sets: list[list[FVector]] = [[] for _ in range(num_sets)]
     target = None
     for tok in lines:
         if tok[0] == "s":
-            si = int(tok[1])
+            (si,) = int_fields(tok[1:2], lambda: misfit(_VSI_LINES[2], tok))
             if not 1 <= si <= num_sets:
                 raise ValueError(f"set index {si} out of range")
             sets[si - 1].append(FVector.from_text(tok[2]))

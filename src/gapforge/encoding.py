@@ -47,7 +47,7 @@ import numpy as np
 from .errors import check_budget
 from .field import FMat, FVector, INV, MUL, rank_and_kernel
 from .rng import SplitMix64
-from .textio import misfit, text_lines
+from .textio import int_fields, misfit, text_lines
 
 _MUL_NP = np.array(MUL, dtype=np.uint8)
 _INV_NP = np.array([0, *INV[1:]], dtype=np.uint8)
@@ -235,7 +235,7 @@ def check_scheme(scheme: EncodingScheme, test_set: Sequence[FVector]) -> SchemeR
     cost = (4**scheme.h) * len(V) ** 2
     check_budget(cost, CHECK_SCHEME_BUDGET, "condition checks need about {} evaluations")
 
-    rank, kernel = rank_and_kernel([row for A in scheme.mats for row in A.rows])
+    rank, kernel = rank_and_kernel(FMat([row for A in scheme.mats for row in A.rows]))
     cond_inj = rank == scheme.m
     witness = None if cond_inj else ConditionWitness("injective", (), (kernel,))
 
@@ -424,6 +424,7 @@ def derandomize_scheme(
 #
 #     scheme <h> <m> <ell> <provenance>
 #     then ell blocks of h digit lines (rows of A_1, A_2, ...)
+_SCHEME_HEADER = "scheme H M ELL PROVENANCE"
 
 
 def write_scheme(scheme: EncodingScheme, fp: IO[str]) -> None:
@@ -437,8 +438,8 @@ def read_scheme(fp: IO[str]) -> EncodingScheme:
     lines = text_lines(fp)
     tok = next(lines, [])
     if tok[:1] != ["scheme"] or len(tok) < 5:
-        raise misfit("scheme H M ELL PROVENANCE", tok)
-    h, m, ell = int(tok[1]), int(tok[2]), int(tok[3])
+        raise misfit(_SCHEME_HEADER, tok)
+    h, m, ell = int_fields(tok[1:4], lambda: misfit(_SCHEME_HEADER, tok))
     # a row line is one digit string, which from_text checks
     rows = [FVector.from_text(" ".join(row)) for row in lines]
     if len(rows) != ell * h:

@@ -17,7 +17,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .textio import int_blocks
+from .textio import int_blocks, int_fields, misfit
 
 # largest graph any stage materializes (gap-graph export, strong power)
 EXPORT_VERTEX_BUDGET = 20_000
@@ -116,9 +116,9 @@ def write_dimacs(g: ExplicitGraph, fp: IO[str]) -> None:
 
 def read_dimacs(fp: IO[str]) -> ExplicitGraph:
     blocks = int_blocks(fp, _DIMACS_LINES, skip="c")
-    _, _, n, declared = next(blocks)
-    g = ExplicitGraph(int(n))
-    declared = int(declared)
+    head = next(blocks)
+    n, declared = int_fields(head[2:], lambda: misfit(_DIMACS_LINES[0], head))
+    g = ExplicitGraph(n)
     for uv in blocks:
         if isinstance(uv, list):  # one line of a chunk read line by line
             g.add_edge(uv[0] - 1, uv[1] - 1)

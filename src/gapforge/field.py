@@ -24,7 +24,7 @@ point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 _DIGITS = "0123"
 
@@ -123,12 +123,10 @@ class FVector:
         return cls(dim, 0)
 
     @classmethod
-    def unit(cls, dim: int, index: int, value: int = 1) -> "FVector":
+    def unit(cls, dim: int, index: int) -> "FVector":
         if not 0 <= index < dim:
             raise ValueError("unit index out of range")
-        if not 0 <= value <= 3:
-            raise ValueError("value outside 0..3")
-        return cls(dim, value << (2 * index))
+        return cls(dim, 1 << (2 * index))
 
     # -- accessors ------------------------------------------------------
 
@@ -142,12 +140,6 @@ class FVector:
 
     def to_text(self) -> str:
         return "".join(_DIGITS[d] for d in self.digits())
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits())
-
-    def __len__(self) -> int:
-        return self.dim
 
     def __repr__(self) -> str:
         return f"FVector({self.to_text()!r})"
@@ -168,8 +160,6 @@ class FVector:
     def __add__(self, other: "FVector") -> "FVector":
         self._check_dim(other)
         return FVector(self.dim, self.bits ^ other.bits)
-
-    __sub__ = __add__  # characteristic 2
 
     def scalar_mul(self, c: int) -> "FVector":
         if c == 1:
@@ -229,8 +219,8 @@ def outer(a: FVector, v: FVector) -> FMat:
     return FMat([v.scalar_mul(ai) for ai in a.digits()])
 
 
-def rank_and_kernel(rows: Sequence[FVector]) -> tuple[int, FVector | None]:
-    """Rank of the row list and, if column-rank deficient, a kernel vector.
+def rank_and_kernel(mat: FMat) -> tuple[int, FVector | None]:
+    """Rank of mat and, if column-rank deficient, a kernel vector.
 
     Gaussian elimination over GF(4) on the rows' packed ints, a row at a
     time: a row clears its first nonzero column with one XOR of a multiple
@@ -239,16 +229,12 @@ def rank_and_kernel(rows: Sequence[FVector]) -> tuple[int, FVector | None]:
     free coordinate is 1 and whose other free coordinates are 0, read off
     the pivots by back substitution in descending column order: it is
     nonzero and row.dot(kernel) == 0 for every row, an explicit witness
-    that the stacked map is not injective.
+    that x -> mat x is not injective.
     """
-    if not rows:
-        raise ValueError("need at least one row")
-    m = rows[0].dim
-    if any(r.dim != m for r in rows):
-        raise ValueError("ragged rows")
+    m = mat.m
     mask = _lo_mask(m)
     pivots: dict[int, int] = {}  # column -> its pivot row, scaled to a leading 1
-    for row in rows:
+    for row in mat.rows:
         r = row.bits
         while r:
             col = _lead(r)

@@ -52,7 +52,7 @@ from .csp import CSPInstance, honest_assignment
 from .errors import check_budget
 from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, bit_indices, mask_bits
 from .field import FVector
-from .textio import text_lines
+from .textio import int_fields, text_lines
 
 Vertex = tuple
 # largest family planted_clique builds
@@ -368,10 +368,14 @@ def read_sidecar(fp: IO[str], g: GapGraph) -> list[Vertex]:
     kh = g.csp.k * g.csp.h
     ell = g.csp.ell
     out: dict[int, Vertex] = {}
+
+    def malformed() -> ValueError:
+        return ValueError(f"malformed sidecar line {' '.join(tok)!r}")
+
     for tok in text_lines(fp):
         if len(tok) < 2 or len(tok) != {"B": 4, "A": 5}.get(tok[1]):
-            raise ValueError(f"malformed sidecar line {' '.join(tok)!r}")
-        idx = int(tok[0])
+            raise malformed()
+        (idx,) = int_fields(tok[:1], malformed)
         if idx in out:
             raise ValueError(f"sidecar id {idx} listed twice")
         # a B line packs (p, q) and (y, z) into one digit string each, low half first
@@ -383,7 +387,7 @@ def read_sidecar(fp: IO[str], g: GapGraph) -> list[Vertex]:
             p, q = tup.bits & (4**kh - 1), tup.bits >> (2 * kh)
             v = ("B", p, q, val.bits & (4**ell - 1), val.bits >> (2 * ell))
         else:
-            v = ("A", tup.bits, int(tok[3]), val.bits)
+            v = ("A", tup.bits, *int_fields(tok[3:4], malformed), val.bits)
         out[idx] = g.validate_vertex(v)
     ids = range(1, len(out) + 1)
     if out.keys() != set(ids):

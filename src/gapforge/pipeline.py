@@ -11,9 +11,10 @@ byte-identical.
 
 Default parameters follow the source construction: k' = k + k(k-1)/2,
 h = k'^2, ell = 2*ceil(log2 n) + 2h, r = |F|^{k'h}.  Those defaults are
-astronomically infeasible on purpose; dry_run reports the exact sizes
-instead of materializing anything, and desk-scale runs override h, ell
-and r downward.
+astronomically infeasible on purpose; dry_run lays out the multicolor
+graph and builds the reduction, then reports the exact sizes instead of
+building the scheme, CSP or gap graph, and desk-scale runs override h,
+ell and r downward.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .cliquered import (
     SelectionCertificate,
     VectorSumInstance,
     brute_force_vector_sum,
+    gadget_dims,
     reduce_clique,
     write_vsi,
 )
@@ -87,8 +89,6 @@ class PipelineConfig:
 class PipelineBundle:
     config: PipelineConfig
     k_prime: int
-    multicolor: MulticolorGraph | None
-    instance: VectorSumInstance | None
     scheme: EncodingScheme | None = None
     scheme_report: SchemeReport | None = None
     csp: CSPInstance | None = None
@@ -154,14 +154,14 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
     with cfg.k classes.  Budget overruns surface as StageError carrying
     the stage name.
     """
-    if isinstance(graph, MulticolorGraph):
-        if graph.k != cfg.k:
-            raise ValueError("multicolor input must have cfg.k color classes")
-        mcg = graph
-    else:
-        mcg = plain_to_multicolor(graph, cfg.k)
+    if not isinstance(graph, MulticolorGraph):
+        # m needs only k and the n*k layered vertices: check it before the layers
+        _run_stage("reduce", lambda: gadget_dims(cfg.k, graph.n * cfg.k))
+        graph = plain_to_multicolor(graph, cfg.k)
+    if graph.k != cfg.k:
+        raise ValueError("multicolor input must have cfg.k color classes")
 
-    inst = _run_stage("reduce", lambda: reduce_clique(mcg))
+    inst = _run_stage("reduce", lambda: reduce_clique(graph))
     k_prime, m = inst.num_sets, inst.dim
     n_vectors = sum(len(s) for s in inst.sets)
     h, ell, r = _resolved(cfg, k_prime, n_vectors)
@@ -178,7 +178,7 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
         lines.append(("dry_run", 1))
         text = render_kv(lines)
         files = _write_files(out_dir, [("report.txt", _write_text, text)])
-        return PipelineBundle(cfg, k_prime, mcg, inst, report_text=text, files=files)
+        return PipelineBundle(cfg, k_prime, report_text=text, files=files)
 
     # the tuple count needs only (k', h): check it before sampling a scheme
     _run_stage("csp", lambda: num_tuples(k_prime, h))
@@ -257,7 +257,7 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
     files = _write_files(out_dir, items)
 
     return PipelineBundle(
-        cfg, k_prime, mcg, inst, scheme, scheme_report, csp, gap, sel,
+        cfg, k_prime, scheme, scheme_report, csp, gap, sel,
         completeness, planted_ok, explicit_graph, probe, text, files,
     )
 

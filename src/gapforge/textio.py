@@ -3,7 +3,9 @@
 In every format a line whose first token starts with `#` is a comment;
 DIMACS also skips its `c` lines.  A tagged format (DIMACS, mcol, vsi)
 names the shape of each line it allows, such as `"e U V"`, header first;
-the header is the first line and appears once.
+the header is the first line and appears once.  Every int field goes
+through `int_fields`, which refuses a field longer than int() reads with
+the format's malformed-line error.
 
 `int_blocks` reads such a format in bulk, CHUNK characters at a time: a
 chunk whose lines all have the canonical form `e 12 345\\n` is checked
@@ -13,7 +15,8 @@ line rule as `text_lines`, line by line.
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Iterator
+import sys
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,7 +49,7 @@ def int_blocks(
     bulk.  Yields the header's tokens, then the fields after each body
     line's tag, in file order: one (lines, fields) int64 array per chunk
     of canonical lines, and a list of ints per line of any other chunk.
-    A line text_lines rejects, or a field int() rejects, raises the same
+    A line text_lines rejects, or a field int_fields rejects, raises the same
     ValueError once the lines before it are yielded."""
     tag, *fields = shapes[1].split()
     yield _header(iter(fp), shapes[0], skip)
@@ -56,7 +59,7 @@ def int_blocks(
             yield rows
         else:
             for tok in _body(lines, shapes, skip):
-                yield [int(t) for t in tok[1:]]
+                yield int_fields(tok[1:], lambda: misfit(shapes[1], tok))
 
 
 def _header(lines: Iterator[str], shape: str, skip: str | None) -> list[str]:
@@ -127,6 +130,16 @@ def _canonical_rows(lines: list[str], tag: str, width: int) -> np.ndarray | None
         place = np.where(lens > k, _POW10[k], 0)
         rows += place * (b[np.maximum(last - k, 0)] - ord("0"))
     return rows
+
+
+def int_fields(fields: list[str], malformed: Callable[[], ValueError]) -> list[int]:
+    """int() of each field.  A field of more characters than int() reads
+    (sys.get_int_max_str_digits(), when set) raises malformed(), the
+    format's error for its line, so every int read stays printable."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(len, fields), default=0) > limit:
+        raise malformed()
+    return list(map(int, fields))
 
 
 def misfit(shape: str, tok: list[str]) -> ValueError:

@@ -676,6 +676,54 @@ def test_scheme_counts_past_4300_digits_end_with_the_budget_line(tmp_path, capsy
     assert capsys.readouterr().err == f"error: {what.format(Decimal(count))} over budget {budget}\n"
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, text, shape",
+    [
+        (["clique", "--exact", "{}"], f"p edge {NINES} 0", "p edge N M"),
+        (["csp", "--build", "--instance", "{}", "--scheme", "S"], f"vsi {NINES} 2", "vsi SETS M"),
+        (
+            ["csp", "--build", "--instance", "I", "--scheme", "{}"], f"scheme {NINES} 1 1 x",
+            "scheme H M ELL PROVENANCE",
+        ),
+        (["pipeline", "--input", "{}", "--k", "2", "--dry-run"], f"p mcol {NINES} 0 2", "p mcol N M K"),
+    ],
+    ids=["dimacs", "vsi", "scheme", "mcol"],
+)
+def test_int_field_past_the_int_digit_limit_is_a_malformed_line(
+    tmp_path, capsys, yes_instance, scheme_file, argv, text, shape
+):
+    # int() refuses to read more than 4,300 digits; the readers refuse such
+    # a header field first, with the format's own line error, so every int
+    # they read stays printable
+    path = tmp_path / "long.txt"
+    path.write_text(text + "\n")
+    files = {"{}": str(path), "I": str(yes_instance), "S": str(scheme_file)}
+    rc = main([files.get(a, a) for a in argv])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: expected '{shape}' line, got '{text}'\n"
+
+
+def test_gadget_dimension_is_refused_before_the_layers_are_built(tmp_path):
+    # K3 at k = 1500 layers into 4500 vertices, so the gadget dimension is
+    # 1500 + 1500*1499/2 + 1500^2 * 13 = 30,375,750, known before any of
+    # the 1500 layers and their 6.7M edges is built
+    path = tmp_path / "k3.dimacs"
+    path.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    start = time.perf_counter()
+    proc = _run_cli_under_memory_limit(
+        ["pipeline", "--input", str(path), "--k", "1500", "--dry-run"]
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.stderr == (
+        f"error: stage 'reduce' failed: gadget dimension 30375750 over budget {GADGET_BUDGET}\n"
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert elapsed < 5
+
+
 @pytest.mark.parametrize("h", [8, 10])
 def test_derandomize_one_vector_builds_no_unbudgeted_table(tmp_path, h):
     # one test vector gives no constraint, so the scheme is the coordinate

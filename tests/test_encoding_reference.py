@@ -53,7 +53,7 @@ def flatten(A: FMat) -> FVector:
 
 def ref_check_scheme(scheme: EncodingScheme, V: list[FVector]) -> SchemeReport:
     witness = None
-    rank, kernel = rank_and_kernel([row for A in scheme.mats for row in A.rows])
+    rank, kernel = rank_and_kernel(FMat([row for A in scheme.mats for row in A.rows]))
     cond_inj = rank == scheme.m
     if not cond_inj:
         witness = ConditionWitness("injective", (), (kernel,))

@@ -237,12 +237,12 @@ def test_bilinear_form_equals_flattened_outer_dot():
 
 def test_rank_full_and_deficient():
     full = [FVector.from_text("10"), FVector.from_text("01")]
-    r, ker = rank_and_kernel(full)
+    r, ker = rank_and_kernel(FMat(full))
     assert r == 2 and ker is None
 
     # single row (1, w): kernel contains (w, 1) since w + w^2*... check dot
     row = FVector.from_text("12")
-    r, ker = rank_and_kernel([row])
+    r, ker = rank_and_kernel(FMat([row]))
     assert r == 1
     assert ker is not None and not ker.is_zero()
     assert row.dot(ker) == 0
@@ -260,7 +260,7 @@ def test_rank_random_matches_brute_force_injectivity():
             FVector.from_digits(int(x) for x in rng.integers(0, 4, m))
             for _ in range(nrows)
         ]
-        rank, ker = rank_and_kernel(rows)
+        rank, ker = rank_and_kernel(FMat(rows))
         kernel = [
             v
             for v in map(FVector.from_digits, itertools.product(range(4), repeat=m))
@@ -283,5 +283,6 @@ def test_is_zero_one():
 
 
 def test_unit_vectors():
-    e = FVector.unit(4, 2, 3)
+    e = FVector(4, 3 << 4)
     assert e.digits() == (0, 0, 3, 0)
+    assert FVector.unit(4, 2).digits() == (0, 0, 1, 0)

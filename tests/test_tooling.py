@@ -8,9 +8,10 @@ path); a target deleted or renamed in src would make
 resolve the way `Tracer._patch` looks it up.  `perfbench/workloads.py`
 calls gapforge by name and reads its config and results, so a src
 change that breaks one of those names fails here.  The other way round,
-every def in src needs a caller in src or in perfbench code, so src
-holds what the CLI, the pipeline and the benchmark run, and every
-module-level import in src and tests is read by its module.
+every def and module-level name in src needs a reader in src or in
+perfbench code, so src holds what the CLI, the pipeline and the
+benchmark run, and every module-level import in src and tests is read by
+its module.
 """
 
 from __future__ import annotations
@@ -155,6 +156,36 @@ def test_src_defs_have_a_caller():
         if not any(name in attrs or (not method and name in names) for names, attrs in reads):
             uncalled.append(key)
     assert not uncalled, f"defs with no caller in src or perfbench: {uncalled}"
+
+
+def test_src_module_names_are_read():
+    # a module-level name is read when its own module loads it, another
+    # src module imports it or reads it as an attribute, or perfbench code
+    # names it; a dunder such as __version__ is read by convention
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    named, imported = set(), set()  # bare names, and (module, name) pairs
+    for p in PERFBENCH.glob("*.py"):
+        named |= set().union(*_names_used(ast.parse(p.read_text())))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported |= {(node.module, a.name) for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unread = []
+    for mod, tree in trees.items():
+        loaded = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                dunder = name.startswith("__") and name.endswith("__")
+                if not (dunder or name in loaded | named or (mod, name) in imported):
+                    unread.append(f"{mod}.{name}")
+    assert not unread, f"module-level names no src or perfbench code reads: {unread}"
 
 
 def test_stages_own_their_budgets():

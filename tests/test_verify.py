@@ -136,15 +136,23 @@ def test_node_budget_degrades_to_bounds():
 def test_node_budget_counts_root_nodes():
     # a root vertex is a search node too, and the node that trips the
     # budget is not counted, so no report explores more nodes than its
-    # budget, and a cut search still reports a valid witness within its bounds
+    # budget, and a cut search still reports a valid witness within its
+    # bounds and is never exact.  Every node past the n roots is one that
+    # expand counts, so sweeping the budget up to the full search's count
+    # trips it inside expand as well as in the root loop
     graphs = [complete_graph(3), ExplicitGraph.from_edges(3, [(0, 1)])]
     graphs += [g for _, g in corpus(32, 40)]
+    expanded = 0
     for g in graphs:
-        for budget in range(4):
+        full = max_clique_exact(g)
+        expanded += full.nodes_explored - g.n
+        for budget in range(full.nodes_explored + 1):
             rep = max_clique_exact(g, node_budget=budget)
             assert rep.nodes_explored <= budget
             assert g.is_clique(list(rep.witness))
             assert rep.lower_bound == len(rep.witness) <= rep.upper_bound
+            assert rep.exact == (budget == full.nodes_explored)
+    assert expanded > 0
 
 
 def test_local_search_finds_k8():
