@@ -33,6 +33,8 @@ from .textio import int_fields, misfit, text_lines
 
 # largest gadget dimension m reduce_clique builds vectors over
 GADGET_BUDGET = 1_000_000
+# most digits reduce_clique's vectors, the target included, hold in all
+GADGET_DIGITS_BUDGET = 100_000_000
 
 
 def pair_index(i: int, j: int) -> int:
@@ -150,13 +152,18 @@ def verify_selection(inst: VectorSumInstance, sel: SelectionCertificate) -> bool
     return acc == inst.target.bits
 
 
-def gadget_dims(k: int, num_vertices: int) -> tuple[int, int]:
-    """(L, m) for a k-class graph on num_vertices vertices: the sigma code
-    width L = max(1, bit_length(num_vertices)) and the gadget dimension
-    m = k + k(k-1)/2 + k^2 * L, which is checked against GADGET_BUDGET."""
+def gadget_dims(k: int, num_vertices: int, num_edges: int) -> tuple[int, int]:
+    """(L, m) for a k-class graph on num_vertices vertices and num_edges
+    edges: the sigma code width L = max(1, bit_length(num_vertices)) and
+    the gadget dimension m = k + k(k-1)/2 + k^2 * L, which is checked
+    against GADGET_BUDGET.  The digits of the at most num_vertices +
+    num_edges gadgets and the target, m each, are checked against
+    GADGET_DIGITS_BUDGET."""
     L = max(1, num_vertices.bit_length())
     m = k + k * (k - 1) // 2 + k * k * L
     check_budget(m, GADGET_BUDGET, "gadget dimension {}")
+    digits = (num_vertices + num_edges + 1) * m
+    check_budget(digits, GADGET_DIGITS_BUDGET, "gadget vectors would hold {} digits")
     return L, m
 
 
@@ -185,11 +192,12 @@ def reduce_clique(g: MulticolorGraph) -> VectorSumInstance:
 
     At k = 1 there are no grid blocks to hold sigma codes, so all vertex
     gadgets coincide; the set collapses to that single vector, which is
-    faithful (any vertex is a 1-clique).  m is checked against GADGET_BUDGET first.
+    faithful (any vertex is a 1-clique).  m and the vectors' digits are
+    checked against their budgets first (`gadget_dims`).
     """
     k = g.k
     verts = g.vertices()
-    L, m = gadget_dims(k, len(verts))
+    L, m = gadget_dims(k, len(verts), len(g.edges))
     npairs = k * (k - 1) // 2
     # sigma(v): v's 1-based rank in sorted order, LSB first; never zero
     sigma = {v: _zero_one(rank) for rank, v in enumerate(verts, start=1)}

@@ -22,8 +22,10 @@ a != 0, w, x in V (`f_table`), to the two f-value conditions and the
 derandomizer.  `encode_g` is g for one vector.  `check_scheme` finds the
 first collision of each f-value condition by one stable sort over rows
 of F (`first_repeat`).  `derandomize_scheme` tabulates each matrix once:
-it keeps the constraints its selectors violate by index into their F,
-and each new matrix's own F filters them.
+it lists the constraints its selectors violate by one stable sort of
+each row w of their F, keeps them by index into that F, and each new
+matrix's own F filters them.  Both sort the self-correction keys of
+`_self_keys`, row w of F[a, w, x] with the x = w entries made unique.
 
 Random schemes satisfy all three with constant probability once
 ell >= 2 log2 |V| + 2h; `derandomize_scheme` constructs one
@@ -211,6 +213,16 @@ def _test_vectors(test_set: Sequence[FVector], m: int) -> list[FVector]:
     return V
 
 
+def _self_keys(F: np.ndarray) -> np.ndarray:
+    """Row w of F[a, w, x], x major and a minor: the keys whose equal
+    pairs break self-correction, with the q entries of x = w replaced by
+    keys met nowhere else, since the condition asks v, u != w."""
+    q, n = F.shape[:2]
+    keys = F.transpose(1, 2, 0).copy()  # [w, x, a]
+    keys[np.arange(n), np.arange(n)] = -1 - np.arange(q)
+    return keys.reshape(n, n * q)
+
+
 # f-table entries check_scheme may evaluate
 CHECK_SCHEME_BUDGET = 10_000_000
 
@@ -250,9 +262,7 @@ def check_scheme(scheme: EncodingScheme, test_set: Sequence[FVector]) -> SchemeR
             a, v, u = hit
             alpha = FVector(scheme.h, a + 1)
             witness = witness or ConditionWitness("separating", (alpha,), (V[v], V[u]))
-        keys = F.transpose(1, 2, 0).copy()  # [w, x, a]
-        keys[np.arange(n), np.arange(n)] = -1 - np.arange(q)  # x = w: keys met nowhere else
-        hit = first_repeat(keys.reshape(n, n * q), np.repeat(np.arange(n), q))
+        hit = first_repeat(_self_keys(F), np.repeat(np.arange(n), q))
         if hit:
             cond_self = False
             w, (v, a), (u, ap) = hit[0], divmod(hit[1], q), divmod(hit[2], q)
@@ -335,22 +345,33 @@ class DerandomizationStats:
 def _violated(mats: np.ndarray, X: np.ndarray, V: list[FVector]) -> tuple[np.ndarray, ...]:
     """The `derandomize_scheme` constraints the stack violates: each as the
     pair of flat indices into F = `f_table` whose entries it asks to differ,
-    and as its rank-one row."""
+    and as its rank-one row.
+
+    A constraint (a, w, v, a', u) is the row outer(a, v+w) + outer(a', u+w),
+    violated when F[a, w, v] = f(a, v+w) equals F[a', w, u].  Separating
+    ones, f(a, v+u) = 0 for a pair v < u, are (a, v, u, a, v): the row
+    outer(a, u+v), against F[a, v, v] = 0.  Self-correcting ones come from
+    one stable argsort of each row w of the self-correction keys
+    (`_self_keys`): equal keys then stand together in index order, so for
+    d = 1, 2, ... the equal keys d apart in sorted order list each equal
+    pair once, the smaller x first, and past the first d with none, no two
+    keys are equal further apart.  Pairs of one x are not constraints.
+    """
     h, m = mats.shape[1:]
     F = f_table(mats, X)
-    # compare ids, not values, so a stack past MAX_ELL compares no objects;
-    # F[a, v, v] = 0 is the smallest value, so id 0 is the value 0
-    F = np.unique(F, return_inverse=True)[1].reshape(F.shape)
-    i = np.arange(len(X))
-    # a constraint (a, w, v, a', u) is the row outer(a, v+w) + outer(a', u+w), violated
-    # when F[a, w, v] = f(a, v+w) equals F[a', w, u]; separating ones, f(a, v+u) = 0 for
-    # a pair v < u, are (a, v, u, a, v): the row outer(a, u+v), against F[a, v, v] = 0
+    q, n = F.shape[:2]
+    i = np.arange(n)
     a, v, u = np.nonzero((F == 0) & (i[:, None] < i))
     found = [(a, v, u, a, v)]
-    if len(X) > 2:  # self-correcting: a pair v < u, both != w
-        pairs = (i[:, None] < i) & (i[:, None, None] != i[:, None]) & (i[:, None, None] != i)
-        equal = F[:, :, :, None, None] == F.transpose(1, 0, 2)[None, :, None]  # [a, w, v, a', u]
-        found.append(np.nonzero(equal & pairs[:, :, None, :]))
+    keys = _self_keys(F)
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = np.take_along_axis(keys, order, axis=1)
+    for d in range(1, n * q):
+        w, j = np.nonzero(keys[:, d:] == keys[:, :-d])
+        if not len(w):
+            break
+        (v, a), (u, ap) = divmod(order[w, j], q), divmod(order[w, j + d], q)
+        found.append(np.stack([a, w, v, ap, u])[:, v < u])
     a, w, v, ap, u = np.concatenate(found, axis=1)
 
     def outer(a, d):  # the rank-one matrices alpha d^T, alpha the packed a + 1, flattened row-major
@@ -369,7 +390,9 @@ def _violated(mats: np.ndarray, X: np.ndarray, V: list[FVector]) -> tuple[np.nda
     return np.stack([left, right]), rows
 
 
-# estimated constraints, and selector f-table entries, derandomize_scheme may build
+# derandomize_scheme's closed-form constraint count, which bounds the
+# violated constraints it lists and their rows, and its selector f-table
+# entries, which bound the keys its per-w sort orders
 DERANDOMIZE_BUDGET = 10_000_000
 
 
@@ -388,7 +411,8 @@ def derandomize_scheme(
     A scheme matrix B satisfies a constraint D when <B flattened, D> != 0,
     and a stack violates D exactly when each of its matrices does.  So the
     selectors' table F[a, w, x] = f(a, x + w) lists the violated
-    constraints once, each kept as the two entries of F it asks to differ.
+    constraints once (`_violated`, one sort per w), each kept as the two
+    entries of F it asks to differ.
     Each round appends one conditional-expectations matrix, which leaves at
     most a quarter of them violated (at most ceil(log4(N+1)) rounds),
     tabulates that matrix alone and keeps the constraints it violates too.

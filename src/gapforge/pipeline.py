@@ -155,9 +155,11 @@ def run_pipeline(graph, cfg: PipelineConfig, out_dir: str | None = None) -> Pipe
     the stage name.
     """
     if not isinstance(graph, MulticolorGraph):
-        # m needs only k and the n*k layered vertices: check it before the layers
-        _run_stage("reduce", lambda: gadget_dims(cfg.k, graph.n * cfg.k))
-        graph = plain_to_multicolor(graph, cfg.k)
+        # the gadget budgets need only k and the layers' n*k vertices and
+        # k(k-1) copies of each edge: check them before the layers
+        k = cfg.k
+        _run_stage("reduce", lambda: gadget_dims(k, graph.n * k, graph.num_edges() * k * (k - 1)))
+        graph = plain_to_multicolor(graph, k)
     if graph.k != cfg.k:
         raise ValueError("multicolor input must have cfg.k color classes")
 

@@ -5,7 +5,8 @@ DIMACS also skips its `c` lines.  A tagged format (DIMACS, mcol, vsi)
 names the shape of each line it allows, such as `"e U V"`, header first;
 the header is the first line and appears once.  Every int field goes
 through `int_fields`, which refuses a field longer than int() reads with
-the format's malformed-line error.
+the format's malformed-line error.  An error quotes a refused line cut
+short (`_quoted`), so it stays one short line.
 
 `int_blocks` reads such a format in bulk, CHUNK characters at a time: a
 chunk whose lines all have the canonical form `e 12 345\\n` is checked
@@ -85,7 +86,7 @@ def _body(lines: Iterable[str], shapes: tuple[str, ...], skip: str | None) -> It
             continue
         if fields and len(tok) != fields.get(tok[0]):
             if tok[0] not in shape:
-                raise ValueError(f"unrecognized line {' '.join(tok)!r}")
+                raise ValueError(f"unrecognized line {_quoted(tok)}")
             if tok[0] not in fields:
                 raise ValueError(f"second '{tok[0]}' line")
             raise misfit(shape[tok[0]], tok)
@@ -143,4 +144,23 @@ def int_fields(fields: list[str], malformed: Callable[[], ValueError]) -> list[i
 
 
 def misfit(shape: str, tok: list[str]) -> ValueError:
-    return ValueError(f"expected '{shape}' line, got {' '.join(tok)!r}")
+    return ValueError(f"expected '{shape}' line, got {_quoted(tok)}")
+
+
+# tokens, and characters of a token, that an error quotes of a line
+_QUOTED_TOKENS = 20
+_QUOTED_CHARS = 16
+
+
+def _quoted(tok: list[str]) -> str:
+    """The line's tokens, quoted for an error: a longer token is cut to
+    its first _QUOTED_CHARS characters and a longer line to its first
+    _QUOTED_TOKENS tokens, each cut marked with the full length, so the
+    error stays one short line whatever the input."""
+    shown = [
+        t if len(t) <= _QUOTED_CHARS else f"{t[:_QUOTED_CHARS]}...[{len(t)} chars]"
+        for t in tok[:_QUOTED_TOKENS]
+    ]
+    if len(tok) > _QUOTED_TOKENS:
+        shown.append(f"...[{len(tok)} tokens]")
+    return repr(" ".join(shown))

@@ -29,6 +29,11 @@ encoding
                       it for every row of a key array by one stable sort.
   zero_dot_count      #{c : <a, c> = 0}; checks the floor(N/4) bound of
                       `conditional_expectation_vector`.
+  violated_constraints
+                      the constraints a selector stack violates, found in
+                      the dense [a, w, v, a', u] equality tensor of its
+                      f-table; `encoding._violated` lists the same set by
+                      one sort per w.
   collision_frequency, collision_frequency_exhaustive
                       sampled and exact agreement rates of two bilinear
                       forms b^T A v, c^T A u over random A, read off
@@ -98,7 +103,7 @@ from gapforge.cliquered import (
     VectorSumInstance,
 )
 from gapforge.csp import Assignment, CSPInstance, honest_assignment
-from gapforge.encoding import EncodingScheme, SchemeReport, as_digits, f_values
+from gapforge.encoding import EncodingScheme, SchemeReport, as_digits, f_table, f_values
 from gapforge.errors import check_budget
 from gapforge.explicit import ExplicitGraph
 from gapforge.field import MUL, FMat, FVector, _lo_mask
@@ -192,6 +197,44 @@ def first_repeat(items):
 
 def zero_dot_count(a: FVector, constraints: Sequence[FVector]) -> int:
     return sum(1 for c in constraints if a.dot(c) == 0)
+
+
+def violated_constraints(
+    mats: np.ndarray, X: np.ndarray, V: list[FVector]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`encoding._violated` by the dense tensor: every (a, w, v, a', u) with
+    F[a, w, v] = F[a', w, u] is read off the q^2 n^3 equality tensor of
+    F = `f_table`, compared on `np.unique` ids so that a stack past
+    MAX_ELL compares no objects.  Same pairs of flat indices into F, same
+    rows and same error, in tensor order."""
+    h, m = mats.shape[1:]
+    F = f_table(mats, X)
+    # F[a, v, v] = 0 is the smallest value, so id 0 is the value 0
+    F = np.unique(F, return_inverse=True)[1].reshape(F.shape)
+    i = np.arange(len(X))
+    # separating: f(a, v+u) = 0 for v < u, as (a, v, u, a, v) against F[a, v, v] = 0
+    a, v, u = np.nonzero((F == 0) & (i[:, None] < i))
+    found = [(a, v, u, a, v)]
+    if len(X) > 2:  # self-correcting: a pair v < u, both != w
+        pairs = (i[:, None] < i) & (i[:, None, None] != i[:, None]) & (i[:, None, None] != i)
+        equal = F[:, :, :, None, None] == F.transpose(1, 0, 2)[None, :, None]  # [a, w, v, a', u]
+        found.append(np.nonzero(equal & pairs[:, :, None, :]))
+    a, w, v, ap, u = np.concatenate(found, axis=1)
+    mul = np.array(MUL, dtype=np.uint8)
+
+    def outer(a, d):  # alpha d^T, alpha the packed a + 1, flattened row-major
+        alpha = (a[:, None] + 1 >> 2 * np.arange(h)) & 3
+        return mul[alpha[:, :, None], d[:, None, :]].reshape(len(a), h * m)
+
+    rows = outer(a, X[v] ^ X[w]) ^ outer(ap, X[u] ^ X[w])
+    zero = np.flatnonzero(~rows.any(axis=1))
+    if len(zero):
+        wt, vt, ut = (V[j].to_text() for j in min(zip(w[zero], v[zero], u[zero])))
+        raise ValueError(
+            f"self-correction unachievable: {ut}+{wt} is a scalar multiple of {vt}+{wt}"
+        )
+    left, right = (np.ravel_multi_index(e, F.shape) for e in ((a, w, v), (ap, w, u)))
+    return np.stack([left, right]), rows
 
 
 def _validate_collision_args(b: FVector, c: FVector, v: FVector, u: FVector) -> None:

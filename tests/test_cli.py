@@ -13,7 +13,8 @@ import pytest
 import gapforge
 from gapforge.cli import main
 from gapforge.cliquered import (
-    GADGET_BUDGET, VectorSumInstance, read_vsi, reduce_clique, write_mcol, write_vsi,
+    GADGET_BUDGET, GADGET_DIGITS_BUDGET, VectorSumInstance, read_vsi, reduce_clique,
+    write_mcol, write_vsi,
 )
 from gapforge.csp import TUPLE_BUDGET, build_csp, honest_assignment, write_assignment
 from gapforge.encoding import read_scheme
@@ -677,6 +678,8 @@ def test_scheme_counts_past_4300_digits_end_with_the_budget_line(tmp_path, capsy
 
 
 NINES = "9" * 5000
+# how an error line quotes NINES: its first 16 characters and its length
+NINES_QUOTED = "9" * 16 + "...[5000 chars]"
 
 
 @pytest.mark.parametrize(
@@ -697,13 +700,35 @@ def test_int_field_past_the_int_digit_limit_is_a_malformed_line(
 ):
     # int() refuses to read more than 4,300 digits; the readers refuse such
     # a header field first, with the format's own line error, so every int
-    # they read stays printable
+    # they read stays printable, and the error quotes the field cut short
     path = tmp_path / "long.txt"
     path.write_text(text + "\n")
     files = {"{}": str(path), "I": str(yes_instance), "S": str(scheme_file)}
     rc = main([files.get(a, a) for a in argv])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: expected '{shape}' line, got '{text}'\n"
+    err = capsys.readouterr().err
+    assert err == f"error: expected '{shape}' line, got '{text.replace(NINES, NINES_QUOTED)}'\n"
+    assert len(err) < 128
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        (
+            "p edge 2 1\ne " + " ".join(["1"] * 100_000) + "\n",
+            "expected 'e U V' line, got '" + " ".join(["e"] + ["1"] * 19) + " ...[100001 tokens]'",
+        ),
+        (f"p edge 2 1\nx{NINES} 1 2\n", "unrecognized line 'x" + "9" * 15 + "...[5001 chars] 1 2'"),
+    ],
+    ids=["many-fields", "long-tag"],
+)
+def test_refused_lines_are_quoted_short(tmp_path, capsys, text, err):
+    # a line the reader refuses is quoted by at most 20 tokens of at most
+    # 16 characters each, each cut one marked with its length
+    path = tmp_path / "long.dimacs"
+    path.write_text(text)
+    assert main(["clique", "--exact", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_gadget_dimension_is_refused_before_the_layers_are_built(tmp_path):
@@ -719,6 +744,30 @@ def test_gadget_dimension_is_refused_before_the_layers_are_built(tmp_path):
     elapsed = time.perf_counter() - start
     assert proc.stderr == (
         f"error: stage 'reduce' failed: gadget dimension 30375750 over budget {GADGET_BUDGET}\n"
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert elapsed < 5
+
+
+def test_gadget_digits_are_refused_before_the_layers_are_built(tmp_path):
+    # K3 at k = 250 has gadget dimension 656,375, within GADGET_BUDGET, but
+    # its 750 vertex and 186,750 edge gadgets plus the target would hold
+    # about 1.2e11 digits (31 GB); the count is known before any layer
+    path = tmp_path / "k3.dimacs"
+    path.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    k = 250
+    m = k + k * (k - 1) // 2 + k * k * 10
+    digits = (3 * k + 3 * k * (k - 1) + 1) * m
+    start = time.perf_counter()
+    proc = _run_cli(
+        ["pipeline", "--input", str(path), "--k", str(k)],
+        preexec_fn=_limit_address_space, timeout=5,
+    )
+    elapsed = time.perf_counter() - start
+    assert m <= GADGET_BUDGET
+    assert proc.stderr == (
+        f"error: stage 'reduce' failed: gadget vectors would hold {digits} digits"
+        f" over budget {GADGET_DIGITS_BUDGET}\n"
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert elapsed < 5

@@ -13,6 +13,7 @@ import hashlib
 import io
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -428,6 +429,21 @@ def test_derandomize_k4_k3_h1_union_is_clean_and_pinned():
     write_scheme(scheme, buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == "7f57e4caa8a2ea8d50865c965b6ecf2970ab28dd4e5c762b38ba61596337ed98"
+
+
+def test_derandomize_memory_stays_below_the_dense_tensor():
+    # 60 distinct 0/1 vectors in F^40 at h = 1 violate nothing, yet a dense
+    # [a, w, v, a', u] equality tensor over them alone takes q^2 n^3 bytes
+    n, m = 60, 40
+    V = tiny_instance_sets(np.random.default_rng(62), m, n)
+    tracemalloc.start()
+    try:
+        _, stats = derandomize_scheme(V, 1, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.rounds == 0
+    assert peak < 3**2 * n**3
 
 
 def test_derandomize_tabulates_each_matrix_once(monkeypatch):

@@ -11,7 +11,9 @@ stats, the same Fractions and the same ValueError messages.  Wide cases
 pack f-values into Python ints: schemes of ell 32 and 40 for the checker,
 and selector stacks of more than `MAX_ELL` matrices for the derandomizer.
 The sort that finds first repeats is checked against the dict scan
-`reference.first_repeat` on small key and tag arrays.
+`reference.first_repeat` on small key and tag arrays, and the per-w sort
+that lists the constraints a selector stack violates against the dense
+tensor of `reference.violated_constraints`.
 """
 
 from __future__ import annotations
@@ -27,14 +29,20 @@ from gapforge.encoding import (
     ConditionWitness,
     EncodingScheme,
     SchemeReport,
+    _violated,
+    as_digits,
     check_scheme,
     conditional_expectation_vector,
     derandomize_projections,
     derandomize_scheme,
     first_repeat as sorted_first_repeat,
+    matrix_stack,
     sample_scheme,
 )
+from gapforge.cliquered import reduce_clique
+from gapforge.explicit import ExplicitGraph
 from gapforge.field import MUL, FMat, FVector, outer, rank_and_kernel
+from gapforge.pipeline import plain_to_multicolor
 from reference import (
     all_pass,
     collision_frequency,
@@ -42,6 +50,7 @@ from reference import (
     encode_f,
     first_repeat,
     from_entries,
+    violated_constraints,
 )
 
 _MUL_NP = np.array(MUL, dtype=np.uint8)
@@ -283,6 +292,48 @@ def test_wide_derandomize_matches_reference():
         assert all_pass(check_scheme(scheme, V))
         seen.add("rounds" if stats.rounds else "clean")
     assert seen == {"clean", "rounds", "unachievable"}, seen
+
+
+def constraint_list(fn, V: list[FVector], h: int, m: int):
+    """The constraints fn lists for the selectors of V as sorted (left,
+    right, row bytes) triples, or the message of the ValueError raised."""
+    mats = matrix_stack(derandomize_projections(m, h))
+    try:
+        pairs, rows = fn(mats, as_digits(V, m), V)
+    except ValueError as e:
+        return str(e)
+    return sorted(zip(pairs[0].tolist(), pairs[1].tolist(), map(bytes, rows)))
+
+
+def violated_cases():
+    """Seeded test sets at h = 1, 2 and n = 3..9, the K3 k=2 h=2 union
+    (equal-key groups up to 12 long, with x = w and same-x entries among
+    them) and the K5 k=2 h=1 union, which the selectors meet in full."""
+    rng = np.random.default_rng(9500)
+    for h, n, top in itertools.product((1, 2), range(3, 10), (2, 4)):
+        m = int(rng.integers(2, 7))
+        V: list[FVector] = []
+        while len(V) < min(n, top**m):
+            v = random_vector(rng, m, top)
+            if v not in V:
+                V.append(v)
+        yield V, h, m
+    for n, k, h in ((3, 2, 2), (5, 2, 1)):
+        g = ExplicitGraph.from_edges(n, itertools.combinations(range(n), 2))
+        inst = reduce_clique(plain_to_multicolor(g, k))
+        yield inst.union(), h, inst.dim
+
+
+def test_violated_lists_the_dense_tensor_constraint_set():
+    sizes = []
+    for V, h, m in violated_cases():
+        got = constraint_list(_violated, V, h, m)
+        assert got == constraint_list(violated_constraints, V, h, m), (V, h)
+        sizes.append(len(got) if isinstance(got, list) else "unachievable")
+    # the random sets reach every outcome; the two unions come last, the
+    # K3 one with 48 separating and 1,443 self-correcting constraints
+    assert {0, "unachievable"} <= set(sizes) and max(s for s in sizes if s != "unachievable") > 0
+    assert sizes[-2:] == [1491, 0]
 
 
 def scan_rows(keys: np.ndarray, tags: np.ndarray):
