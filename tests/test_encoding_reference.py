@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gapforge.cliquered import reduce_clique
 from gapforge.encoding import (
     MAX_ELL,
     ConditionWitness,
@@ -39,7 +40,6 @@ from gapforge.encoding import (
     matrix_stack,
     sample_scheme,
 )
-from gapforge.cliquered import reduce_clique
 from gapforge.explicit import ExplicitGraph
 from gapforge.field import MUL, FMat, FVector, outer, rank_and_kernel
 from gapforge.pipeline import plain_to_multicolor
