@@ -47,6 +47,10 @@ cliquered
                       is solvable.
   selection_to_clique, clique_to_selection
                       the certificate maps between the two sides.
+  first_selection     the lexicographically first satisfying selection,
+                      by walking every selection in `itertools.product`
+                      order; `brute_force_vector_sum` meets in the middle
+                      and must return the same one.
   validate_no_scalar_multiples
                       pairwise independence of a `VectorSumInstance`'s
                       vector union.
@@ -346,6 +350,25 @@ def clique_to_selection(g: MulticolorGraph, clique: Sequence) -> SelectionCertif
                 raise ValueError(f"missing edge between colors {i} and {j}")
             indices.append(cross.index(pair))
     return SelectionCertificate(tuple(indices))
+
+
+def first_selection(inst: VectorSumInstance) -> SelectionCertificate | None:
+    """Exhaustive search over one-per-set selections; None if unsolvable."""
+    if inst.empty_sets():
+        return None
+    total = 1
+    for s in inst.sets:
+        total *= len(s)
+        check_budget(total, BRUTE_FORCE_BUDGET, "selection space of at least {} selections")
+    packed = [[v.bits for v in s] for s in inst.sets]
+    tbits = inst.target.bits
+    for combo in itertools.product(*(range(len(s)) for s in inst.sets)):
+        acc = 0
+        for s, idx in zip(packed, combo):
+            acc ^= s[idx]
+        if acc == tbits:
+            return SelectionCertificate(combo)
+    return None
 
 
 def validate_no_scalar_multiples(inst: VectorSumInstance) -> None:

@@ -15,6 +15,7 @@ from gapforge.cliquered import (
     MulticolorGraph,
     SelectionCertificate,
     VectorSumInstance,
+    _zero_one,
     brute_force_vector_sum,
     pair_index,
     read_mcol,
@@ -25,10 +26,13 @@ from gapforge.cliquered import (
     write_vsi,
 )
 from gapforge.errors import BudgetExceededError
+from gapforge.explicit import ExplicitGraph
 from gapforge.field import FVector
+from gapforge.pipeline import plain_to_multicolor
 from reference import (
     brute_force_multicolor_clique,
     clique_to_selection,
+    first_selection,
     has_edge,
     selection_to_clique,
     validate_no_scalar_multiples,
@@ -189,6 +193,65 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setattr("gapforge.cliquered.GADGET_BUDGET", m - 1)
     with pytest.raises(BudgetExceededError, match=f"gadget dimension {m} over budget"):
         reduce_clique(g)
+
+
+def _vec01(m: int, bits: int) -> FVector:
+    return FVector(m, _zero_one(bits))
+
+
+def _drawn_instance(rng, sizes, m: int, pool: int) -> VectorSumInstance:
+    """Sets of the given sizes, each of distinct vectors drawn from the
+    first pool 0/1 vectors of F^m, so many selections share a sum; the
+    target is the sum of a drawn selection or, half the time, any vector."""
+    sets = [[_vec01(m, int(b)) for b in rng.choice(pool, size=n, replace=False)] for n in sizes]
+    if rng.random() < 0.5:
+        target = 0
+        for s in sets:
+            target ^= s[int(rng.integers(len(s)))].bits
+        return VectorSumInstance(sets, FVector(m, target))
+    return VectorSumInstance(sets, _vec01(m, int(rng.integers(1 << m))))
+
+
+def yes_bundle_k3_instances() -> list[VectorSumInstance]:
+    """The instances of the benchmark's four k=3 planted `yes-bundle` rungs
+    at seed 0: the same graph draws, in the same order, as
+    `perfbench/workloads.yes_bundle_ops`."""
+    from test_tooling import load_perfbench
+
+    wl = load_perfbench("workloads")
+    p = wl.SIZES["full"]
+    rng = wl.family_rng(0, "yes")
+    for _ in range(p["yes_probe_graphs"] + p["yes_bundle_graphs"]):
+        wl.random_graph(rng, 5, 5)
+    for _ in range(p["yes_k2_graphs"]):
+        wl.random_graph(rng, 4, 4)
+    graphs = [wl.random_graph(rng, 4, 4, want_triangle=True) for _ in range(p["yes_k3_graphs"])]
+    return [reduce_clique(plain_to_multicolor(g, 3)) for g in graphs]
+
+
+def test_search_returns_the_first_selection_of_the_lexicographic_walk():
+    rng = np.random.default_rng(33)
+    cases = []
+    for _ in range(300):
+        sizes = [int(n) for n in rng.integers(1, 7, size=int(rng.integers(1, 8)))]
+        cases.append(_drawn_instance(rng, sizes, 4, 8))
+    for sizes in ([1, 1, 50], [50, 1, 1], [2, 300]):
+        cases += [_drawn_instance(rng, sizes, 9, 512) for _ in range(6)]
+    one_set = [_vec01(3, b) for b in (5, 1, 7, 2)]
+    cases += [VectorSumInstance([one_set], _vec01(3, b)) for b in (7, 2, 0)]
+    k3 = yes_bundle_k3_instances()
+    assert [[len(s) for s in inst.sets] for inst in k3] == [[4, 4, 4, 8, 8, 8]] * 4
+    p3 = reduce_clique(plain_to_multicolor(ExplicitGraph.from_edges(3, [(0, 1), (1, 2)]), 3))
+    assert [len(s) for s in p3.sets] == [3, 3, 3, 4, 4, 4]
+    cases += k3 + [p3]
+    found = 0
+    for inst in cases:
+        sel = first_selection(inst)
+        assert brute_force_vector_sum(inst) == sel
+        found += sel is not None
+    assert 0 < found < len(cases)
+    assert all(first_selection(inst) is not None for inst in k3)
+    assert first_selection(p3) is None
 
 
 def test_instance_validation():
