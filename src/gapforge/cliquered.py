@@ -231,12 +231,25 @@ def reduce_clique(g: MulticolorGraph) -> VectorSumInstance:
     return VectorSumInstance(sets, FVector(m, _zero_one((1 << (k + npairs)) - 1)))
 
 
-# selections brute_force_vector_sum may enumerate
+# largest selection space (product of the set sizes) brute_force_vector_sum
+# accepts; it bounds the space, not the fewer selections the search visits
 BRUTE_FORCE_BUDGET = 10_000_000
 
 
 def brute_force_vector_sum(inst: VectorSumInstance) -> SelectionCertificate | None:
-    """Exhaustive search over one-per-set selections; None if unsolvable."""
+    """The lexicographically first selection that sums to the target, or
+    None if there is none; the selection space is checked against
+    BRUTE_FORCE_BUDGET first.
+
+    Meet in the middle (Horowitz and Sahni, JACM 1974): sets j.. form the
+    suffix, with j the least index whose suffix has at most sqrt(space)
+    selections, so the table of suffix sums holds at most that many
+    entries, each sum's first suffix in lexicographic order.  The prefix
+    selections are then scanned in order, and the first whose sum is in
+    the table, with its first completion, is the first solution, since
+    lexicographic order is prefix-major.  At most |prefix| + |suffix|
+    selections are visited.
+    """
     if inst.empty_sets():
         return None
     total = 1
@@ -244,14 +257,29 @@ def brute_force_vector_sum(inst: VectorSumInstance) -> SelectionCertificate | No
         total *= len(s)
         check_budget(total, BRUTE_FORCE_BUDGET, "selection space of at least {} selections")
     packed = [[v.bits for v in s] for s in inst.sets]
-    tbits = inst.target.bits
-    for combo in itertools.product(*(range(len(s)) for s in inst.sets)):
-        acc = 0
+    j, tail = 0, total
+    while tail * tail > total:
+        tail //= len(packed[j])
+        j += 1
+    # target ^ suffix sum -> first suffix: a prefix with that sum completes it
+    table: dict[int, tuple[int, ...]] = {}
+    for combo, acc in _selection_sums(packed[j:], inst.target.bits):
+        table.setdefault(acc, combo)
+    for combo, acc in _selection_sums(packed[:j], 0):
+        rest = table.get(acc)
+        if rest is not None:
+            return SelectionCertificate(combo + rest)
+    return None
+
+
+def _selection_sums(packed: list[list[int]], start: int):
+    # (indices, start ^ their vectors' sum) for every selection from the
+    # packed sets, in itertools.product order
+    for combo in itertools.product(*(range(len(s)) for s in packed)):
+        acc = start
         for s, idx in zip(packed, combo):
             acc ^= s[idx]
-        if acc == tbits:
-            return SelectionCertificate(combo)
-    return None
+        yield combo, acc
 
 
 # -- file formats --------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapforge.cliquered import (
+    BRUTE_FORCE_BUDGET,
     MulticolorGraph,
     SelectionCertificate,
     VectorSumInstance,
@@ -252,6 +254,38 @@ def test_search_returns_the_first_selection_of_the_lexicographic_walk():
     assert 0 < found < len(cases)
     assert all(first_selection(inst) is not None for inst in k3)
     assert first_selection(p3) is None
+
+
+def _budget_edge_sets(own_coordinates: bool) -> list[list[FVector]]:
+    # seven sets of ten distinct 0/1 vectors in F^29, all zero on coordinate
+    # 0: 10^7 selections; with own_coordinates, set i writes its index into
+    # coordinates 4i+1..4i+4
+    return [[_vec01(29, c << (4 * i * own_coordinates + 1)) for c in range(10)] for i in range(7)]
+
+
+def test_budget_sized_space_without_solution_ends_in_under_a_second():
+    sets = _budget_edge_sets(own_coordinates=False)
+    assert len(sets[0]) ** len(sets) == BRUTE_FORCE_BUDGET
+    inst = VectorSumInstance(sets, _vec01(29, 1))
+    start = time.perf_counter()
+    assert brute_force_vector_sum(inst) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_budget_sized_space_with_one_solution_ends_in_under_a_second():
+    # each sum names its selection, so the one solution of nines(n) is
+    # (9, ..., 9), the last selection in lexicographic order
+    sets = _budget_edge_sets(own_coordinates=True)
+
+    def nines(n: int) -> VectorSumInstance:
+        return VectorSumInstance(sets[:n], _vec01(29, sum(9 << (4 * i + 1) for i in range(n))))
+
+    inst = nines(7)
+    start = time.perf_counter()
+    assert brute_force_vector_sum(inst) == SelectionCertificate((9,) * 7)
+    assert time.perf_counter() - start < 1.0
+    # the reference walk agrees where it is quick to run
+    assert first_selection(nines(3)) == brute_force_vector_sum(nines(3)) == SelectionCertificate((9,) * 3)
 
 
 def test_instance_validation():
