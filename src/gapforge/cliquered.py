@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator
 
 from .errors import check_budget
 from .field import FVector
@@ -272,7 +272,7 @@ def brute_force_vector_sum(inst: VectorSumInstance) -> SelectionCertificate | No
     return None
 
 
-def _selection_sums(packed: list[list[int]], start: int):
+def _selection_sums(packed: list[list[int]], start: int) -> Iterator[tuple[tuple[int, ...], int]]:
     # (indices, start ^ their vectors' sum) for every selection from the
     # packed sets, in itertools.product order
     for combo in itertools.product(*(range(len(s)) for s in packed)):
