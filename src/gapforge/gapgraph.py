@@ -31,18 +31,25 @@ triples collapse to the zero-tuple rule.
 
 `GapGraph` reads the binary checks per difference from the CSP's
 constraint table (values keep its dtype) and writes the pair rule once,
-as one vectorized kernel, `_pairs_ok`.  Adjacency, clique checks, the
-planted family check and the implicit clique search apply it to
-assignment pairs.  Apart from the zero-tuple terms, the rule reads only
-the variable and value differences, so the explicit export tabulates it
-once over all (variable difference, value difference) codes and builds
-every row from that table.  A vertex that is not sound on its own
-(internally inconsistent, or failing a check between its own variables)
-is adjacent to nothing."""
+as one vectorized kernel, `_pairs_ok`.  Adjacency, clique checks and the
+planted family check apply it to assignment pairs.  Apart from the
+zero-tuple terms, the rule reads only the variable and value
+differences.  So each assignment packs into one code, var << 2 ell |
+val, two codes XOR to their differences, and `_code_table` tabulates
+the rule once over all T*V codes (T tuples, V values), on first use.
+The table exists while T*V is within EXPORT_VERTEX_BUDGET, which every
+exportable graph meets.  Both row builders read it: the explicit export
+and the rows of the implicit clique search, whose rows fall back to
+`_pairs_ok` past that budget.  Both take their vertex arrays from
+canonical indices by index arithmetic.  A vertex that is not sound on
+its own (internally inconsistent, or failing a check between its own
+variables) is adjacent to nothing."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
@@ -137,6 +144,14 @@ class GapGraph(GapSizes):
         p, i = divmod(group, self.r)
         return ("A", p, i + 1, val)
 
+    def index_of(self, v: Vertex) -> int:
+        """Canonical index of a validated vertex, the inverse of vertex_by_index."""
+        if v[0] == "B":
+            _, p, q, y, z = v
+            return (p * self.num_tuples + q) * self.b_group_size + y * self.num_values + z
+        _, p, i, val = v
+        return self.num_b_vertices + (p * self.r + i - 1) * self.a_group_size + val
+
     # -- the pair rule ----------------------------------------------------
 
     def _pairs_ok(self, var_a, val_a, var_b, val_b) -> np.ndarray:
@@ -163,6 +178,30 @@ class GapGraph(GapSizes):
         arr = np.array(rows, dtype=self.csp.allowed.dtype).reshape(len(rows), 3, 2)
         return arr[..., 0].astype(np.int64, copy=False), arr[..., 1]
 
+    def _index_arrays(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_vertex_arrays of the vertices at canonical indices idx, by int64
+        index arithmetic, exact while the vertex count is at most 2^63."""
+        b = (idx < self.num_b_vertices)[:, None]
+        group, local = np.divmod(idx, self.b_group_size)
+        p, q = np.divmod(group, self.num_tuples)
+        y, z = np.divmod(local, self.num_values)
+        group, a_val = np.divmod(idx - self.num_b_vertices, self.a_group_size)
+        a_var = group // self.r
+        var = np.where(b, np.stack([p ^ q, p, q], axis=1), a_var[:, None])
+        val = np.where(b, np.stack([y ^ z, y, z], axis=1), a_val[:, None])
+        return var, val
+
+    @cached_property
+    def _code_table(self) -> np.ndarray | None:
+        """The pair rule without its zero-tuple terms over every code var
+        << 2 ell | val, so two assignments pass exactly when the XOR of
+        their codes indexes True; None while T*V is past
+        EXPORT_VERTEX_BUDGET."""
+        if self.num_tuples * self.num_values > EXPORT_VERTEX_BUDGET:
+            return None
+        every = np.arange(self.num_tuples * self.num_values)
+        return self._pairs_ok(every >> 2 * self.csp.ell, every & (self.num_values - 1), 0, 0)
+
     def _sound(self, var: np.ndarray, val: np.ndarray) -> np.ndarray:
         """Per row of _vertex_arrays: is the vertex's own union sound?"""
         ok = self._pairs_ok(var[:, :, None], val[:, :, None], var[:, None, :], val[:, None, :])
@@ -173,17 +212,29 @@ class GapGraph(GapSizes):
         within) is the bitset of the positions in within adjacent to
         position i, computed when asked and only over those positions
         (within = -1 asks for all of them).  Both vertices must be sound
-        and pass the pair rule on all 3x3 assignment pairs; bit i is clear."""
+        and pass the pair rule on all 3x3 assignment pairs; bit i is clear.
+
+        With a code table, the pairs are one lookup of i's three codes XOR
+        the candidates' codes; the zero-tuple terms it leaves out hold for
+        every sound vertex.  Past the table's budget they go through
+        _pairs_ok."""
         sound = self._sound(var, val)
         full = (1 << len(sound)) - 1
+        table = self._code_table
+        codes = None if table is None else (var << 2 * self.csp.ell) | val
 
         def row(i: int, within: int) -> int:
             if not sound[i]:
                 return 0
             at = bit_indices(within & full)
-            ok = self._pairs_ok(var[i, :, None, None], val[i, :, None, None], var[at], val[at])
             mask = np.zeros(len(sound), dtype=bool)
-            mask[at] = ok.all(axis=(0, 2)) & sound[at]
+            if table is None:
+                ok = self._pairs_ok(var[i, :, None, None], val[i, :, None, None], var[at], val[at])
+                mask[at] = ok.all(axis=(0, 2)) & sound[at]
+            else:
+                mask[at] = sound[at]
+                # flat position // 9 is the candidate's place in at
+                mask[at[np.flatnonzero(~table[codes[at].reshape(-1, 1) ^ codes[i]]) // 9]] = False
             mask[i] = False
             return mask_bits(mask)
 
@@ -293,27 +344,29 @@ class GapGraph(GapSizes):
     ) -> tuple[ExplicitGraph, list[Vertex]]:
         """Materialize vertices (canonical order) and the full adjacency.
 
-        Each assignment packs into one code, var << 2 ell | val, so two
-        codes XOR to their (variable difference, value difference).  The
-        pair rule is tabulated once over all such codes; the table leaves
-        out only the zero-tuple terms, which every sound vertex passes.
-        Each distinct code c of a sound vertex gets a mask, the bitset of
-        sound vertices whose three codes all pass the table against c.  A
-        sound vertex's row is the AND of its three codes' masks, without
-        itself; self-unsound vertices are isolated.
+        The vertex arrays come from the canonical indices, and the vertex
+        tuples from those arrays.  Each distinct code c of a sound vertex
+        gets a mask from _code_table, the bitset of sound vertices whose
+        three codes all pass the table against c.  A sound vertex's row
+        is the AND of its three codes' masks, without itself;
+        self-unsound vertices are isolated.  The table exists for every
+        export of at most EXPORT_VERTEX_BUDGET^2 vertices, since the
+        vertex count is at least (T*V)^2.
         """
         n = self.num_vertices
         check_budget(n, budget, "graph has {} vertices")
-        vertices: list[Vertex] = [self.vertex_by_index(i) for i in range(n)]
-        var, val = self._vertex_arrays(vertices)
+        var, val = self._index_arrays(np.arange(n))
+        nb = self.num_b_vertices
+        copies = np.arange(n - nb) // self.a_group_size % self.r + 1
+        vertices: list[Vertex] = list(
+            zip(repeat("B"), *var[:nb, 1:].T.tolist(), *val[:nb, 1:].T.tolist())
+        )
+        vertices += zip(repeat("A"), var[nb:, 0].tolist(), copies.tolist(), val[nb:, 0].tolist())
         live = np.flatnonzero(self._sound(var, val))
-        shift = 2 * self.csp.ell
-        every = np.arange(self.num_tuples * self.num_values)
-        table = self._pairs_ok(every >> shift, every & (self.num_values - 1), 0, 0)
-        codes = (var[live] << shift) | val[live]
+        codes = (var[live] << 2 * self.csp.ell) | val[live]
         distinct, which = np.unique(codes, return_inverse=True)
         masks = np.zeros((len(distinct), n), dtype=bool)
-        masks[:, live] = table[distinct[:, None, None] ^ codes].all(axis=2)
+        masks[:, live] = self._code_table[distinct[:, None, None] ^ codes].all(axis=2)
         bits = [mask_bits(m) for m in masks]
         graph = ExplicitGraph(n)
         for v, (a, b, c) in zip(live.tolist(), which.reshape(codes.shape).tolist()):

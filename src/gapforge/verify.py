@@ -37,8 +37,11 @@ changing the outcome.  Both oracles take explicit graphs only; the
 soundness probe is the one entry point on gap graphs.  It runs them on
 its caller's export or its own, and searches a gap graph too large to
 export implicitly: each restart runs the same greedy, least index
-first, over a vertex sample, on gap-graph rows built only for the
-vertices it takes and only over the candidates still live."""
+first, over a sample of vertex indices, on gap-graph rows built only
+for the vertices it takes and only over the candidates still live.
+Each such row is one lookup in the graph's code table, or a `_pairs_ok`
+call where the code space is past the table's budget, and vertex tuples
+are built only for the restart's clique."""
 
 from __future__ import annotations
 
@@ -316,7 +319,8 @@ def _implicit_search(
     # warm start is a clique, so it is taken whole, and a sampled vertex
     # joins when it is adjacent to every member before it.  A vertex
     # unsound on its own has an empty row, so it is only ever taken first,
-    # and then alone
+    # and then alone.  Warm start and sample are canonical indices, whose
+    # vertex tuples are built only for the restart's clique
     _check_restarts(restarts)
     n = g.num_vertices
     if restarts and n > 1 << 63:
@@ -330,18 +334,20 @@ def _implicit_search(
         # a repeated vertex passes the set-based clique check but counts twice
         if len(set(warm)) != len(warm) or not g.is_clique(warm).ok:
             raise ValueError("warm start is not a clique of distinct vertices")
-    warm_set = set(warm)
+    warm_idx = [g.index_of(v) for v in warm]
     best = list(warm)
     nodes = 0
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
         idxs = np.unique(rng.integers(0, n, size=sample_size))
         rng.shuffle(idxs)
-        sample = map(g.vertex_by_index, idxs.tolist())
-        verts = warm + [v for v in sample if v not in warm_set]
-        if not verts:
+        # int64 holds every index once n <= 2^63
+        warm_at = np.array(warm_idx, dtype=np.int64)
+        idxs = np.concatenate((warm_at, idxs[~np.isin(idxs, warm_at)]))
+        if not idxs.size:
             continue
-        clique = [verts[i] for i in _greedy_by_priority(g._rows(*g._vertex_arrays(verts)))]
+        picks = _greedy_by_priority(g._rows(*g._index_arrays(idxs)))
+        clique = [g.vertex_by_index(i) for i in idxs[picks].tolist()]
         nodes += len(clique) - len(warm)
         if len(clique) > len(best):
             best = clique

@@ -41,6 +41,7 @@ from gapforge.gapgraph import (
 from gapforge.pipeline import PipelineConfig, run_pipeline
 from reference import adjacent, allowed_diffs, from_entries, planted_family, target_code
 from test_acceptance import _separated_no_instance, solvable_instance, vec01, vec01_set
+from test_verify import k3_no_gap, over_budget_gap
 
 
 def tiny_gap(target_text: str = "10", row=(1, 2), r: int = 1) -> GapGraph:
@@ -366,6 +367,43 @@ def assert_rows_within(row, n, seed):
     for i in range(n):
         for within in (0, mask_bits(rng.random(n) < 0.5), mask_bits(rng.random(n) < 0.1)):
             assert row(i, within) == row(i, -1) & within
+
+
+def index_samples():
+    """(graph, canonical indices): every vertex of three exportable graphs,
+    then seeded indices of two larger ones with the first, the last B and
+    the first A vertex and the last vertex among them."""
+    for g in (tiny_gap(), k2_gap(), k2_gap(r=3)):
+        yield g, np.arange(g.num_vertices)
+    rng = np.random.default_rng(31)
+    for g in (over_budget_gap(), k3_no_gap()):
+        ends = [0, g.num_b_vertices - 1, g.num_b_vertices, g.num_vertices - 1]
+        yield g, np.concatenate((ends, rng.integers(0, g.num_vertices, 600)))
+
+
+def test_index_arrays_match_vertex_arrays_and_index_of_inverts():
+    for g, idx in index_samples():
+        verts = [g.vertex_by_index(i) for i in idx.tolist()]
+        var, val = g._index_arrays(idx)
+        want_var, want_val = g._vertex_arrays(verts)
+        assert var.dtype == want_var.dtype and val.dtype == want_val.dtype
+        assert np.array_equal(var, want_var) and np.array_equal(val, want_val)
+        assert [g.index_of(v) for v in verts] == idx.tolist()
+
+
+def test_code_table_rows_match_pairs_ok_rows():
+    # the same arrays through the table and through the _pairs_ok rows the
+    # graphs past the table's budget use
+    for g, idx in index_samples():
+        assert g._code_table is not None
+        fallback = build_gap_graph(g.csp, g.r)
+        fallback._code_table = None
+        pick = idx[:300]
+        row = g._rows(*g._index_arrays(pick))
+        want = fallback._rows(*fallback._index_arrays(pick))
+        rows = [row(i, -1) for i in range(len(pick))]
+        assert rows == [want(i, -1) for i in range(len(pick))]
+        assert any(rows)
 
 
 def test_rows_on_demand_match_export_and_adjacent():

@@ -288,6 +288,30 @@ def test_csp_tabulates_f_values_twice():
     assert sorted(calls) == ["__init__", "linearity_decode"], calls
 
 
+def test_pair_rule_is_tabulated_once():
+    # gapgraph.py runs the pair rule over an np.arange of codes in one
+    # place, GapGraph._code_table, which both row builders read; an arange
+    # counts when it is an argument or is assigned to a name an argument reads
+    tree = ast.parse((SRC / "gapgraph.py").read_text())
+    tabulating = []
+    for owner in ast.walk(tree):
+        if not isinstance(owner, ast.FunctionDef):
+            continue
+        ranges = {
+            t.id
+            for node in ast.walk(owner)
+            if isinstance(node, ast.Assign) and "np.arange(" in ast.unparse(node.value)
+            for t in node.targets
+            if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(owner):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_pairs_ok"):
+                read = {n.id for a in node.args for n in ast.walk(a) if isinstance(n, ast.Name)}
+                if read & ranges or any("np.arange(" in ast.unparse(a) for a in node.args):
+                    tabulating.append(owner.name)
+    assert tabulating == ["_code_table"], tabulating
+
+
 def test_assignment_values_stay_one_array():
     # an Assignment holds one read-only array in encoding.value_dtype's
     # dtype: no other src module reads MAX_ELL, and src code reads .values

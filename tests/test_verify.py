@@ -11,13 +11,14 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from gapforge.cliquered import VectorSumInstance, brute_force_vector_sum
+from gapforge.cliquered import VectorSumInstance, brute_force_vector_sum, reduce_clique
 from gapforge.csp import build_csp
 from gapforge.encoding import EncodingScheme, sample_scheme
 from gapforge.errors import BudgetExceededError
 from gapforge.field import FVector
 from gapforge import verify
-from gapforge.gapgraph import build_gap_graph
+from gapforge.gapgraph import GapGraph, build_gap_graph
+from gapforge.pipeline import plain_to_multicolor
 from gapforge.verify import (
     CliqueReport,
     clique_local_search,
@@ -220,6 +221,32 @@ def over_budget_gap():
         [[FVector.from_text("10")], [FVector.from_text("01")]], FVector.from_text("10")
     )
     return build_gap_graph(build_csp(inst, sample_scheme(5, h=1, m=2, ell=2), 2, 1, 2), 1)
+
+
+def k3_no_gap() -> GapGraph:
+    """The gap graph of the k = 3 pipeline on the path P3, which has no
+    triangle: 4096 tuples and 268,451,840 vertices, too many to export."""
+    inst = reduce_clique(plain_to_multicolor(ExplicitGraph.from_edges(3, [(0, 1), (1, 2)]), 3))
+    scheme = sample_scheme(0, h=1, m=inst.dim, ell=1)
+    return build_gap_graph(build_csp(inst, scheme, inst.num_sets, 1, 1), 1)
+
+
+def test_implicit_search_runs_the_pair_rule_once_per_restart(monkeypatch):
+    # rows read the graph's code table, so _pairs_ok runs once for each
+    # restart's soundness pass and once to build the table, not per row.
+    # Here each restart takes a sound first vertex and reads about a
+    # hundred rows
+    calls = []
+    pairs_ok = GapGraph._pairs_ok
+
+    def counted(self, *args):
+        calls.append(None)
+        return pairs_ok(self, *args)
+
+    monkeypatch.setattr(GapGraph, "_pairs_ok", counted)
+    rep = verify._implicit_search(k3_no_gap(), 6, 0, None, 512)
+    assert rep.nodes_explored > 100 * 6
+    assert len(calls) <= 6 + 1
 
 
 def test_negative_restarts_raise_on_the_implicit_path():
