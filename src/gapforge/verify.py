@@ -319,8 +319,7 @@ def _implicit_search(
     # warm start is a clique, so it is taken whole, and a sampled vertex
     # joins when it is adjacent to every member before it.  A vertex
     # unsound on its own has an empty row, so it is only ever taken first,
-    # and then alone.  Warm start and sample are canonical indices, whose
-    # vertex tuples are built only for the restart's clique
+    # and then alone.  Warm start and sample are canonical indices
     _check_restarts(restarts)
     n = g.num_vertices
     if restarts and n > 1 << 63:
