@@ -41,9 +41,10 @@ The table exists while T*V is within EXPORT_VERTEX_BUDGET, which every
 exportable graph meets.  Both row builders read it: the explicit export
 and the rows of the implicit clique search, whose rows fall back to
 `_pairs_ok` past that budget.  Both take their vertex arrays from
-canonical indices by index arithmetic.  A vertex that is not sound on
-its own (internally inconsistent, or failing a check between its own
-variables) is adjacent to nothing."""
+canonical indices by index arithmetic, and their vertex tuples from
+those arrays through `_vertices`, the one index-to-tuple decoder.  A
+vertex that is not sound on its own (internally inconsistent, or
+failing a check between its own variables) is adjacent to nothing."""
 
 from __future__ import annotations
 
@@ -129,29 +130,6 @@ class GapGraph(GapSizes):
         _, p, _i, val = v
         return [(p, val)]
 
-    def vertex_by_index(self, idx: int) -> Vertex:
-        """Canonical enumeration: B groups (p major, then q, then (y, z)
-        with y major), then A groups (p major, then copy index, then val)."""
-        if not 0 <= idx < self.num_vertices:
-            raise ValueError("vertex index out of range")
-        if idx < self.num_b_vertices:
-            group, local = divmod(idx, self.b_group_size)
-            p, q = divmod(group, self.num_tuples)
-            y, z = divmod(local, self.num_values)
-            return ("B", p, q, y, z)
-        idx -= self.num_b_vertices
-        group, val = divmod(idx, self.a_group_size)
-        p, i = divmod(group, self.r)
-        return ("A", p, i + 1, val)
-
-    def index_of(self, v: Vertex) -> int:
-        """Canonical index of a validated vertex, the inverse of vertex_by_index."""
-        if v[0] == "B":
-            _, p, q, y, z = v
-            return (p * self.num_tuples + q) * self.b_group_size + y * self.num_values + z
-        _, p, i, val = v
-        return self.num_b_vertices + (p * self.r + i - 1) * self.a_group_size + val
-
     # -- the pair rule ----------------------------------------------------
 
     def _pairs_ok(self, var_a, val_a, var_b, val_b) -> np.ndarray:
@@ -190,6 +168,19 @@ class GapGraph(GapSizes):
         var = np.where(b, np.stack([p ^ q, p, q], axis=1), a_var[:, None])
         val = np.where(b, np.stack([y ^ z, y, z], axis=1), a_val[:, None])
         return var, val
+
+    def _vertices(self, idx: np.ndarray, var: np.ndarray, val: np.ndarray) -> list[Vertex]:
+        """The vertex tuples at ascending canonical indices idx, read off
+        their _index_arrays var and val: B groups (p major, then q, then
+        (y, z) with y major), then A groups (p major, then copy index, then
+        val).  Entries are Python ints."""
+        nb = int(np.searchsorted(idx, self.num_b_vertices))
+        copies = (idx[nb:] - self.num_b_vertices) // self.a_group_size % self.r + 1
+        out: list[Vertex] = list(
+            zip(repeat("B"), *var[:nb, 1:].T.tolist(), *val[:nb, 1:].T.tolist())
+        )
+        out += zip(repeat("A"), var[nb:, 0].tolist(), copies.tolist(), val[nb:, 0].tolist())
+        return out
 
     @cached_property
     def _code_table(self) -> np.ndarray | None:
@@ -355,13 +346,9 @@ class GapGraph(GapSizes):
         """
         n = self.num_vertices
         check_budget(n, budget, "graph has {} vertices")
-        var, val = self._index_arrays(np.arange(n))
-        nb = self.num_b_vertices
-        copies = np.arange(n - nb) // self.a_group_size % self.r + 1
-        vertices: list[Vertex] = list(
-            zip(repeat("B"), *var[:nb, 1:].T.tolist(), *val[:nb, 1:].T.tolist())
-        )
-        vertices += zip(repeat("A"), var[nb:, 0].tolist(), copies.tolist(), val[nb:, 0].tolist())
+        idx = np.arange(n)
+        var, val = self._index_arrays(idx)
+        vertices = self._vertices(idx, var, val)
         live = np.flatnonzero(self._sound(var, val))
         codes = (var[live] << 2 * self.csp.ell) | val[live]
         distinct, which = np.unique(codes, return_inverse=True)

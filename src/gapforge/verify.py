@@ -40,8 +40,9 @@ export implicitly: each restart runs the same greedy, least index
 first, over a sample of vertex indices, on gap-graph rows built only
 for the vertices it takes and only over the candidates still live.
 Each such row is one lookup in the graph's code table, or a `_pairs_ok`
-call where the code space is past the table's budget, and vertex tuples
-are built only for the restart's clique."""
+call where the code space is past the table's budget, and
+`GapGraph._vertices` builds the tuples of a restart's clique only when
+it is the largest so far."""
 
 from __future__ import annotations
 
@@ -315,11 +316,11 @@ def _implicit_search(
     g: GapGraph, restarts: int, seed: int, initial_clique, sample_size: int
 ) -> CliqueReport:
     # each restart runs the shared greedy, least index first, on rows built
-    # on demand over the warm start followed by its sample: the validated
-    # warm start is a clique, so it is taken whole, and a sampled vertex
+    # on demand over its sample of canonical indices: a sampled vertex
     # joins when it is adjacent to every member before it.  A vertex
     # unsound on its own has an empty row, so it is only ever taken first,
-    # and then alone.  Warm start and sample are canonical indices
+    # and then alone.
+    # initial_clique is unused; perfbench/spans.py unpacks these five arguments by position
     _check_restarts(restarts)
     n = g.num_vertices
     if restarts and n > 1 << 63:
@@ -327,29 +328,19 @@ def _implicit_search(
         raise ValueError(
             f"gap graph has {int_text(n)} vertices, over the implicit search's limit of 2^63"
         )
-    warm: list[Vertex] = []
-    if initial_clique is not None:
-        warm = [g.validate_vertex(v) for v in initial_clique]
-        # a repeated vertex passes the set-based clique check but counts twice
-        if len(set(warm)) != len(warm) or not g.is_clique(warm).ok:
-            raise ValueError("warm start is not a clique of distinct vertices")
-    warm_idx = [g.index_of(v) for v in warm]
-    best = list(warm)
+    best: list[Vertex] = []
     nodes = 0
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
         idxs = np.unique(rng.integers(0, n, size=sample_size))
         rng.shuffle(idxs)
-        # int64 holds every index once n <= 2^63
-        warm_at = np.array(warm_idx, dtype=np.int64)
-        idxs = np.concatenate((warm_at, idxs[~np.isin(idxs, warm_at)]))
         if not idxs.size:
             continue
         picks = _greedy_by_priority(g._rows(*g._index_arrays(idxs)))
-        clique = [g.vertex_by_index(i) for i in idxs[picks].tolist()]
-        nodes += len(clique) - len(warm)
-        if len(clique) > len(best):
-            best = clique
+        nodes += len(picks)
+        if len(picks) > len(best):
+            at = np.sort(idxs[picks])
+            best = g._vertices(at, *g._index_arrays(at))
     return CliqueReport(len(best), tuple(sorted(best)), None, False, nodes, restarts)
 
 

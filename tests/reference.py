@@ -88,6 +88,9 @@ csp
                       assignments.
 
 gapgraph
+  vertex_by_index     the vertex at one canonical index, by scalar divmod:
+                      the reference for canonical order, which
+                      `GapGraph._vertices` decodes in bulk.
   planted_family      `GapGraph.planted_clique`'s family built for any
                       selection, satisfying or not.
 """
@@ -525,6 +528,22 @@ def replace_value(a: Assignment, packed_tuple: int, value: FVector) -> Assignmen
 
 
 # -- gapgraph ----------------------------------------------------------------
+
+
+def vertex_by_index(g: GapGraph, idx: int) -> Vertex:
+    """Canonical enumeration: B groups (p major, then q, then (y, z)
+    with y major), then A groups (p major, then copy index, then val)."""
+    if not 0 <= idx < g.num_vertices:
+        raise ValueError("vertex index out of range")
+    if idx < g.num_b_vertices:
+        group, local = divmod(idx, g.b_group_size)
+        p, q = divmod(group, g.num_tuples)
+        y, z = divmod(local, g.num_values)
+        return ("B", p, q, y, z)
+    idx -= g.num_b_vertices
+    group, val = divmod(idx, g.a_group_size)
+    p, i = divmod(group, g.r)
+    return ("A", p, i + 1, val)
 
 
 def planted_family(g: GapGraph, sel: SelectionCertificate) -> list[Vertex]:

@@ -39,7 +39,14 @@ from gapforge.gapgraph import (
     write_sidecar,
 )
 from gapforge.pipeline import PipelineConfig, run_pipeline
-from reference import adjacent, allowed_diffs, from_entries, planted_family, target_code
+from reference import (
+    adjacent,
+    allowed_diffs,
+    from_entries,
+    planted_family,
+    target_code,
+    vertex_by_index,
+)
 from test_acceptance import _separated_no_instance, solvable_instance, vec01, vec01_set
 from test_verify import k3_no_gap, over_budget_gap
 
@@ -124,7 +131,7 @@ def test_vertex_index_roundtrip():
     g = k2_gap(r=2)
     seen = set()
     for idx in range(g.num_vertices):
-        v = g.vertex_by_index(idx)
+        v = vertex_by_index(g, idx)
         assert g.validate_vertex(list(v)) == v
         seen.add(v)
     assert len(seen) == g.num_vertices
@@ -166,7 +173,7 @@ def test_group_independence():
 def test_adjacency_symmetric_irreflexive():
     g = tiny_gap()
     rng = np.random.default_rng(3)
-    verts = [g.vertex_by_index(int(i)) for i in rng.integers(0, g.num_vertices, 60)]
+    verts = [vertex_by_index(g, int(i)) for i in rng.integers(0, g.num_vertices, 60)]
     for u in verts:
         assert not g.adjacent(u, u)
         for w in verts:
@@ -176,7 +183,7 @@ def test_adjacency_symmetric_irreflexive():
 def test_adjacent_matches_naive_everywhere_at_tiny_scale():
     g = tiny_gap()
     cons = materialized_constraints(g.csp)
-    verts = [g.vertex_by_index(i) for i in range(g.num_vertices)]
+    verts = [vertex_by_index(g, i) for i in range(g.num_vertices)]
     mismatches = 0
     for u, w in itertools.combinations(verts, 2):
         if g.adjacent(u, w) != naive_adjacent(g, cons, u, w):
@@ -188,7 +195,7 @@ def test_adjacent_matches_naive_everywhere_at_tiny_scale():
     # and ones among self-sound vertices, where those checks decide
     g = k2_gap()
     cons = materialized_constraints(g.csp)
-    verts = [g.vertex_by_index(i) for i in range(g.num_vertices)]
+    verts = [vertex_by_index(g, i) for i in range(g.num_vertices)]
     sound = [v for v in verts if g.self_ok(v)]
     rng = np.random.default_rng(5)
     pairs = [(verts[i], verts[j]) for i, j in rng.integers(0, len(verts), (1000, 2))]
@@ -313,7 +320,7 @@ def test_is_clique_agrees_with_pairwise_on_random_sets():
     rng = np.random.default_rng(8)
     for _ in range(300):
         size = int(rng.integers(2, 7))
-        verts = [g.vertex_by_index(int(i)) for i in rng.integers(0, g.num_vertices, size)]
+        verts = [vertex_by_index(g, int(i)) for i in rng.integers(0, g.num_vertices, size)]
         verts = sorted(set(verts))
         expected = all(
             g.adjacent(u, w) for u, w in itertools.combinations(verts, 2)
@@ -332,14 +339,14 @@ def test_self_invalid_vertices_are_isolated():
     v = g.validate_vertex(("B", 1, 1, 0, 1))
     assert not g.self_ok(v)
     for idx in range(0, g.num_vertices, 17):
-        assert not g.adjacent(v, g.vertex_by_index(idx))
+        assert not g.adjacent(v, vertex_by_index(g, idx))
 
 
 def test_export_matches_predicate():
     g = tiny_gap()
     graph, verts = g.export_explicit()
     assert graph.n == 272 and len(verts) == 272
-    assert verts == [g.vertex_by_index(i) for i in range(272)]
+    assert verts == [vertex_by_index(g, i) for i in range(272)]
     disagreements = 0
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
@@ -381,14 +388,28 @@ def index_samples():
         yield g, np.concatenate((ends, rng.integers(0, g.num_vertices, 600)))
 
 
-def test_index_arrays_match_vertex_arrays_and_index_of_inverts():
+def test_index_arrays_match_vertex_arrays():
     for g, idx in index_samples():
-        verts = [g.vertex_by_index(i) for i in idx.tolist()]
+        verts = [vertex_by_index(g, i) for i in idx.tolist()]
         var, val = g._index_arrays(idx)
         want_var, want_val = g._vertex_arrays(verts)
         assert var.dtype == want_var.dtype and val.dtype == want_val.dtype
         assert np.array_equal(var, want_var) and np.array_equal(val, want_val)
-        assert [g.index_of(v) for v in verts] == idx.tolist()
+
+
+def test_vertices_match_the_canonical_order_reference():
+    # seeded ascending index sets with the first, the last B, the first A
+    # and the last vertex in them, and their B and A parts alone; r = 3
+    # gives A vertices copy indices past 1
+    rng = np.random.default_rng(37)
+    for g in (tiny_gap(), k2_gap(), k2_gap(r=3), over_budget_gap()):
+        nb, n = g.num_b_vertices, g.num_vertices
+        for size in (0, 40, 400):
+            idx = np.unique(np.concatenate(([0, nb - 1, nb, n - 1], rng.integers(0, n, size))))
+            for part in (idx, idx[idx < nb], idx[idx >= nb]):
+                got = g._vertices(part, *g._index_arrays(part))
+                assert got == [vertex_by_index(g, i) for i in part.tolist()]
+                assert all(type(x) is int for v in got for x in v[1:])
 
 
 def test_code_table_rows_match_pairs_ok_rows():
@@ -456,7 +477,7 @@ def strip_export(g: GapGraph):
     3 x 3 assignment pairs of every pair of live vertices, in strips of
     at most 2^18 pairs, packed into bitset rows."""
     n = g.num_vertices
-    vertices = [g.vertex_by_index(i) for i in range(n)]
+    vertices = [vertex_by_index(g, i) for i in range(n)]
     var, val = g._vertex_arrays(vertices)
     live = np.flatnonzero(g._sound(var, val))
     cols = (var[live][None, None, :, :], val[live][None, None, :, :])
@@ -544,7 +565,7 @@ def test_is_clique_of_a_sound_pair_agrees_with_adjacent(make):
     g = make()
     rng = np.random.default_rng(4)
     picks = rng.integers(0, g.num_vertices, 1500).tolist()
-    sound = [v for v in map(g.vertex_by_index, picks) if g.self_ok(v)]
+    sound = [v for v in (vertex_by_index(g, i) for i in picks) if g.self_ok(v)]
     seen = set()
     for i, j in rng.integers(0, len(sound), (150, 2)).tolist():
         u, w = sound[i], sound[j]
@@ -594,7 +615,7 @@ def test_vertex_text_matches_per_vertex_reference(family):
         verts = g.planted_clique(brute_force_vector_sum(g.csp.inst))
     else:
         rng = np.random.default_rng(5)
-        verts = [g.vertex_by_index(int(i)) for i in rng.integers(0, g.num_vertices, 2000)]
+        verts = [vertex_by_index(g, int(i)) for i in rng.integers(0, g.num_vertices, 2000)]
     sidecar, clique_set = io.StringIO(), io.StringIO()
     write_sidecar(verts, g, sidecar)
     write_clique_set(verts, g, clique_set)

@@ -11,7 +11,7 @@ change that breaks one of those names fails here.  The other way round,
 every def and module-level name in src needs a reader in src or in
 perfbench code, so src holds what the CLI, the pipeline and the
 benchmark run, and every module-level import in src and tests is read by
-its module.
+its module.  README's layout table has one row per src module.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -406,3 +407,11 @@ def test_only_errors_imports_decimal():
             if any(name and name.partition(".")[0] == "decimal" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"decimal imported outside errors.py: {found}"
+
+
+def test_readme_layout_names_every_module():
+    # one row per module of the package, __init__ aside, and no other rows
+    readme = (TESTS.parent / "README.md").read_text()
+    table = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\|", table, re.M)
+    assert sorted(rows) == sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")

@@ -11,7 +11,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from gapforge.cliquered import VectorSumInstance, brute_force_vector_sum, reduce_clique
+from gapforge.cliquered import VectorSumInstance, reduce_clique
 from gapforge.csp import build_csp
 from gapforge.encoding import EncodingScheme, sample_scheme
 from gapforge.errors import BudgetExceededError
@@ -26,7 +26,7 @@ from gapforge.verify import (
     soundness_probe,
 )
 from gapforge.explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph
-from reference import adjacent, from_bool_matrix, from_entries, to_bool_matrix
+from reference import adjacent, from_bool_matrix, from_entries, to_bool_matrix, vertex_by_index
 from test_acceptance import _separated_no_instance
 
 
@@ -179,32 +179,6 @@ def test_local_search_witness_valid_and_near_exact_on_small():
         assert rep.lower_bound <= max_clique_exact(g).lower_bound
 
 
-def test_warm_start_reaches_planted():
-    g = tiny_gap("10")
-    sel = brute_force_vector_sum(g.csp.inst)
-    planted = g.planted_clique(sel)
-    rep = verify._implicit_search(g, 0, 1, planted, 512)
-    assert rep.lower_bound == g.planted_size() == 20
-    assert g.is_clique(list(rep.witness)).ok
-
-
-def test_warm_start_must_be_clique():
-    g = tiny_gap("10")
-    bad = [g.validate_vertex(("B", 1, 2, 0, 0)), g.validate_vertex(("B", 1, 2, 1, 1))]
-    with pytest.raises(ValueError):
-        verify._implicit_search(g, 0, 1, bad, 512)
-
-
-def test_warm_start_repeated_or_out_of_range_vertex_rejected():
-    # a set-based clique check accepts a repeated vertex, which would then
-    # count once per repetition in the reported lower bound
-    gap = tiny_gap("10")
-    v = gap.planted_clique(brute_force_vector_sum(gap.csp.inst))[0]
-    for bad in ([v] * 5, [("A", gap.num_tuples, 1, 0)], [("B", 0, 0, -1, 0)]):
-        with pytest.raises(ValueError):
-            verify._implicit_search(gap, 0, 0, bad, 80)
-
-
 def test_implicit_search_path():
     g = tiny_gap("10")
     a = verify._implicit_search(g, 30, 2, None, 80)
@@ -322,17 +296,17 @@ def k2_gap():
     return build_gap_graph(build_csp(inst, sample_scheme(9, h=1, m=3, ell=1), 2, 1, 1), 1)
 
 
-def reference_implicit_search(g, restarts, seed, warm, sample_size):
+def reference_implicit_search(g, restarts, seed, sample_size):
     """The implicit search spelled out with the scalar predicate."""
-    best = list(warm)
+    best = []
     nodes = 0
     for rr in range(restarts):
         rng = np.random.default_rng([seed, rr])
         idxs = np.unique(rng.integers(0, g.num_vertices, size=sample_size))
         rng.shuffle(idxs)
-        clique = list(warm)
+        clique = []
         for idx in idxs:
-            v = g.vertex_by_index(int(idx))
+            v = vertex_by_index(g, int(idx))
             if all(g.adjacent(v, u) for u in clique):
                 clique.append(v)
                 nodes += 1
@@ -343,21 +317,11 @@ def reference_implicit_search(g, restarts, seed, warm, sample_size):
 
 def test_implicit_search_matches_scalar_reference():
     for g, sample_size in ((tiny_gap("10"), 120), (k2_gap(), 400)):
-        planted = g.planted_clique(brute_force_vector_sum(g.csp.inst))
-        # unsound through a check between its own variables, not through
-        # the zero tuple
-        unsound = next(
-            v for v in map(g.vertex_by_index, range(g.num_vertices))
-            if 0 not in dict(g.assignments(v)) and not g.self_ok(v)
-        )
-        warms = (None, planted[:1], planted[::7], [unsound])
-        # an empty sample leaves each restart the warm start alone, or nothing
+        # an empty sample leaves each restart nothing
         for size in (sample_size, 0):
             for seed in range(3):
-                for warm in warms:
-                    got = verify._implicit_search(g, 6, seed, warm, size)
-                    want = reference_implicit_search(g, 6, seed, warm or [], size)
-                    assert got == want
+                got = verify._implicit_search(g, 6, seed, None, size)
+                assert got == reference_implicit_search(g, 6, seed, size)
 
 
 def test_probe_yes_instance_reached():
