@@ -251,26 +251,24 @@ def check_scheme(scheme: EncodingScheme, test_set: Sequence[FVector]) -> SchemeR
     cond_inj = rank == scheme.m
     witness = None if cond_inj else ConditionWitness("injective", (), (kernel,))
 
-    cond_sep = cond_self = True
     n = len(V)
-    if n > 1:  # one test vector meets both conditions vacuously
-        F = f_table(matrix_stack(scheme.mats), as_digits(V, scheme.m))
-        q = len(F)
-        hit = first_repeat(F[:, 0], np.arange(n))
-        if hit:
-            cond_sep = False
-            a, v, u = hit
-            alpha = FVector(scheme.h, a + 1)
-            witness = witness or ConditionWitness("separating", (alpha,), (V[v], V[u]))
-        hit = first_repeat(_self_keys(F), np.repeat(np.arange(n), q))
-        if hit:
-            cond_self = False
-            w, (v, a), (u, ap) = hit[0], divmod(hit[1], q), divmod(hit[2], q)
-            witness = witness or ConditionWitness(
-                "self-correcting",
-                (FVector(scheme.h, a + 1), FVector(scheme.h, ap + 1)),
-                (V[v], V[u], V[w]),
-            )
+    F = f_table(matrix_stack(scheme.mats), as_digits(V, scheme.m))
+    q = len(F)
+    hit = first_repeat(F[:, 0], np.arange(n))
+    cond_sep = hit is None
+    if hit:
+        a, v, u = hit
+        alpha = FVector(scheme.h, a + 1)
+        witness = witness or ConditionWitness("separating", (alpha,), (V[v], V[u]))
+    hit = first_repeat(_self_keys(F), np.repeat(np.arange(n), q))
+    cond_self = hit is None
+    if hit:
+        w, (v, a), (u, ap) = hit[0], divmod(hit[1], q), divmod(hit[2], q)
+        witness = witness or ConditionWitness(
+            "self-correcting",
+            (FVector(scheme.h, a + 1), FVector(scheme.h, ap + 1)),
+            (V[v], V[u], V[w]),
+        )
 
     return SchemeReport(cond_inj, cond_sep, cond_self, witness)
 

@@ -9,13 +9,14 @@ the format's malformed-line error.  An error quotes a refused line cut
 short (`_quoted`), so it stays one short line.
 
 `int_blocks` reads such a format in bulk, CHUNK characters at a time: a
-chunk whose lines all have the canonical form `e 12 345\\n` is checked
-and parsed in one numpy pass, and any other chunk goes through the same
-line rule as `text_lines`, line by line.
+chunk whose lines all have the canonical form `e 12 345\\n` matches one
+regular expression and is parsed by numpy as one string, and any other
+chunk goes through the same line rule as `text_lines`, line by line.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from typing import IO, Callable, Iterable, Iterator
 
@@ -25,7 +26,6 @@ import numpy as np
 CHUNK = 1 << 16
 # digits of the longest field the bulk parse reads into an int64
 _MAX_DIGITS = 18
-_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
 def text_lines(
@@ -50,16 +50,24 @@ def int_blocks(
     bulk.  Yields the header's tokens, then the fields after each body
     line's tag, in file order: one (lines, fields) int64 array per chunk
     of canonical lines, and a list of ints per line of any other chunk.
-    A line text_lines rejects, or a field int_fields rejects, raises the same
+    A chunk is CHUNK characters and the rest of the line they end in; it
+    is canonical when every line is the tag, then each field as one space
+    and 1 to _MAX_DIGITS ASCII digits, then a newline, a form that passes
+    text_lines' rule and that int() reads to the same values.  A line
+    text_lines rejects, or a field int_fields rejects, raises the same
     ValueError once the lines before it are yielded."""
     tag, *fields = shapes[1].split()
+    width = len(fields)
+    # [0-9], not \d: int() reads other digits too, np.fromstring does not
+    field = f" [0-9]{{1,{_MAX_DIGITS}}}"
+    canonical = re.compile(f"(?:{tag}{field * width}\n)*")
     yield _header(iter(fp), shapes[0], skip)
-    while lines := fp.readlines(CHUNK):
-        rows = _canonical_rows(lines, tag, len(fields))
-        if rows is not None:
-            yield rows
+    while text := fp.read(CHUNK) + fp.readline():
+        if canonical.fullmatch(text):
+            yield np.fromstring(text.replace(tag, " "), dtype=np.int64, sep=" ").reshape(-1, width)
         else:
-            for tok in _body(lines, shapes, skip):
+            # split("\n"), not splitlines(): a file line ends only at \n
+            for tok in _body(text.split("\n"), shapes, skip):
                 yield int_fields(tok[1:], lambda: misfit(shapes[1], tok))
 
 
@@ -91,46 +99,6 @@ def _body(lines: Iterable[str], shapes: tuple[str, ...], skip: str | None) -> It
                 raise ValueError(f"second '{tok[0]}' line")
             raise misfit(shape[tok[0]], tok)
         yield tok
-
-
-def _canonical_rows(lines: list[str], tag: str, width: int) -> np.ndarray | None:
-    """The int fields of lines as a (len(lines), width) int64 array when
-    every line is `tag`, then width fields of 1 to _MAX_DIGITS digits
-    each after one space, then a newline; otherwise None.  Such a line
-    passes text_lines' rule, and int() reads each field to the same
-    value."""
-    text = "".join(lines)
-    if not text.isascii() or not text.endswith("\n"):
-        return None
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))
-    spaces = np.flatnonzero(b == ord(" "))
-    m = len(lines)
-    # one newline per line of fp's own splitting, width spaces per line
-    if len(ends) != m or len(spaces) != width * m:
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    cuts = np.empty((m, width + 1), dtype=ends.dtype)
-    cuts[:, :width] = spaces.reshape(m, width)
-    cuts[:, width] = ends
-    # the tag, one space, then fields of 1 to _MAX_DIGITS characters
-    # between single spaces, all of them digits
-    lens = cuts[:, 1:] - cuts[:, :-1] - 1
-    if not (
-        (b[starts] == ord(tag)).all()
-        and (cuts[:, 0] == starts + 1).all()
-        and ((lens >= 1) & (lens <= _MAX_DIGITS)).all()
-        and np.count_nonzero((b >= ord("0")) & (b <= ord("9"))) == len(b) - (width + 2) * m
-    ):
-        return None
-    last = cuts[:, 1:] - 1  # each field's last digit
-    rows = np.zeros((m, width), dtype=np.int64)
-    for k in range(int(lens.max())):
-        # 10^k on each field's k-th digit from the right, 0 once past its
-        # first digit (where the uint8 difference is not a digit)
-        place = np.where(lens > k, _POW10[k], 0)
-        rows += place * (b[np.maximum(last - k, 0)] - ord("0"))
-    return rows
 
 
 def int_fields(fields: list[str], malformed: Callable[[], ValueError]) -> list[int]:

@@ -145,6 +145,12 @@ def test_projection_scheme_is_injective():
     rep2 = check_scheme(s, V2)
     assert rep2.cond_injective
     assert not rep2.cond_separating
+    # one test vector meets both f-value conditions vacuously
+    for h in (1, 2):
+        s = EncodingScheme(h, 6, 6 // h, tuple(derandomize_projections(6, h)), "explicit")
+        rep = check_scheme(s, [FVector.from_text("101000")])
+        assert rep.cond_injective and rep.cond_separating and rep.cond_self_correcting
+        assert rep.witness is None
 
 
 def test_injectivity_failure_produces_kernel_witness():
@@ -152,6 +158,7 @@ def test_injectivity_failure_produces_kernel_witness():
     s = EncodingScheme(1, 2, 1, (from_entries([[1, 2]]),), "explicit")
     rep = check_scheme(s, [FVector.from_text("10")])
     assert not rep.cond_injective
+    assert rep.cond_separating and rep.cond_self_correcting  # one test vector
     assert rep.witness is not None and rep.witness.condition == "injective"
     ker = rep.witness.vectors[0]
     assert not ker.is_zero()

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapforge.textio
 from gapforge.explicit import ExplicitGraph, bit_indices, mask_bits, read_dimacs, write_dimacs
-from gapforge.textio import CHUNK
+from gapforge.textio import CHUNK, int_fields
 from reference import read_dimacs as reference_read
 from reference import write_dimacs as reference_write
 
@@ -116,6 +117,17 @@ _ODD_LINES = {
     "loop": "e 7 7\n",
     "long": "e 1 0000000000000000002\n",
     "huge": "e 1 99999999999999999999\n",
+    # whitespace where a file line does not end, and fields int() reads
+    "form-feed": "e 1 2\x0ce 2 3\n",
+    "vertical-tab": "e 1 2\x0be 2 3\n",
+    "file-separator": "e 1 2\x1ce 2 3\n",
+    "next-line": "e 1 2\x85e 2 3\n",
+    "line-separator": "e 1 2\u2028e 2 3\n",
+    "arabic-digit": "e 1 \u0662\n",
+    "plus": "e +1 2\n",
+    "underscore": "e 1_0 2\n",
+    "tabs": "e\t1\t2\n",
+    "no-break-space": "e 1\xa02\n",
 }
 
 
@@ -130,6 +142,9 @@ def test_lines_around_a_chunk_boundary_read_as_the_reference_reads_them(kind):
     for at in (first - 1, first, first + 1, second):
         text = f"p edge {n} {len(body)}\n" + "".join(body[:at] + [_ODD_LINES[kind]] + body[at:])
         assert read_outcome(read_dimacs, text) == read_outcome(reference_read, text), at
+    # the file's last line, with no final newline
+    text = f"p edge {n} {len(body)}\n" + "".join(body) + _ODD_LINES[kind].removesuffix("\n")
+    assert read_outcome(read_dimacs, text) == read_outcome(reference_read, text)
     # two faults on either side of a boundary: the first in file order is named
     for a, b in (("range", "malformed"), ("malformed", "range"), ("loop", kind), (kind, "loop")):
         lines = body[:first] + [_ODD_LINES[a]] + body[first : first + 3] + [_ODD_LINES[b]]
@@ -149,12 +164,23 @@ def test_the_first_of_two_bad_edges_in_one_chunk_is_named(faults):
     assert read_outcome(read_dimacs, text) == want
 
 
-def test_a_long_canonical_text_reads_as_the_reference_reads_it():
+def test_a_long_canonical_text_reads_as_the_reference_reads_it(monkeypatch):
     body = _long_body(np.random.default_rng(22), 4000, 3 * CHUNK)
     text = f"c made by a test\np edge 4000 {len(body)}\n" + "".join(body)
+    calls = []
+
+    def counted(fields, malformed):
+        calls.append(fields)
+        return int_fields(fields, malformed)
+
+    monkeypatch.setattr(gapforge.textio, "int_fields", counted)
     g = read_dimacs(StringIO(text))
     assert g == reference_read(StringIO(text))
     assert all(type(row) is int for row in g.adj)
+    assert not calls  # every chunk parsed in bulk, none line by line
+    # a comment among the edges sends its chunk line by line, which counts
+    read_dimacs(StringIO(text.replace("\ne ", "\nc a comment\ne ", 1)))
+    assert calls
 
 
 def test_read_peak_memory_stays_near_the_graph_size():
