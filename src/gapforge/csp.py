@@ -25,10 +25,12 @@ lexicographic digit order, so that order is its tie-break.
 
 Fractions of satisfied constraints are exact `fractions.Fraction`
 values; denominators are the literal family sizes (|F|^{2kh} for C1,
-|F|^{(k+1)h} for C2-i and C3, alpha = 0 included).  The exhaustive C1
-count only visits pairs that touch the tuples where the assignment is
-not GF(2)-linear, so it is linear in the tuple count on honest
-assignments.
+|F|^{(k+1)h} for C2-i and C3, alpha = 0 included).  The exhaustive
+counts read an assignment as L ^ e: L its GF(2)-linear part and e its
+nonlinear part, with support S.  An honest assignment is linear
+(f(a, v) is linear in a), so S is empty.  The C1 count only visits
+pairs that touch S, and each C2/C3 family checks L's 4^h differences
+once plus the (t, alpha) pairs with t or t + offset in S.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def _check_assignment(csp: CSPInstance, a: Assignment) -> None:
 _STRIP = 1 << 14  # elements per numpy batch of the C1 count
 
 
-def _nonlinear_part(vals: np.ndarray) -> np.ndarray:
+def nonlinear_part(vals: np.ndarray) -> np.ndarray:
     """vals ^ L, where L is the GF(2)-linear map that agrees with vals on
     the basis tuples 2^j.  L cancels in x_s ^ x_t ^ x_{s^t}, so the result
     fails C1 on exactly the pairs that vals fails; it is 0 on every basis
@@ -290,13 +292,17 @@ def evaluate(
     the assignment differs from its linear part L, the GF(2)-linear map
     that agrees with it on the basis tuples 2^j (S holds tuple 0 when
     x_0 != 0 and never a basis tuple); an honest assignment has S empty
-    and costs O(n).  EVALUATE_BUDGET guards that work: the (k+1) n |F|^h
-    C2/C3 checks plus the 2 |S| n C1 steps.  sampled: uniform constraint
-    indices per family, drawn from one seeded generator in the order C1
-    (s, then t), then (t, alpha) for each slot i, then (t, alpha) for C3;
-    Fractions over the sample count.
-    Either way the C2/C3 checks run once per family over (t, alpha)
-    index arrays.
+    and costs O(n).  A C2/C3 family with offsets p(alpha) sees the value
+    difference L[p] at every (t, alpha) but those with t or t ^ p in S,
+    so it costs O((1 + 2 |S|) |F|^h): one check of L[p] per alpha and
+    two per pair (s in S, alpha).  EVALUATE_BUDGET guards the work with
+    the literal (k+1) n |F|^h C2/C3 family sizes plus the 2 |S| n C1
+    steps.  That sum still bounds the work, within a factor 3 when S is
+    large, and keeps every refusal as it was.  sampled: uniform
+    constraint indices per family, drawn from one seeded generator in
+    the order C1 (s, then t), then (t, alpha) for each slot i, then
+    (t, alpha) for C3; Fractions over the sample count.  Both modes
+    share each family's offset and check.
     """
     _check_assignment(csp, a)
     n, num_alphas = csp.num_vars, csp.num_alphas
@@ -304,15 +310,14 @@ def evaluate(
     exact = mode == "exhaustive"
     if exact:
         c1_size, c2_size, c3_size = csp.family_sizes()
-        e = _nonlinear_part(vals)
+        e = nonlinear_part(vals)
         support = np.flatnonzero(e)
         checks, steps = c2_size + c3_size, 2 * len(support) * n
         msg = f"exhaustive evaluate needs {checks} C2/C3 checks and {steps} C1 steps"
         check_budget(checks + steps, EVALUATE_BUDGET, msg)
-        idx = np.arange(n)
         c1 = Fraction(c1_size - _c1_violations(e, support), c1_size)
-        # every (t, alpha) once: t down the rows, alpha across the columns
-        draws = [(idx[:, None], np.arange(num_alphas))] * (csp.k + 1)
+        # S down the rows, every alpha across the columns
+        draws = [(support[:, None], np.arange(num_alphas))] * (csp.k + 1)
     elif mode == "sampled":
         if count < 1:
             raise ValueError("need at least one sample")
@@ -332,10 +337,25 @@ def evaluate(
     hits = []
     for i, (t, alpha) in enumerate(draws):
         is_c3 = i == csp.k
-        diff = vals[t ^ (csp.diagonal(alpha) if is_c3 else csp.place(alpha, i))]
-        diff ^= vals[t]
-        ok = diff == csp.target_codes[alpha] if is_c3 else csp.c2_ok(i * num_alphas + alpha, diff)
-        hits.append(Fraction(int(np.count_nonzero(ok)), diff.size))
+
+        def ok(diff):
+            if is_c3:
+                return diff == csp.target_codes[alpha]
+            return csp.c2_ok(i * num_alphas + alpha, diff)
+
+        p = csp.diagonal(alpha) if is_c3 else csp.place(alpha, i)
+        if not exact:
+            hits.append(Fraction(int(np.count_nonzero(ok(vals[t ^ p] ^ vals[t]))), count))
+            continue
+        # the difference at (t, alpha) is L[p] ^ e[t] ^ e[t ^ p], which is
+        # L[p] unless t or t ^ p is in S; here t runs over S
+        lin = vals[p] ^ e[p]
+        other = e[t ^ p]
+        outside = other == 0
+        per_alpha = (n - len(t) - outside.sum(axis=0)) * ok(lin)
+        per_alpha += ok(lin ^ e[t] ^ other).sum(axis=0)
+        per_alpha += (ok(lin ^ e[t]) & outside).sum(axis=0)
+        hits.append(Fraction(int(per_alpha.sum()), n * num_alphas))
     *c2_per_i, c3 = hits
     if not exact:
         return SatReport(c1, tuple(c2_per_i), c3, False, samples=count, seed=seed)

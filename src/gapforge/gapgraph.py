@@ -32,9 +32,12 @@ triples collapse to the zero-tuple rule.
 `GapGraph` reads the binary checks per difference from the CSP's
 constraint table (values keep its dtype) and writes the pair rule once,
 as one vectorized kernel, `_pairs_ok`.  Adjacency, clique checks and the
-planted family check apply it to assignment pairs.  Apart from the
-zero-tuple terms, the rule reads only the variable and value
-differences.  So each assignment packs into one code, var << 2 ell |
+planted family check apply it to assignment pairs.  The planted family
+reads off an honest assignment, which is GF(2)-linear in the packed
+tuple: x_0 = 0 and x_a + x_{a+d} = x_d, so the pair (a, a + d) passes
+exactly when (0, d) does, and one pair per checked difference decides
+the family.  Apart from the zero-tuple terms, the rule reads only the
+variable and value differences.  So each assignment packs into one code, var << 2 ell |
 val, two codes XOR to their differences, and `_code_table` tabulates
 the rule once over all T*V codes (T tuples, V values), on first use.
 The table exists while T*V is within EXPORT_VERTEX_BUDGET, which every
@@ -56,7 +59,7 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 
 from .cliquered import SelectionCertificate, verify_selection
-from .csp import CSPInstance, honest_assignment
+from .csp import CSPInstance, honest_assignment, nonlinear_part
 from .errors import check_budget
 from .explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, bit_indices, mask_bits
 from .field import FVector
@@ -286,13 +289,21 @@ class GapGraph(GapSizes):
 
         Planted vertices all read off the honest assignment, whose union
         assigns every variable, so the family is a clique exactly when
-        that assignment passes the pair rule everywhere.  Agrees with
+        that assignment passes the pair rule everywhere.  The honest
+        assignment is GF(2)-linear in the packed tuple (f(a, v) is linear
+        in a), so x_0 = 0 and x_a ^ x_{a^d} = x_d: every pair (a, a ^ d)
+        passes exactly when (0, d) does, and one pair per checked
+        difference decides the family.  An assignment that is not linear
+        cannot be honest, and is refused rather than swept.  Agrees with
         is_clique(planted_clique(sel)) but stays feasible when the family
         has millions of members."""
         if not verify_selection(self.csp.inst, sel):
             return False
         hv = honest_assignment(self.csp, sel).values
-        return self._first_bad_pair(hv, np.ones(len(hv), dtype=bool)) is None
+        if nonlinear_part(hv).any():
+            return False
+        checked = self.csp.checked
+        return bool(self._pairs_ok(0, 0, checked, hv[checked]).all())
 
     def is_clique(self, vertices: Iterable[Vertex]) -> CliqueCheck:
         """All-pairs adjacency, decided without quadratic pair scans.

@@ -24,8 +24,9 @@ from gapforge.cliquered import (
 )
 from gapforge.csp import (
     Assignment,
+    CSPInstance,
     SatReport,
-    _nonlinear_part,
+    nonlinear_part,
     build_csp,
     evaluate,
     honest_assignment,
@@ -33,9 +34,17 @@ from gapforge.csp import (
     read_assignment,
     write_assignment,
 )
-from gapforge.encoding import MAX_ELL, EncodingScheme, encode_g, sample_scheme
+from gapforge.encoding import (
+    MAX_ELL,
+    EncodingScheme,
+    derandomize_scheme,
+    encode_g,
+    sample_scheme,
+)
 from gapforge.errors import BudgetExceededError
+from gapforge.explicit import ExplicitGraph
 from gapforge.field import FVector
+from gapforge.pipeline import plain_to_multicolor
 from reference import (
     allowed_diffs,
     encode_f,
@@ -64,6 +73,16 @@ def two_set_csp(ell: int = 2, seed: int = 3, h: int = 1):
     )
     scheme = sample_scheme(seed, h=h, m=3, ell=ell)
     return build_csp(inst, scheme, k=2, h=h, ell=ell)
+
+
+def derandomized_csp(n: int, k: int, h: int):
+    """The CSP of the derandomized pipeline on the complete graph K_n: on
+    K3 at k = 2, h = 2 it has 4096 tuples and ell = 11, on K4 at k = 3,
+    h = 1 it has 4096 tuples and ell = 42."""
+    g = ExplicitGraph.from_edges(n, itertools.combinations(range(n), 2))
+    inst = reduce_clique(plain_to_multicolor(g, k))
+    scheme, _ = derandomize_scheme(inst.union(), h, inst.dim)
+    return build_csp(inst, scheme, inst.num_sets, h, scheme.ell)
 
 
 def recount_fractions(csp, a):
@@ -564,11 +583,48 @@ def test_evaluate_and_honest_match_reference():
     assert checked > 250
 
 
-def test_nonlinear_part_vanishes_on_basis_and_on_linear_assignments():
+def testnonlinear_part_vanishes_on_basis_and_on_linear_assignments():
     for csp, assignments in reference_corpus():
         basis = [1 << j for j in range(csp.num_vars.bit_length() - 1)]
         for a in assignments:
-            e = _nonlinear_part(a.values)
+            e = nonlinear_part(a.values)
             assert not e[basis].any() and e[0] == a.values[0]
             linear = evaluate(csp, a).c1_fraction == 1
             assert linear == (not e.any())
+
+
+def test_honest_assignments_are_linear():
+    # the premise of both completeness checks: f(a, v) is linear in a, so
+    # x_t = f(t_1, v_1) + ... + f(t_k, v_k) is GF(2)-linear in the packed
+    # tuple t, satisfying selection or not
+    csps = [csp for csp, _ in reference_corpus()]
+    csps += [derandomized_csp(3, 2, 2), derandomized_csp(4, 3, 1)]
+    assert csps[-1].ell == 42
+    rng = np.random.default_rng(38)
+    checked = 0
+    for csp in csps:
+        sizes = [len(s) for s in csp.inst.sets]
+        if not all(sizes):
+            continue
+        sels = [brute_force_vector_sum(csp.inst)]
+        sels += [SelectionCertificate(tuple(map(int, rng.integers(0, sizes)))) for _ in range(16)]
+        for sel in filter(None, sels):
+            assert not nonlinear_part(honest_assignment(csp, sel).values).any(), sel
+            checked += 1
+    assert checked >= 300
+
+
+def test_exhaustive_evaluate_of_an_honest_assignment_checks_one_row_per_family(monkeypatch):
+    # an honest assignment is its linear part, so each family checks the
+    # 4^h differences L[p(alpha)] once rather than every (t, alpha)
+    csp = derandomized_csp(3, 2, 2)
+    sizes = []
+    c2_ok = CSPInstance.c2_ok
+
+    def counted(self, row, diff):
+        sizes.append(np.broadcast(row, diff).size)
+        return c2_ok(self, row, diff)
+
+    monkeypatch.setattr(CSPInstance, "c2_ok", counted)
+    assert evaluate(csp, honest_assignment(csp, brute_force_vector_sum(csp.inst))).all_satisfied
+    assert sizes and max(sizes) <= csp.num_alphas == 16

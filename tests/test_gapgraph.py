@@ -23,8 +23,9 @@ from gapforge.cliquered import (
     SelectionCertificate,
     VectorSumInstance,
     brute_force_vector_sum,
+    verify_selection,
 )
-from gapforge.csp import build_csp
+from gapforge.csp import build_csp, honest_assignment
 from gapforge.encoding import EncodingScheme, sample_scheme
 from gapforge.errors import BudgetExceededError
 from gapforge.explicit import EXPORT_VERTEX_BUDGET, ExplicitGraph, mask_bits
@@ -48,6 +49,7 @@ from reference import (
     vertex_by_index,
 )
 from test_acceptance import _separated_no_instance, solvable_instance, vec01, vec01_set
+from test_csp import derandomized_csp, reference_corpus
 from test_verify import k3_no_gap, over_budget_gap
 
 
@@ -273,6 +275,50 @@ def test_planted_ok_agrees_with_materialized_check():
     unsat = SelectionCertificate((1, 1))  # 010 + 110 misses the target 101
     assert not wide.planted_clique_ok(unsat)
     assert not wide.is_clique(planted_family(wide, unsat)).ok
+
+
+def test_planted_ok_matches_the_pair_sweep():
+    # every selection of the seeded corpus, satisfying or not, with its
+    # ell = MAX_ELL and ell = 40 (object dtype) graphs, and of the
+    # derandomized k = 2, h = 2 graph on K3
+    csps = [csp for csp, _ in reference_corpus()] + [derandomized_csp(3, 2, 2)]
+    outcomes = set()
+    for csp in csps:
+        g = build_gap_graph(csp, 1)
+        for sel in itertools.product(*(range(len(s)) for s in csp.inst.sets)):
+            sel = SelectionCertificate(sel)
+            hv = honest_assignment(csp, sel).values
+            want = (
+                verify_selection(csp.inst, sel)
+                and g._first_bad_pair(hv, np.ones(len(hv), dtype=bool)) is None
+            )
+            assert g.planted_clique_ok(sel) == want, (csp.k, csp.h, csp.ell, sel)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_planted_ok_checks_one_pair_per_difference(monkeypatch):
+    # the honest assignment is linear, so the pair (a, a ^ d) passes
+    # exactly when (0, d) does: one _pairs_ok call over the checked
+    # differences, and no sweep
+    g = build_gap_graph(derandomized_csp(3, 2, 2), 1)
+    sel = brute_force_vector_sum(g.csp.inst)
+    sizes, sweeps = [], []
+    pairs_ok, first_bad_pair = GapGraph._pairs_ok, GapGraph._first_bad_pair
+
+    def counted(self, *args):
+        sizes.append(np.broadcast(*args).size)
+        return pairs_ok(self, *args)
+
+    def swept(self, *args):
+        sweeps.append(None)
+        return first_bad_pair(self, *args)
+
+    monkeypatch.setattr(GapGraph, "_pairs_ok", counted)
+    monkeypatch.setattr(GapGraph, "_first_bad_pair", swept)
+    assert g.planted_clique_ok(sel)
+    assert sizes == [len(g.csp.checked)] and len(g.csp.checked) == 60
+    assert sweeps == []
 
 
 def test_planted_requires_satisfying_selection():
