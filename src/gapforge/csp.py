@@ -353,8 +353,9 @@ def evaluate(
         other = e[t ^ p]
         outside = other == 0
         per_alpha = (n - len(t) - outside.sum(axis=0)) * ok(lin)
-        per_alpha += ok(lin ^ e[t] ^ other).sum(axis=0)
-        per_alpha += (ok(lin ^ e[t]) & outside).sum(axis=0)
+        if len(t):
+            per_alpha += ok(lin ^ e[t] ^ other).sum(axis=0)
+            per_alpha += (ok(lin ^ e[t]) & outside).sum(axis=0)
         hits.append(Fraction(int(per_alpha.sum()), n * num_alphas))
     *c2_per_i, c3 = hits
     if not exact:
