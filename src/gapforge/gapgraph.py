@@ -37,11 +37,12 @@ reads off an honest assignment, which is GF(2)-linear in the packed
 tuple: x_0 = 0 and x_a + x_{a+d} = x_d, so the pair (a, a + d) passes
 exactly when (0, d) does, and one pair per checked difference decides
 the family.  Apart from the zero-tuple terms, the rule reads only the
-variable and value differences.  So each assignment packs into one code, var << 2 ell |
-val, two codes XOR to their differences, and `_code_table` tabulates
-the rule once over all T*V codes (T tuples, V values), on first use.
-The table exists while T*V is within EXPORT_VERTEX_BUDGET, which every
-exportable graph meets.  Both row builders read it: the explicit export
+variable and value differences.  So each assignment packs into one
+code, var << 2 ell | val, two codes XOR to their differences, and
+`_code_table` tabulates the rule once over all T*V codes (T tuples, V
+values), on first use.  The table exists while T*V is within
+EXPORT_VERTEX_BUDGET, which every exportable graph meets.  Both row
+builders read it: the explicit export
 and the rows of the implicit clique search, whose rows fall back to
 `_pairs_ok` past that budget.  Both take their vertex arrays from
 canonical indices by index arithmetic, and their vertex tuples from
