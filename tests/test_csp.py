@@ -583,7 +583,7 @@ def test_evaluate_and_honest_match_reference():
     assert checked > 250
 
 
-def testnonlinear_part_vanishes_on_basis_and_on_linear_assignments():
+def test_nonlinear_part_vanishes_on_basis_and_on_linear_assignments():
     for csp, assignments in reference_corpus():
         basis = [1 << j for j in range(csp.num_vars.bit_length() - 1)]
         for a in assignments:
